@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import acosh
 from pathlib import Path
@@ -32,7 +31,7 @@ FLOAT_FMT = "%.17g"  # bit-stable decimal round trip
 _CONTINUATION_DEFAULTS = {
     "dt_init": 0.1, "dt_min": 1e-4, "dt_grow": 1.5,
     "newton_tol": 1e-10, "max_newton": 50, "max_backtracks": 30,
-    "guard_frac": 0.05, "jacobian_method": "fd",
+    "guard_frac": 0.05,
 }
 
 CONFIG_SCHEMA = {
@@ -107,11 +106,12 @@ CONFIG_SCHEMA = {
                 "max_newton": {"type": "integer", "minimum": 1},
                 "max_backtracks": {"type": "integer", "minimum": 1},
                 "guard_frac": {"type": "number", "minimum": 0},
-                "jacobian_method": {"enum": ["fd", "analytic"]},
+                # still accepted so existing configs validate; the solver
+                # has only the analytic Jacobian
+                "jacobian_method": {"enum": ["analytic"]},
             },
         },
         "output_dir": {"type": "string"},
-        "seed": {"type": "integer"},
         "export": {
             "type": "object",
             "additionalProperties": False,
@@ -151,7 +151,6 @@ def normalize_config(cfg):
     for key, val in _CONTINUATION_DEFAULTS.items():
         cont.setdefault(key, val)
     out.setdefault("output_dir", "warpcurve-out")
-    out.setdefault("seed", 0)
     exp = out.setdefault("export", {})
     exp.setdefault("slices", True)
     exp.setdefault("mesh", False)
@@ -194,7 +193,7 @@ def build_spec(cfg, base_dir="."):
         newton_tol=cont["newton_tol"], max_newton=cont["max_newton"],
         max_backtracks=cont["max_backtracks"], dt_init=cont["dt_init"],
         dt_min=cont["dt_min"], dt_grow=cont["dt_grow"],
-        guard_frac=cont["guard_frac"], jacobian_method=cont["jacobian_method"])
+        guard_frac=cont["guard_frac"])
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +206,28 @@ def _coord_names(grid):
     return [f"x{i + 1}" for i in range(grid.n)]
 
 
+def _write_coefficient_tables(out, files, coeffs):
+    """Copy table coefficients into the archive under their configured
+    relative names, so build_spec can rebuild the spec from the archive.
+    Names that resolve outside the archive are left to point at the
+    original files."""
+    for fname, table in zip(files, coeffs.tables):
+        path = out / fname
+        if not path.resolve().is_relative_to(out.resolve()):
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write("u,node,value\n")
+            for u, row in zip(coeffs.u_samples, table):
+                for node, value in enumerate(row):
+                    fh.write(f"{FLOAT_FMT % u},{node},{FLOAT_FMT % value}\n")
+
+
 def write_archive(out_dir, cfg, spec, state, status):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if isinstance(spec.coeffs, TabulatedCoefficients):
+        _write_coefficient_tables(out, cfg["coefficients"]["files"], spec.coeffs)
     names = _coord_names(spec.grid)
     with open(out / "solution.csv", "w") as fh:
         fh.write(",".join(names + ["u"]) + "\n")
@@ -267,11 +285,7 @@ def cmd_solve(args):
 
     out_dir = Path(args.out or cfg["output_dir"])
     try:
-        if report.passed:
-            state = solver.continuation(spec)
-        else:
-            # bypass the hypothesis gate inside continuation
-            state = _forced_continuation(spec)
+        state = solver.continuation(spec, check=False)  # checked above
     except ContinuationError as exc:
         if exc.last_state is not None:
             write_archive(out_dir, cfg, spec, exc.last_state, "continuation-failure")
@@ -287,13 +301,6 @@ def cmd_solve(args):
           f"tau_min={diag.tau_min:.6f}, |lambda|_max={diag.lambda_abs_max:.6f}")
     print(f"archive written to {out_dir}")
     return 0
-
-
-def _forced_continuation(spec):
-    import unittest.mock as mock
-    passing = problem.HypothesisReport(checks={})
-    with mock.patch.object(problem, "check_hypotheses", return_value=passing):
-        return solver.continuation(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +349,20 @@ def _verify_leaf_identity(rng):
     return worst, worst <= 1e-12
 
 
-def _radial_spec(resolution=(8, 8, 8), jacobian_method="fd"):
+def _radial_spec(resolution=(8, 8, 8)):
     grid = FlatTorus(resolution)
     w = WarpingFunction("hyperbolic", 1.0)
     coeffs = CoefficientFamily(
         [CoefficientTerm(6.0), CoefficientTerm(1.0)], 2)
     return ProblemSpec(grid=grid, warping=w, k=2, coeffs=coeffs,
-                       phi=PhiFunction(pivot=1.3), r1=1.0, r2=1.6,
-                       jacobian_method=jacobian_method)
+                       phi=PhiFunction(pivot=1.3), r1=1.0, r2=1.6)
 
 
 def _verify_jacobian_fd(rng):
     spec = _radial_spec((6, 6, 6))
     u = GridFunction(1.3 + 0.05 * np.sin(spec.grid.coords[:, 0]), spec.grid)
     worst = 0.0
-    for method in ("fd", "analytic"):
-        J = problem.jacobian(u, 0.7, spec, method=method)
+    for J in (oracle.colored_fd_jacobian(u, 0.7, spec), problem.jacobian(u, 0.7, spec)):
         for _ in range(5):
             d = GridFunction(rng.standard_normal(spec.grid.num_nodes), spec.grid)
             ref = oracle.fd_directional(u, d, 0.7, spec).values
@@ -492,15 +497,7 @@ def cmd_export(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _apply_worker_cap():
-    cap = os.environ.get("WARPCURVE_MAX_WORKERS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None):
-    _apply_worker_cap()
     parser = argparse.ArgumentParser(
         prog="warpcurve",
         description="Prescribed Weingarten curvature solver for graphs in warped products")

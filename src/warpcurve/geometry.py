@@ -357,31 +357,31 @@ class CurvatureRecord:
     v: np.ndarray       # (N,)
 
 
+def _cholesky_congruence(gtilde, h):
+    """(L^-1, A) with gtilde = L L^T and A = L^-1 h L^-T symmetrised, so
+    the pencil h w = lam gtilde w becomes the symmetric problem A y = lam y."""
+    try:
+        L = np.linalg.cholesky(gtilde)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("induced metric not positive definite") from exc
+    Linv = np.linalg.inv(L)
+    A = Linv @ h @ np.swapaxes(Linv, -1, -2)
+    return Linv, 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
 def principal_curvatures(gtilde, h):
     """Eigenvalues of the pencil h w = lam gtilde w, ascending, batched.
 
     Cholesky congruence: gtilde = L L^T, then a symmetric eigensolve of
     L^-1 h L^-T, which keeps the spectrum real by construction.
     """
-    try:
-        L = np.linalg.cholesky(gtilde)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("induced metric not positive definite") from exc
-    Linv = np.linalg.inv(L)
-    A = Linv @ h @ np.swapaxes(Linv, -1, -2)
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    _, A = _cholesky_congruence(gtilde, h)
     return np.linalg.eigvalsh(A)
 
 
 def pencil_eigensystem(gtilde, h):
     """(lam, V) with gtilde-orthonormal eigenvector columns V[..., :, a]."""
-    try:
-        L = np.linalg.cholesky(gtilde)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("induced metric not positive definite") from exc
-    Linv = np.linalg.inv(L)
-    A = Linv @ h @ np.swapaxes(Linv, -1, -2)
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    Linv, A = _cholesky_congruence(gtilde, h)
     lam, W = np.linalg.eigh(A)
     V = np.swapaxes(Linv, -1, -2) @ W
     return lam, V

@@ -140,29 +140,24 @@ class TabulatedCoefficients:
             if tb.shape[1] != grid.num_nodes:
                 raise ConfigError("table columns must match the grid nodes")
 
-    def _segments(self, u):
-        us = self.u_samples
+    def _bracket(self, l, u):
+        """Segment index j of u, its position t in [u_j, u_{j+1}], and the
+        table rows at both ends; u is a scalar or one value per node."""
+        us, tb = self.u_samples, self.tables[l]
         j = np.clip(np.searchsorted(us, u) - 1, 0, us.size - 2)
         t = (u - us[j]) / (us[j + 1] - us[j])
-        return j, t
+        if np.ndim(u):
+            rows = np.arange(tb.shape[1])
+            return j, t, tb[j, rows], tb[j + 1, rows]
+        return j, t, tb[j], tb[j + 1]
 
     def values(self, l, u, w=None):
-        tb = self.tables[l]
-        j, t = self._segments(np.asarray(u, dtype=float))
-        rows = np.arange(tb.shape[1]) if np.ndim(u) else slice(None)
-        lo = tb[j, rows] if np.ndim(u) else tb[j]
-        hi = tb[j + 1, rows] if np.ndim(u) else tb[j + 1]
-        return lo + t * (hi - lo) if np.ndim(u) else lo + t * (hi - lo)
+        _, t, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
+        return lo + t * (hi - lo)
 
     def du(self, l, u, w=None):
-        tb = self.tables[l]
-        u = np.asarray(u, dtype=float)
-        j, _ = self._segments(u)
-        span = (self.u_samples[j + 1] - self.u_samples[j])
-        rows = np.arange(tb.shape[1]) if np.ndim(u) else slice(None)
-        if np.ndim(u):
-            return (tb[j + 1, rows] - tb[j, rows]) / span
-        return (tb[j + 1] - tb[j]) / span
+        j, _, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
+        return (hi - lo) / (self.u_samples[j + 1] - self.u_samples[j])
 
     def describe(self):
         return {"kind": "table", "u_samples": self.u_samples.tolist(),
@@ -247,7 +242,6 @@ class ProblemSpec:
     dt_min: float = 1e-4
     dt_grow: float = 1.5
     guard_frac: float = 0.05
-    jacobian_method: str = "fd"
     check_samples: int = 64
 
     def __post_init__(self):
@@ -265,8 +259,6 @@ class ProblemSpec:
             raise ConfigError("phi pivot must lie strictly inside (r1, r2)")
         if self.coeffs.k != self.k:
             raise ConfigError("coefficient family order does not match k")
-        if self.jacobian_method not in ("fd", "analytic"):
-            raise ConfigError(f"unknown jacobian method {self.jacobian_method!r}")
         self.coeffs.bind(self.grid)
         # f > 0, f' > 0 on the guarded working interval
         delta = self.guard_frac * (self.r2 - self.r1)
@@ -338,60 +330,9 @@ def residual(u: GridFunction, t, spec: ProblemSpec) -> GridFunction:
     return u.with_values(F)
 
 
-def _fd_coloring(grid: BaseGrid):
-    """Distance-2 greedy coloring of the stencil pattern, cached per grid.
-
-    Same-colored columns never share a residual row, so one perturbed
-    evaluation recovers one Jacobian entry per affected row."""
-    cached = getattr(grid, "_fd_coloring", None)
-    if cached is not None:
-        return cached
-    pat = grid.stencil_pattern.tocsc()
-    conflict = (pat.T @ pat).tocsr()
-    N = grid.num_nodes
-    colors = np.full(N, -1, dtype=int)
-    for q in range(N):
-        nbr = conflict.indices[conflict.indptr[q]:conflict.indptr[q + 1]]
-        used = set(colors[nbr[nbr < q]].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        colors[q] = c
-    ncolors = colors.max() + 1
-    # per color: (rows, cols) index pairs of the pattern restricted to it
-    groups = []
-    for c in range(ncolors):
-        cols_c = np.flatnonzero(colors == c)
-        rows, cols = [], []
-        for q in cols_c:
-            rr = pat.indices[pat.indptr[q]:pat.indptr[q + 1]]
-            rows.append(rr)
-            cols.append(np.full(rr.size, q))
-        groups.append((np.concatenate(rows), np.concatenate(cols)))
-    grid._fd_coloring = (colors, groups)
-    return grid._fd_coloring
-
-
-def _jacobian_fd(u: GridFunction, t, spec: ProblemSpec, step=None):
-    colors, groups = _fd_coloring(spec.grid)
-    N = spec.grid.num_nodes
-    h = step if step is not None else 1e-6 * (1.0 + np.max(np.abs(u.values)))
-    rows_all, cols_all, vals_all = [], [], []
-    for c, (rows, cols) in enumerate(groups):
-        e = (colors == c).astype(float)
-        Fp = residual(u.with_values(u.values + h * e), t, spec).values
-        Fm = residual(u.with_values(u.values - h * e), t, spec).values
-        d = (Fp - Fm) / (2.0 * h)
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(d[rows])
-    return sp.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(N, N))
-
-
-def _jacobian_analytic(u: GridFunction, t, spec: ProblemSpec):
-    """Chain-rule Jacobian through the eigenvalue map of the pencil (h, gtilde).
+def jacobian(u: GridFunction, t, spec: ProblemSpec):
+    """Sparse Jacobian of the residual, by the chain rule through the
+    eigenvalue map of the pencil (h, gtilde).
 
     For a symmetric pencil with gtilde-orthonormal eigenvectors v_a, the
     first-order change of the operator value is
@@ -442,21 +383,6 @@ def _jacobian_analytic(u: GridFunction, t, spec: ProblemSpec):
         wgt = c2[:, i, j] if i == j else 2.0 * c2[:, i, j]
         J = J + sp.diags(wgt) @ H
     return J.tocsr()
-
-
-def jacobian(u: GridFunction, t, spec: ProblemSpec, method=None):
-    """Sparse Jacobian of the residual; colored central differences by
-    default, analytic chain rule on request."""
-    method = method or spec.jacobian_method
-    if method == "analytic":
-        return _jacobian_analytic(u, t, spec)
-    if method != "fd":
-        raise ConfigError(f"unknown jacobian method {method!r}")
-    try:
-        return _jacobian_fd(u, t, spec)
-    except ConeExitError:
-        h = 0.1 * 1e-6 * (1.0 + np.max(np.abs(u.values)))
-        return _jacobian_fd(u, t, spec, step=h)
 
 
 # ---------------------------------------------------------------------------

@@ -164,14 +164,17 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
         f"(last |F| = {stats.residual_norms[-1]:.3e})")
 
 
-def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None) -> ContinuationState:
+def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
+                 check=True) -> ContinuationState:
     """Follow the homotopy path from the constant solution at t = 0.
 
     Order-0 predictor (reuse u); the step halves on Newton failure and grows
-    by dt_grow after two consecutive easy successes.
+    by dt_grow after two consecutive easy successes.  With check=True the
+    structural hypotheses are verified first and a violation raises
+    HypothesisError; callers that have already checked them pass False.
     """
-    report = problem.check_hypotheses(spec)
-    report.raise_if_failed()
+    if check:
+        problem.check_hypotheses(spec).raise_if_failed()
 
     u = initial_solution(spec)
     t = 0.0

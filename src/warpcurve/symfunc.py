@@ -7,7 +7,6 @@ and sigma_{-1} = 0 are fixed globally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -55,28 +54,10 @@ def elem_sym_grad(lam, k):
     return grad
 
 
-@dataclass(frozen=True)
-class ConeMembership:
-    order: int
-    margins: np.ndarray  # sigma_1 .. sigma_k
-    inside: bool
-
-
 def cone_margins(lam, k):
     """Minimum of sigma_1..sigma_k, batched.  Positive iff lam in Gamma_k."""
     sig = sigma_all(lam)
     return sig[..., 1:k + 1].min(axis=-1)
-
-
-def in_cone(lam, k):
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if lam.ndim != 1:
-        raise DomainError("in_cone expects a single eigenvalue tuple")
-    if not 1 <= k <= n:
-        raise DomainError(f"cone order k={k} outside 1..{n}")
-    margins = sigma_all(lam)[1:k + 1]
-    return ConeMembership(order=k, margins=margins, inside=bool(np.all(margins > 0.0)))
 
 
 def newton_maclaurin_margins(lam, k, l, r, s):
@@ -112,13 +93,6 @@ def newton_maclaurin_margins(lam, k, l, r, s):
     return product_margin, quotient_margin
 
 
-@dataclass(frozen=True)
-class OperatorEval:
-    value: float
-    grad: np.ndarray
-    quotient_terms: np.ndarray  # sigma_l / sigma_{k-1}, l = 0..k
-
-
 def quotient_and_grads(lam, k, lower_orders=None):
     """sigma_l/sigma_{k-1} and their eigenvalue gradients, batched.
 
@@ -151,25 +125,3 @@ def quotient_and_grads(lam, k, lower_orders=None):
         dquot[..., j, :] = (dnum * den_e - num[..., None] * dden) / den_e ** 2
     return quot, dquot
 
-
-def g_operator(lam, alpha, alpha_k1, t):
-    """Evaluate the homotopy quotient operator at a single eigenvalue tuple.
-
-    alpha holds the k-1 lower coefficients (orders 0..k-2); the operator is
-
-        sigma_k/sigma_{k-1} - sum_l t alpha_l sigma_l/sigma_{k-1} - alpha_k1.
-    """
-    lam = np.asarray(lam, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    k = alpha.shape[-1] + 1
-    if np.any(alpha < 0.0):
-        raise DomainError("coefficients alpha_l must be nonnegative")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"homotopy parameter t={t} outside [0, 1]")
-    if cone_margins(lam, k - 1) <= 0.0:
-        raise ConeExitError(f"lam outside Gamma_{k-1}", lam=lam)
-    quot, dquot = quotient_and_grads(lam, k)
-    weights = np.concatenate([-t * alpha, [0.0], [1.0]])  # orders 0..k-2, k-1, k
-    value = float(weights @ quot) - float(alpha_k1)
-    grad = weights @ dquot
-    return OperatorEval(value=value, grad=grad, quotient_terms=quot)

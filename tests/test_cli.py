@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpcurve
 from warpcurve import cli
 from warpcurve.errors import WarpcurveError
 
@@ -55,6 +57,26 @@ def test_normalize_config_requires_k_terms():
     cfg["coefficients"]["terms"].pop()
     with pytest.raises(WarpcurveError):
         cli.normalize_config(cfg)
+
+
+def test_jacobian_method_schema(tmp_path):
+    # the key survives for old configs, but only the analytic Jacobian exists
+    cfg = base_config(continuation={"jacobian_method": "analytic"})
+    assert cli.build_spec(cli.normalize_config(cfg)).grid.shape == (6, 6, 6)
+    cfg["continuation"]["jacobian_method"] = "fd"
+    assert cli.main(["solve", str(write_config(tmp_path, cfg))]) == 1
+
+
+def test_no_module_imports_unittest():
+    for path in Path(warpcurve.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "unittest" for n in names), path.name
 
 
 def test_build_spec_roundtrip():
@@ -252,6 +274,31 @@ def test_export_mesh_requires_sphere(tmp_path):
 
 def test_export_unknown_format(sphere_archive):
     assert cli.main(["export", str(sphere_archive), "--format", "vtk"]) == 1
+
+
+def test_export_table_archive(tmp_path, monkeypatch):
+    # the archive carries its coefficient tables: export needs neither the
+    # config directory nor the working directory
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    files = write_constant_tables(cfg_dir, 4 * 4, (6.0, 1.0))
+    cfg = base_config(r1=0.2, r2=0.35, phi={"pivot": 0.28})
+    cfg["manifold"] = {"type": "flat_torus", "resolution": [4, 4]}
+    cfg["coefficients"] = {"kind": "table", "files": files}
+    path = write_config(cfg_dir, cfg)
+    out = tmp_path / "archive"
+    assert cli.main(["solve", str(path), "--out", str(out), "--force"]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.main(["export", str(out), "--format", "csv",
+                     "--out", str(tmp_path / "exp")]) == 0
+    meta, _ = cli.read_archive(out)
+    original = cli.build_spec(meta["config"], base_dir=cfg_dir).coeffs
+    rebuilt = cli.build_spec(meta["config"], base_dir=out).coeffs
+    assert np.array_equal(rebuilt.u_samples, original.u_samples)
+    for a, b in zip(rebuilt.tables, original.tables):
+        assert np.array_equal(a, b)
 
 
 def test_export_is_self_describing(sphere_archive, tmp_path, monkeypatch):

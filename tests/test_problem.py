@@ -4,7 +4,7 @@ import pytest
 from warpcurve import geometry, problem, symfunc
 from warpcurve.errors import ConeExitError, ConfigError, HypothesisError
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
-from warpcurve.oracle import fd_directional
+from warpcurve.oracle import colored_fd_jacobian, fd_directional
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                                ProblemSpec, TabulatedCoefficients,
                                alpha_k1_homotopy, check_hypotheses, jacobian,
@@ -205,8 +205,7 @@ def test_jacobian_both_paths_match_oracle():
     spec = hyperbolic_spec((6, 6, 6))
     u = GridFunction(1.3 + 0.05 * np.sin(spec.grid.coords[:, 0]), spec.grid)
     rng = np.random.default_rng(9)
-    for method in ("fd", "analytic"):
-        J = jacobian(u, 0.7, spec, method=method)
+    for J in (colored_fd_jacobian(u, 0.7, spec), jacobian(u, 0.7, spec)):
         for _ in range(3):
             d = GridFunction(rng.standard_normal(spec.grid.num_nodes), spec.grid)
             ref = fd_directional(u, d, 0.7, spec).values
@@ -250,11 +249,23 @@ def test_jacobian_sparsity_matches_stencil():
     assert extra.max() <= 0.0  # no couplings beyond the stencil
 
 
-def test_jacobian_unknown_method():
-    spec = hyperbolic_spec((4, 4, 4))
-    u = GridFunction.constant(1.3, spec.grid)
-    with pytest.raises(ConfigError):
-        jacobian(u, 0.0, spec, method="autodiff")
+@pytest.mark.parametrize("grid, profiles", [
+    (FlatTorus((16, 16)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1})),
+    (Sphere2(12, 24), ({"kind": "sphere_z"}, {"kind": "sphere_x"})),
+], ids=["torus2-16", "sphere-12x24"])
+def test_jacobian_matches_colored_fd_entrywise(grid, profiles):
+    # perturbed coefficients as in the benchmark's 2-D workloads; on the
+    # sphere the colored FD itself is off by O(h^2), about 4e-7 here
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
+                                CoefficientTerm(0.5, 0.05, profiles[1])], 2)
+    spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    x = grid.coords
+    u = GridFunction(1.45 + 0.03 * np.cos(x[:, 0]) * np.sin(x[:, 1]), grid)
+    for t in (0.0, 0.5, 1.0):
+        J = jacobian(u, t, spec)
+        err = abs(J - colored_fd_jacobian(u, t, spec)).max()
+        assert err <= 1e-6 * abs(J).max()
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,6 @@ def test_grad_identities():
             assert abs(grad.sum() - (n - k + 1) * skm1) <= 1e-12 * max(1.0, abs(skm1))
 
 
-def test_in_cone():
-    m = symfunc.in_cone(np.array([1.0, 1.0, -0.1]), 2)
-    assert m.inside
-    np.testing.assert_allclose(m.margins, [1.9, 0.8])
-    assert not symfunc.in_cone(np.array([-1.0, -1.0, -1.0]), 1).inside
-    for k in (1, 2, 3):
-        assert symfunc.in_cone(np.ones(3), k).inside
-
-
 def test_newton_maclaurin_frozen_values():
     m1, m2 = symfunc.newton_maclaurin_margins(np.array([1.0, 2.0, 3.0]), 2, 1, 1, 0)
     assert m1 == pytest.approx(6.0, abs=1e-12)
@@ -126,27 +117,6 @@ def test_quotient_grads_match_finite_differences():
 def test_quotient_grads_cone_exit():
     with pytest.raises(ConeExitError):
         symfunc.quotient_and_grads(np.array([-3.0, 1.0, 1.0]), 2)
-
-
-def test_g_operator_values():
-    ev = symfunc.g_operator(np.ones(3), np.array([0.0]), 0.0, 0.0)
-    assert ev.value == pytest.approx(1.0, abs=1e-14)
-    ev = symfunc.g_operator(np.array([1.0, 2.0, 3.0]), np.array([0.0]), 0.0, 0.0)
-    assert ev.value == pytest.approx(11.0 / 6.0, rel=1e-14)
-
-
-def test_g_operator_ellipticity():
-    ev = symfunc.g_operator(np.array([0.5, 1.0, 2.0]), np.array([0.3]), 0.1, 1.0)
-    assert np.all(ev.grad > 0.0)
-
-
-def test_g_operator_validation():
-    with pytest.raises(DomainError):
-        symfunc.g_operator(np.ones(3), np.array([-0.5]), 0.0, 0.5)
-    with pytest.raises(DomainError):
-        symfunc.g_operator(np.ones(3), np.array([0.5]), 0.0, 1.5)
-    with pytest.raises(ConeExitError):
-        symfunc.g_operator(np.array([-2.0, -2.0, 1.0]), np.array([0.5]), 0.0, 1.0)
 
 
 def test_quotient_midpoint_concavity():
