@@ -5,8 +5,8 @@ from .errors import (ConeExitError, ConfigError, ContinuationError, DomainError,
                      GeometryError, HypothesisError, NonConvergenceError,
                      StepFailureError, WarpcurveError)
 from .geometry import (CurvatureRecord, FlatTorus, GridFunction, Sphere2,
-                       WarpingFunction, fundamental_forms, gradient_hessian,
-                       make_grid, principal_curvatures, warp_eval)
+                       WarpingFunction, fundamental_forms, principal_curvatures,
+                       warp_eval)
 from .problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                       ProblemSpec, TabulatedCoefficients, alpha_k1_homotopy,
                       check_hypotheses, jacobian, residual)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
+from functools import cache
 from math import acosh
 from pathlib import Path
 
@@ -28,11 +30,9 @@ FLOAT_FMT = "%.17g"  # bit-stable decimal round trip
 # Configuration schema
 # ---------------------------------------------------------------------------
 
-_CONTINUATION_DEFAULTS = {
-    "dt_init": 0.1, "dt_min": 1e-4, "dt_grow": 1.5,
-    "newton_tol": 1e-10, "max_newton": 50, "max_backtracks": 30,
-    "guard_frac": 0.05,
-}
+# the continuation section sets exactly the ProblemSpec fields with defaults
+_CONTINUATION_DEFAULTS = {f.name: f.default for f in fields(ProblemSpec)
+                          if f.default is not MISSING}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -112,6 +112,8 @@ CONFIG_SCHEMA = {
             },
         },
         "output_dir": {"type": "string"},
+        # accepted so existing configs and archived config echoes validate;
+        # nothing reads it, `export --format` chooses the output
         "export": {
             "type": "object",
             "additionalProperties": False,
@@ -121,11 +123,21 @@ CONFIG_SCHEMA = {
 }
 
 
+@cache
+def _config_validator():
+    """Validator for CONFIG_SCHEMA, built once; the schema's own validity is
+    checked by the test suite, not on every call."""
+    from jsonschema.validators import validator_for
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def normalize_config(cfg):
     """Validate against the schema and fill defaults.  Normalized configs
     round-trip: normalize(normalize(cfg)) == normalize(cfg)."""
-    import jsonschema
-    jsonschema.validate(cfg, CONFIG_SCHEMA)
+    from jsonschema.exceptions import best_match
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise error  # the error jsonschema.validate would raise
     out = json.loads(json.dumps(cfg))  # deep copy, JSON-typed
     man = out["manifold"]
     if man["type"] == "flat_torus":
@@ -133,17 +145,17 @@ def normalize_config(cfg):
     warp = out["warping"]
     warp.setdefault("param", 0.0)
     warp.setdefault("t_min", 0.0)
-    warp.setdefault("t_max", float("inf") if warp["kind"] != "sphere" else 1e308)
-    if not np.isfinite(warp["t_max"]):
-        warp["t_max"] = 1e308  # JSON has no infinity
-    out["phi"].setdefault("steepness", 2.0)
+    # JSON has no infinity: an unbounded domain is written as 1e308
+    if not np.isfinite(warp.setdefault("t_max", 1e308)):
+        warp["t_max"] = 1e308
+    out["phi"].setdefault("steepness", PhiFunction.steepness)
     coeffs = out["coefficients"]
     if coeffs["kind"] == "builtin":
         if "terms" not in coeffs or len(coeffs["terms"]) != out["k"]:
             raise WarpcurveError("builtin coefficients need exactly k terms")
         for term in coeffs["terms"]:
-            term.setdefault("epsilon", 0.0)
-            term.setdefault("profile", None)
+            term.setdefault("epsilon", CoefficientTerm.epsilon)
+            term.setdefault("profile", CoefficientTerm.profile)
     else:
         if "files" not in coeffs or len(coeffs["files"]) != out["k"]:
             raise WarpcurveError("table coefficients need exactly k CSV files")
@@ -151,9 +163,6 @@ def normalize_config(cfg):
     for key, val in _CONTINUATION_DEFAULTS.items():
         cont.setdefault(key, val)
     out.setdefault("output_dir", "warpcurve-out")
-    exp = out.setdefault("export", {})
-    exp.setdefault("slices", True)
-    exp.setdefault("mesh", False)
     return out
 
 
@@ -173,9 +182,7 @@ def build_spec(cfg, base_dir="."):
     k = cfg["k"]
     cc = cfg["coefficients"]
     if cc["kind"] == "builtin":
-        terms = [CoefficientTerm(amplitude=t["amplitude"], epsilon=t["epsilon"],
-                                 profile=t["profile"]) for t in cc["terms"]]
-        coeffs = CoefficientFamily(terms, k)
+        coeffs = CoefficientFamily([CoefficientTerm(**t) for t in cc["terms"]], k)
     else:
         samples, tables = None, []
         for fname in cc["files"]:
@@ -188,12 +195,9 @@ def build_spec(cfg, base_dir="."):
     cont = cfg["continuation"]
     return ProblemSpec(
         grid=grid, warping=warping, k=k, coeffs=coeffs,
-        phi=PhiFunction(pivot=cfg["phi"]["pivot"], steepness=cfg["phi"]["steepness"]),
+        phi=PhiFunction(**cfg["phi"]),
         r1=cfg["r1"], r2=cfg["r2"],
-        newton_tol=cont["newton_tol"], max_newton=cont["max_newton"],
-        max_backtracks=cont["max_backtracks"], dt_init=cont["dt_init"],
-        dt_min=cont["dt_min"], dt_grow=cont["dt_grow"],
-        guard_frac=cont["guard_frac"])
+        **{key: cont[key] for key in _CONTINUATION_DEFAULTS})
 
 
 # ---------------------------------------------------------------------------

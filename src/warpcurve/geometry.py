@@ -7,16 +7,13 @@ Jacobian inherits the exact stencil sparsity.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, GeometryError
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +137,6 @@ class BaseGrid:
         return pat
 
 
-def _roll_indices(idx, axis, shift):
-    return np.roll(idx, -shift, axis=axis)
-
-
 class FlatTorus(BaseGrid):
     """Flat n-torus (n = 2 or 3), periods L_i, uniform periodic grid."""
 
@@ -177,8 +170,8 @@ class FlatTorus(BaseGrid):
         d2_diag = []
         for a in range(self.n):
             h = self.spacing[a]
-            up = _roll_indices(idx, a, +1).ravel()
-            dn = _roll_indices(idx, a, -1).ravel()
+            up = np.roll(idx, -1, axis=a).ravel()
+            dn = np.roll(idx, 1, axis=a).ravel()
             rows = np.concatenate([idx.ravel(), idx.ravel()])
             cols = np.concatenate([up, dn])
             vals = np.concatenate([np.full(N, 0.5 / h), np.full(N, -0.5 / h)])
@@ -196,10 +189,6 @@ class FlatTorus(BaseGrid):
                     self.hess_ops[(i, j)] = d2_diag[i]
                 else:
                     self.hess_ops[(i, j)] = (self.diff_ops[i] @ self.diff_ops[j]).tocsr()
-
-    def describe(self):
-        return {"manifold": "flat_torus", "n": self.n,
-                "resolution": list(self.shape), "periods": list(self.periods)}
 
     def inject_from(self, fine_values, fine_grid):
         """Restrict a field on the 2x-refined torus to this grid's nodes."""
@@ -295,21 +284,6 @@ class Sphere2(BaseGrid):
             (1, 1): (D2_phi + sc @ D_theta).tocsr(),
         }
 
-    def describe(self):
-        return {"manifold": "sphere2", "n": 2,
-                "resolution": [self.shape[0], self.shape[1]]}
-
-
-def make_grid(desc):
-    """Build a grid from its describe() dictionary."""
-    kind = desc["manifold"]
-    if kind == "flat_torus":
-        return FlatTorus(desc["resolution"], periods=desc.get("periods"))
-    if kind == "sphere2":
-        nt, nphi = desc["resolution"]
-        return Sphere2(nt, nphi)
-    raise ConfigError(f"unknown manifold {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # Fields and curvature
@@ -336,12 +310,6 @@ class GridFunction:
     @staticmethod
     def constant(c, grid):
         return GridFunction(np.full(grid.num_nodes, float(c)), grid)
-
-
-def gradient_hessian(u: GridFunction, grid: BaseGrid | None = None):
-    """Covariant gradient and Hessian of u on its grid."""
-    grid = grid if grid is not None else u.grid
-    return grid.gradient_hessian(u.values)
 
 
 @dataclass(frozen=True)

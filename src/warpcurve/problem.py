@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -15,6 +15,8 @@ from .errors import ConeExitError, ConfigError, HypothesisError
 from .geometry import BaseGrid, GridFunction, WarpingFunction, warp_eval
 
 log = logging.getLogger(__name__)
+
+CHECK_SAMPLES = 64  # u-samples per range in check_hypotheses
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +85,6 @@ class CoefficientFamily:
     so the monotonicity hypothesis holds with equality for every member.
     """
 
-    kind = "builtin"
-
     def __init__(self, terms, k):
         terms = list(terms)
         if len(terms) != k:
@@ -109,16 +109,9 @@ class CoefficientFamily:
         return (-(self.k - l) * t.amplitude * f ** (-(self.k - l) - 1) * fp
                 * (1.0 + t.epsilon * self._psi[l]))
 
-    def describe(self):
-        return {"kind": "builtin",
-                "terms": [{"amplitude": t.amplitude, "epsilon": t.epsilon,
-                           "profile": t.profile} for t in self.terms]}
-
 
 class TabulatedCoefficients:
     """Escape hatch: alpha_l given on a (u-sample x node) table, linear in u."""
-
-    kind = "table"
 
     def __init__(self, u_samples, tables, k):
         self.u_samples = np.asarray(u_samples, dtype=float)
@@ -142,14 +135,13 @@ class TabulatedCoefficients:
 
     def _bracket(self, l, u):
         """Segment index j of u, its position t in [u_j, u_{j+1}], and the
-        table rows at both ends; u is a scalar or one value per node."""
+        table values at both ends, node by node; u is a scalar, one value
+        per node, or a (u-sample, 1) column of a (u-sample x node) lattice."""
         us, tb = self.u_samples, self.tables[l]
         j = np.clip(np.searchsorted(us, u) - 1, 0, us.size - 2)
         t = (u - us[j]) / (us[j + 1] - us[j])
-        if np.ndim(u):
-            rows = np.arange(tb.shape[1])
-            return j, t, tb[j, rows], tb[j + 1, rows]
-        return j, t, tb[j], tb[j + 1]
+        nodes = np.arange(tb.shape[1])
+        return j, t, tb[j, nodes], tb[j + 1, nodes]
 
     def values(self, l, u, w=None):
         _, t, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
@@ -158,10 +150,6 @@ class TabulatedCoefficients:
     def du(self, l, u, w=None):
         j, _, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return (hi - lo) / (self.u_samples[j + 1] - self.u_samples[j])
-
-    def describe(self):
-        return {"kind": "table", "u_samples": self.u_samples.tolist(),
-                "tables": [tb.tolist() for tb in self.tables]}
 
 
 def load_coefficient_table(path, grid: BaseGrid):
@@ -242,7 +230,6 @@ class ProblemSpec:
     dt_min: float = 1e-4
     dt_grow: float = 1.5
     guard_frac: float = 0.05
-    check_samples: int = 64
 
     def __post_init__(self):
         n = self.grid.n
@@ -418,26 +405,42 @@ class HypothesisReport:
                 f"offender {c.offender})", name=c.name, offender=c.offender)
 
 
-def _leaf_sides(spec: ProblemSpec, us):
-    """LHS sigma_k(e) kappa^k and RHS sum_l alpha_l sigma_l(e) kappa^l on a
-    (u-sample x node) lattice; kappa = f'/f."""
+def _leaf_check(name, spec: ProblemSpec, us, sign):
+    """Leaf inequality sign * (LHS - RHS) >= 0 on the (u-sample x node)
+    lattice, LHS = sigma_k(e) kappa^k, RHS = sum_l alpha_l sigma_l(e) kappa^l,
+    kappa = f'/f."""
     n, k = spec.n, spec.k
     f, fp, _ = warp_eval(spec.warping, us)
-    kappa = fp / f
-    lhs = comb(n, k) * kappa ** k
-    rhs = np.zeros((us.size, spec.grid.num_nodes))
+    kappa = (fp / f)[:, None]
+    rhs = 0.0
     for l in range(k):
-        for i, ui in enumerate(us):
-            rhs[i] += spec.alpha(l, ui) * comb(n, l) * kappa[i] ** l
-    return lhs, rhs
+        rhs = rhs + spec.alpha(l, us[:, None]) * comb(n, l) * kappa ** l
+    margins = sign * (comb(n, k) * kappa ** k - rhs)
+    i, x = np.unravel_index(np.argmin(margins), margins.shape)
+    return HypothesisCheck(
+        name, bool(margins[i, x] >= 0.0), float(margins[i, x]),
+        (float(us[i]), int(x), None), (float(us[0]), float(us[-1])))
+
+
+def _lattice_min(us, lattices):
+    """Smallest entry of per-order (u-sample x node) lattices, made one order
+    at a time, and the first (u, node, l) where it occurs."""
+    worst, offender = np.inf, None
+    for l, a in enumerate(lattices):
+        i, x = np.unravel_index(np.argmin(a), a.shape)
+        if a[i, x] < worst:
+            worst, offender = float(a[i, x]), (float(us[i]), int(x), l)
+    return worst, offender
 
 
 def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Sampled verification of the structural hypotheses: the two leaf-side
     inequalities, monotonicity of f^{k-l} alpha_l, the phi conditions, and
-    uniform positivity of the coefficients."""
-    m = spec.check_samples
+    uniform positivity of the coefficients.  Each coefficient is evaluated
+    on a (u-sample x node) lattice, one order at a time."""
+    m = CHECK_SAMPLES
     w = spec.warping
+    orders = range(spec.k)
     checks = {}
     delta = 0.1 * (spec.r2 - spec.r1)
     eps_dom = 1e-9 * max(1.0, abs(w.t_max) if np.isfinite(w.t_max) else 1.0)
@@ -446,43 +449,26 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     hi = spec.r2 + delta
     if np.isfinite(w.t_max):
         hi = min(hi, w.t_max - eps_dom)
-    us = np.linspace(spec.r2, hi, m)
-    lhs, rhs = _leaf_sides(spec, us)
-    margins = lhs[:, None] - rhs
-    i, x = np.unravel_index(np.argmin(margins), margins.shape)
-    checks["as-1"] = HypothesisCheck(
-        "as-1", bool(margins[i, x] >= 0.0), float(margins[i, x]),
-        (float(us[i]), int(x), None), (float(us[0]), float(us[-1])))
+    checks["as-1"] = _leaf_check("as-1", spec, np.linspace(spec.r2, hi, m), 1.0)
 
     # as-2: reversed leaf inequality below r1
     lo = max(spec.r1 / 4.0, w.t_min + 1e-6 * (spec.r1 - w.t_min))
-    us = np.linspace(lo, spec.r1, m)
-    lhs, rhs = _leaf_sides(spec, us)
-    margins = rhs - lhs[:, None]
-    i, x = np.unravel_index(np.argmin(margins), margins.shape)
-    checks["as-2"] = HypothesisCheck(
-        "as-2", bool(margins[i, x] >= 0.0), float(margins[i, x]),
-        (float(us[i]), int(x), None), (float(us[0]), float(us[-1])))
+    checks["as-2"] = _leaf_check("as-2", spec, np.linspace(lo, spec.r1, m), -1.0)
 
-    # as-3: d/du [f^{k-l} alpha_l] <= 0 on (r1, r2), centered differences
+    # as-3: d/du [f^{k-l} alpha_l] <= 0 on (r1, r2), centered differences;
+    # the margin is -d/du
     us = np.linspace(spec.r1, spec.r2, m + 2)[1:-1]
     h = 1e-6 * (spec.r2 - spec.r1)
-    worst = -np.inf
-    offender = None
-    scale = 0.0
-    for l in range(spec.k):
-        for ui in us:
-            def beta(uv):
-                fv, _, _ = warp_eval(w, uv)
-                return fv ** (spec.k - l) * spec.alpha(l, uv)
-            d = (beta(ui + h) - beta(ui - h)) / (2.0 * h)
-            scale = max(scale, float(np.max(np.abs(beta(ui)))))
-            j = int(np.argmax(d))
-            if d[j] > worst:
-                worst, offender = float(d[j]), (float(ui), j, l)
-    tol = 1e-9 * max(1.0, scale)
+
+    def beta(l, uv):
+        fv, _, _ = warp_eval(w, uv[:, None])
+        return fv ** (spec.k - l) * spec.alpha(l, uv[:, None])
+
+    margin, offender = _lattice_min(
+        us, (-(beta(l, us + h) - beta(l, us - h)) / (2.0 * h) for l in orders))
+    tol = 1e-9 * max(1.0, max(float(np.max(np.abs(beta(l, us)))) for l in orders))
     checks["as-3"] = HypothesisCheck(
-        "as-3", bool(worst <= tol), float(-worst), offender,
+        "as-3", bool(margin >= -tol), margin, offender,
         (float(us[0]), float(us[-1])))
 
     # phi conditions (a)-(d)
@@ -493,25 +479,18 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     below = spec.phi(np.linspace(lo_phi, spec.r1, m))
     above = spec.phi(np.linspace(spec.r2, hi_phi, m))
     derivs = spec.phi.deriv(grid_u)
-    phi_ok = bool(np.all(vals > 0) and np.all(below > 1) and np.all(above < 1)
-                  and np.all(derivs < 0))
+    # phi > 0, phi > 1 below r1, phi < 1 above r2, phi' < 0: each holds
+    # exactly where its term below is positive
     phi_margin = float(min(vals.min(), (below - 1).min(), (1 - above).min(),
                            (-derivs).min()))
-    checks["phi"] = HypothesisCheck("phi", phi_ok, phi_margin, None,
+    checks["phi"] = HypothesisCheck("phi", phi_margin > 0.0, phi_margin, None,
                                     (float(lo_phi), float(hi_phi)))
 
     # uniform positivity alpha_l >= c_l > 0 on [r1, r2] x M
     us = np.linspace(spec.r1, spec.r2, m)
-    worst = np.inf
-    offender = None
-    for l in range(spec.k):
-        for ui in us:
-            a = spec.alpha(l, ui)
-            j = int(np.argmin(a))
-            if a[j] < worst:
-                worst, offender = float(a[j]), (float(ui), j, l)
+    worst, offender = _lattice_min(us, (spec.alpha(l, us[:, None]) for l in orders))
     checks["positivity"] = HypothesisCheck(
-        "positivity", bool(worst > 0.0), float(worst), offender,
+        "positivity", bool(worst > 0.0), worst, offender,
         (float(spec.r1), float(spec.r2)))
 
     return HypothesisReport(checks=checks)

@@ -51,9 +51,6 @@ class NewtonStats:
 class ContinuationState:
     t: float
     u: GridFunction
-    dt: float
-    newton_iters: int
-    residual_norms: list
     diagnostics: DiagnosticsReport
     steps: list = field(default_factory=list)  # per-step JSONL-able records
 
@@ -181,7 +178,6 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     dt = spec.dt_init
     steps = []
     easy_run = 0
-    last_stats = NewtonStats(residual_norms=[0.0])
 
     def record(t_cur, stats):
         diag = diagnostics(u, spec)
@@ -194,10 +190,9 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
             log_stream.write(json.dumps(rec) + "\n")
         return diag
 
-    diag = record(0.0, last_stats)
+    diag = record(0.0, NewtonStats(residual_norms=[0.0]))
     if t_final == 0.0:
-        return ContinuationState(t=0.0, u=u, dt=dt, newton_iters=0,
-                                 residual_norms=[0.0], diagnostics=diag, steps=steps)
+        return ContinuationState(t=0.0, u=u, diagnostics=diag, steps=steps)
 
     while t < t_final:
         t_next = min(t_final, t + dt)
@@ -207,22 +202,18 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
             dt *= 0.5
             easy_run = 0
             if dt < spec.dt_min:
-                state = ContinuationState(
-                    t=t, u=u, dt=dt, newton_iters=last_stats.iterations,
-                    residual_norms=last_stats.residual_norms,
-                    diagnostics=diagnostics(u, spec), steps=steps)
+                state = ContinuationState(t=t, u=u, diagnostics=diagnostics(u, spec),
+                                          steps=steps)
                 raise ContinuationError(
                     f"step size underflow at t={t:.6f}: {exc}", last_state=state) from exc
             log.info("step to t=%.4f failed (%s); retrying with dt=%.2e",
                      t_next, type(exc).__name__, dt)
             continue
-        u, t, last_stats = u_next, t_next, stats
+        u, t = u_next, t_next
         diag = record(t, stats)
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow
             easy_run = 0
 
-    return ContinuationState(t=t, u=u, dt=dt, newton_iters=last_stats.iterations,
-                             residual_norms=last_stats.residual_norms,
-                             diagnostics=diag, steps=steps)
+    return ContinuationState(t=t, u=u, diagnostics=diag, steps=steps)

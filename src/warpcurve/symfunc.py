@@ -93,12 +93,12 @@ def newton_maclaurin_margins(lam, k, l, r, s):
     return product_margin, quotient_margin
 
 
-def quotient_and_grads(lam, k, lower_orders=None):
+def quotient_and_grads(lam, k):
     """sigma_l/sigma_{k-1} and their eigenvalue gradients, batched.
 
-    Returns (quot, dquot): quot[..., j] = sigma_{orders[j]}/sigma_{k-1} and
-    dquot[..., j, i] its derivative in lam_i, for orders = lower_orders + [k]
-    (defaults to 0..k).  Raises ConeExitError where sigma_{k-1} <= 0.
+    Returns (quot, dquot): quot[..., l] = sigma_l/sigma_{k-1} and
+    dquot[..., l, i] its derivative in lam_i, for l = 0..k.  Raises
+    ConeExitError where sigma_{k-1} <= 0.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
@@ -112,16 +112,14 @@ def quotient_and_grads(lam, k, lower_orders=None):
         bad_lam = np.atleast_2d(lam)[node] if node is not None else lam
         raise ConeExitError(
             f"sigma_{k-1} <= 0: ellipticity lost", node=node, lam=bad_lam)
-    orders = list(range(k)) if lower_orders is None else list(lower_orders)
-    orders = orders + [k]
     dden = elem_sym_grad(lam, k - 1)
-    quot = np.empty(lam.shape[:-1] + (len(orders),))
-    dquot = np.empty(lam.shape[:-1] + (len(orders), n))
+    quot = np.empty(lam.shape[:-1] + (k + 1,))
+    dquot = np.empty(lam.shape[:-1] + (k + 1, n))
     den_e = den[..., None]
-    for j, a in enumerate(orders):
+    for a in range(k + 1):
         num = sig[..., a]
         dnum = elem_sym_grad(lam, a) if a >= 1 else np.zeros_like(lam)
-        quot[..., j] = num / den
-        dquot[..., j, :] = (dnum * den_e - num[..., None] * dden) / den_e ** 2
+        quot[..., a] = num / den
+        dquot[..., a, :] = (dnum * den_e - num[..., None] * dden) / den_e ** 2
     return quot, dquot
 

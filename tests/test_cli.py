@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 from pathlib import Path
 
@@ -65,6 +66,31 @@ def test_jacobian_method_schema(tmp_path):
     assert cli.build_spec(cli.normalize_config(cfg)).grid.shape == (6, 6, 6)
     cfg["continuation"]["jacobian_method"] = "fd"
     assert cli.main(["solve", str(write_config(tmp_path, cfg))]) == 1
+
+
+def test_config_schema_is_valid():
+    import jsonschema
+    from jsonschema.validators import validator_for
+    validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+    # normalize_config raises the error jsonschema.validate would raise
+    for cfg in (base_config(tolerance=1e-8), base_config(k=1),
+                base_config(phi={"pivot": 1.3, "steepness": -1.0})):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli.normalize_config(cfg)
+        assert str(got.value) == str(want.value)
+
+
+def test_spans_layers_exist():
+    # perfbench/spans.py times each (owner, attribute) by swapping it for a
+    # wrapper; a missing one would break `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for owner, attr, name, _ in spans.LAYERS:
+        assert callable(getattr(owner, attr, None)), name
 
 
 def test_no_module_imports_unittest():

@@ -4,7 +4,7 @@ import pytest
 from warpcurve import geometry
 from warpcurve.errors import ConfigError, DomainError, GeometryError
 from warpcurve.geometry import (FlatTorus, GridFunction, Sphere2,
-                                WarpingFunction, fundamental_forms, make_grid,
+                                WarpingFunction, fundamental_forms,
                                 principal_curvatures, warp_eval)
 
 
@@ -113,15 +113,6 @@ def test_sphere_covariant_derivatives_of_cos_theta():
     assert np.abs(d2u[:, 0, 1]).max() < 5e-3
 
 
-def test_gradient_hessian_wrapper():
-    grid = FlatTorus((6, 6))
-    u = GridFunction(np.cos(grid.coords[:, 1]), grid)
-    du, d2u = geometry.gradient_hessian(u)
-    du2, d2u2 = grid.gradient_hessian(u.values)
-    np.testing.assert_array_equal(du, du2)
-    np.testing.assert_array_equal(d2u, d2u2)
-
-
 def test_inject_from():
     coarse = FlatTorus((6, 6))
     fine = FlatTorus((12, 12))
@@ -130,13 +121,6 @@ def test_inject_from():
     np.testing.assert_allclose(vals, np.cos(coarse.coords[:, 0]), atol=1e-14)
     with pytest.raises(ConfigError):
         coarse.inject_from(field[: fine.num_nodes], FlatTorus((10, 10)))
-
-
-def test_make_grid_roundtrip():
-    for grid in (FlatTorus((6, 8), periods=(1.0, 2.0)), Sphere2(8, 16)):
-        clone = make_grid(grid.describe())
-        assert clone.shape == grid.shape
-        np.testing.assert_allclose(clone.coords, grid.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from warpcurve import geometry, problem, symfunc
 from warpcurve.errors import ConeExitError, ConfigError, HypothesisError
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import colored_fd_jacobian, fd_directional
-from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
-                               ProblemSpec, TabulatedCoefficients,
+from warpcurve.problem import (CHECK_SAMPLES, CoefficientFamily, CoefficientTerm,
+                               PhiFunction, ProblemSpec, TabulatedCoefficients,
                                alpha_k1_homotopy, check_hypotheses, jacobian,
                                load_coefficient_table, residual)
 
@@ -85,6 +85,22 @@ def test_tabulated_coefficients_interpolation():
         TabulatedCoefficients([1.0], [table], 1)
     with pytest.raises(ConfigError):
         TabulatedCoefficients([1.0, 0.5], [table, table], 2)
+
+
+def test_tabulated_coefficients_on_lattice_match_per_sample_calls():
+    grid = FlatTorus((4, 4))
+    rng = np.random.default_rng(11)
+    us = np.array([0.5, 0.9, 1.4, 2.0])
+    tab = TabulatedCoefficients(us, [rng.random((4, grid.num_nodes)) for _ in range(2)], 2)
+    tab.bind(grid)
+    # samples, interior points and points beyond both ends
+    col = np.concatenate([us, [0.3, 0.7, 1.1, 1.9, 2.4]])[:, None]
+    for l in range(2):
+        for method in (tab.values, tab.du):
+            lattice = method(l, col)
+            assert lattice.shape == (col.shape[0], grid.num_nodes)
+            np.testing.assert_array_equal(
+                lattice, np.stack([method(l, u) for u in col[:, 0]]))
 
 
 def test_load_coefficient_table(tmp_path):
@@ -323,6 +339,71 @@ def test_check_hypotheses_perturbed_family_passes():
                            profiles=({"kind": "cos", "axis": 0},
                                      {"kind": "sin", "axis": 2}))
     assert check_hypotheses(spec).passed
+
+
+def table_spec(grid, u_samples, tables):
+    k = len(tables)
+    return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0), k=k,
+                       coeffs=TabulatedCoefficients(u_samples, tables, k),
+                       phi=PhiFunction(1.3), r1=1.0, r2=1.6)
+
+
+# the u-samples check_hypotheses uses for positivity and for as-3 on
+# (r1, r2) = (1.0, 1.6)
+POSITIVITY_US = np.linspace(1.0, 1.6, CHECK_SAMPLES)
+AS3_US = np.linspace(1.0, 1.6, CHECK_SAMPLES + 2)[1:-1]
+
+
+def test_positivity_offender_known():
+    # alpha_1 dips to -0.5 at node 11 exactly at the 21st positivity sample
+    grid = FlatTorus((4, 4))
+    ones = np.ones((3, grid.num_nodes))
+    alpha1 = ones.copy()
+    alpha1[1, 11] = -0.5
+    spec = table_spec(grid, [0.5, POSITIVITY_US[20], 2.0], [2.0 * ones, alpha1])
+    chk = check_hypotheses(spec).checks["positivity"]
+    assert not chk.passed
+    assert chk.worst_margin == -0.5
+    assert chk.offender == (POSITIVITY_US[20], 11, 1)
+
+
+def test_as3_offender_known():
+    # alpha_1 at node 5 climbs from 1 to 50 between two as-3 samples' midpoints
+    # (a, b); d/du [f alpha_1] = f' alpha_1 + f alpha_1' grows along the climb,
+    # so it peaks at the last sample before b
+    grid = FlatTorus((4, 4))
+    a = 0.5 * (AS3_US[29] + AS3_US[30])
+    b = 0.5 * (AS3_US[39] + AS3_US[40])
+    ones = np.ones((4, grid.num_nodes))
+    alpha1 = ones.copy()
+    alpha1[2:, 5] = 50.0
+    spec = table_spec(grid, [0.5, a, b, 2.0], [ones, alpha1])
+    chk = check_hypotheses(spec).checks["as-3"]
+    assert not chk.passed
+    u = AS3_US[39]
+    assert chk.offender == (u, 5, 1)
+    slope = 49.0 / (b - a)
+    expected = np.cosh(u) * (1.0 + slope * (u - a)) + np.sinh(u) * slope
+    assert -chk.worst_margin == pytest.approx(expected, rel=1e-6)
+
+
+def test_offenders_known_on_k3_torus():
+    # k = 3 on T^3: alpha_0 = 2 at node 42 and 1 elsewhere gives the largest
+    # d/du [f^3 alpha_0] at the top as-3 sample; alpha_1 dips to -2 at node 17
+    # exactly at the 41st positivity sample
+    grid = FlatTorus((4, 4, 4))
+    ones = np.ones((3, grid.num_nodes))
+    alpha0 = ones.copy()
+    alpha0[:, 42] = 2.0
+    alpha1 = ones.copy()
+    alpha1[1, 17] = -2.0
+    spec = table_spec(grid, [0.5, POSITIVITY_US[40], 2.0], [alpha0, alpha1, ones])
+    report = check_hypotheses(spec)
+    pos, as3 = report.checks["positivity"], report.checks["as-3"]
+    assert (pos.passed, pos.worst_margin, pos.offender) == (
+        False, -2.0, (POSITIVITY_US[40], 17, 1))
+    assert not as3.passed
+    assert as3.offender == (AS3_US[-1], 42, 0)
 
 
 def test_ellipticity_certificate_along_quotient():
