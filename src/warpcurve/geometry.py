@@ -137,6 +137,11 @@ class BaseGrid:
         return pat
 
 
+# smallest |symbol| / max |symbol| an averaged stencil may have and still be
+# inverted by FlatTorus.averaged_stencil_inverse
+_SYMBOL_FLOOR = 1e-12
+
+
 class FlatTorus(BaseGrid):
     """Flat n-torus (n = 2 or 3), periods L_i, uniform periodic grid."""
 
@@ -189,6 +194,32 @@ class FlatTorus(BaseGrid):
                     self.hess_ops[(i, j)] = d2_diag[i]
                 else:
                     self.hess_ops[(i, j)] = (self.diff_ops[i] @ self.diff_ops[j]).tocsr()
+
+    def averaged_stencil_inverse(self, J):
+        """Inverse of the constant-coefficient periodic operator whose
+        stencil is the row average of the sparse matrix J, applied by FFT.
+
+        Entry J[r, c] joins the kernel at the periodic offset (c - r) mod
+        shape; the averaged operator is diagonal in Fourier modes with
+        symbol conj(rfftn(kernel)).  Returns None when that symbol has a
+        (near-)zero entry, since the inverse does not exist there.
+        """
+        J = J.tocoo()
+        row = np.unravel_index(J.row, self.shape)
+        col = np.unravel_index(J.col, self.shape)
+        offset = np.ravel_multi_index(
+            tuple((c - r) % s for r, c, s in zip(row, col, self.shape)), self.shape)
+        kernel = np.bincount(offset, weights=J.data, minlength=self.num_nodes)
+        axes = tuple(range(self.n))
+        symbol = np.conj(np.fft.rfftn(kernel.reshape(self.shape) / self.num_nodes))
+        size = np.abs(symbol)
+        if size.min() <= _SYMBOL_FLOOR * size.max():
+            return None
+
+        def apply(x):
+            xhat = np.fft.rfftn(np.reshape(x, self.shape), axes=axes)
+            return np.fft.irfftn(xhat / symbol, s=self.shape, axes=axes).ravel()
+        return apply
 
     def inject_from(self, fine_values, fine_grid):
         """Restrict a field on the 2x-refined torus to this grid's nodes."""

@@ -406,6 +406,20 @@ def test_offenders_known_on_k3_torus():
     assert as3.offender == (AS3_US[-1], 42, 0)
 
 
+def test_as3_passing_names_no_offender_on_k3_torus():
+    # built-in family: f^{k-l} alpha_l is constant in u, so the as-3 centred
+    # differences are rounding noise inside the tolerance
+    grid = FlatTorus((4, 4, 4))
+    coeffs = CoefficientFamily([CoefficientTerm(2.0), CoefficientTerm(0.5),
+                                CoefficientTerm(0.25)], 3)
+    spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0), k=3,
+                       coeffs=coeffs, phi=PhiFunction(1.3), r1=1.0, r2=1.6)
+    as3 = check_hypotheses(spec).checks["as-3"]
+    assert as3.passed
+    assert as3.offender is None
+    assert abs(as3.worst_margin) < 1e-6
+
+
 def test_ellipticity_certificate_along_quotient():
     # per-node operator gradients are strictly positive for admissible fields
     spec = hyperbolic_spec((6, 6, 6))

@@ -3,13 +3,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from warpcurve import solver
 from warpcurve.errors import ConfigError, ContinuationError
 from warpcurve.geometry import FlatTorus, GridFunction, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
-                               ProblemSpec, residual)
+                               ProblemSpec, jacobian, residual)
 
 
 def hyperbolic_spec(resolution=(6, 6, 6), **kwargs):
@@ -66,9 +68,14 @@ def test_continuation_radial_reaches_oracle_root():
     lines = [json.loads(s) for s in stream.getvalue().splitlines()]
     assert len(lines) == len(state.steps)
     for rec in lines:
-        assert set(rec) == {"t", "newton_iters", "residual_norm",
+        assert set(rec) == {"t", "newton_iters", "linear_iters", "residual_norm",
                             "u_min", "u_max", "tau_min", "lambda_abs_max"}
     assert lines[0]["t"] == 0.0 and lines[-1]["t"] == 1.0
+    assert lines[0]["linear_iters"] == 0
+    # constant iterates have constant-coefficient Jacobians, which the FFT
+    # preconditioner inverts exactly: one GMRES iteration per Newton step
+    assert all(rec["linear_iters"] == rec["newton_iters"] for rec in lines)
+    assert lines[-1]["linear_iters"] > 0
 
 
 def test_continuation_frozen_at_zero():
@@ -129,3 +136,62 @@ def test_continuation_xdependent_stays_in_box():
     assert u.max() - u.min() > 1e-6  # genuinely non-constant
     assert u.min() >= spec.r1 - 1e-6 and u.max() <= spec.r2 + 1e-6
     assert np.abs(residual(state.u, 1.0, spec).values).max() <= 1e-8
+
+
+def perturbed_spec(resolution, k):
+    grid = FlatTorus(resolution)
+    profiles = ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1},
+                {"kind": "cos", "axis": grid.n - 1})
+    amplitudes = {2: (3.0, 0.5), 3: (2.0, 0.5, 0.25)}[k]
+    coeffs = CoefficientFamily([CoefficientTerm(a, 0.05, p)
+                                for a, p in zip(amplitudes, profiles)], k)
+    return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
+                       k=k, coeffs=coeffs, phi=PhiFunction(1.3), r1=1.0, r2=1.6)
+
+
+@pytest.mark.parametrize("resolution,k", [((32, 32), 2), ((8, 8, 8), 3)],
+                         ids=["torus2-32-k2", "torus3-8-k3"])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_solve_linear_torus_matches_splu(resolution, k, t):
+    spec = perturbed_spec(resolution, k)
+    x = spec.grid.coords
+    u = GridFunction(1.3 + 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1]), spec.grid)
+    J = jacobian(u, t, spec)
+    rhs = -residual(u, t, spec).values
+    got, iters = solver._solve_linear(J, rhs, spec.grid)
+    want = spla.splu(J.tocsc()).solve(rhs)
+    assert iters > 0
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_linear_vanishing_symbol_falls_back_to_splu():
+    # a +-1 checkerboard diagonal is nonsingular but its row average is 0
+    grid = FlatTorus((6, 6))
+    idx = np.indices(grid.shape).sum(axis=0).ravel()
+    J = sp.diags(np.where(idx % 2 == 0, 1.0, -1.0)).tocsr()
+    assert grid.averaged_stencil_inverse(J) is None
+    rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
+    got, iters = solver._solve_linear(J, rhs, grid)
+    assert iters == 0
+    want = spla.splu(J.tocsc()).solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_linear_gmres_miss_falls_back_to_splu():
+    # 256 distinct eigenvalues on both sides of 0: restarted GMRES cannot
+    # reach its tolerance within its iteration budget
+    grid = FlatTorus((16, 16))
+    d = -1.0 + 4.0 * (np.arange(grid.num_nodes) + 0.5) / grid.num_nodes
+    rhs = np.ones(grid.num_nodes)
+    got, iters = solver._solve_linear(sp.diags(d).tocsr(), rhs, grid)
+    assert iters == solver.GMRES_RESTART * solver.GMRES_MAXITER
+    assert np.abs(got - rhs / d).max() <= 1e-12
+
+
+def test_averaged_stencil_inverse_is_exact_for_constant_coefficients():
+    grid = FlatTorus((8, 6, 4))
+    J = (2.0 * sp.identity(grid.num_nodes) - grid.hess_ops[(0, 0)]
+         + 0.3 * grid.diff_ops[1] + 0.1 * grid.hess_ops[(0, 2)]).tocsr()
+    apply = grid.averaged_stencil_inverse(J)
+    rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
+    assert np.abs(J @ apply(rhs) - rhs).max() <= 1e-12
