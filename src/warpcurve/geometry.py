@@ -101,8 +101,9 @@ def warp_eval(w: WarpingFunction, t):
 # ---------------------------------------------------------------------------
 
 class BaseGrid:
-    """Common interface: node coordinates, base metric data, and sparse
-    covariant derivative operators."""
+    """Common interface: node coordinates, base metric data, sparse
+    covariant derivative operators, and averaged_stencil_inverse(J), the
+    Newton preconditioner of each subclass."""
 
     n: int
     num_nodes: int
@@ -137,8 +138,9 @@ class BaseGrid:
         return pat
 
 
-# smallest |symbol| / max |symbol| an averaged stencil may have and still be
-# inverted by FlatTorus.averaged_stencil_inverse
+# smallest |symbol| / max |symbol| (torus) or |pivot| / max |pivot| (sphere)
+# an averaged stencil may have and still be inverted by a grid's
+# averaged_stencil_inverse
 _SYMBOL_FLOOR = 1e-12
 
 
@@ -274,10 +276,10 @@ class Sphere2(BaseGrid):
         # theta neighbors with pole-crossing ghosts
         up = np.empty_like(idx)     # index holding u(theta_{i+1})
         up[:-1] = idx[1:]
-        up[-1] = anti[-1]           # ghost above the north... reflected row
+        up[-1] = anti[-1]           # ghost across the theta = pi pole
         dn = np.empty_like(idx)     # index holding u(theta_{i-1})
         dn[1:] = idx[:-1]
-        dn[0] = anti[0]
+        dn[0] = anti[0]             # ghost across the theta = 0 pole
 
         rows = idx.ravel()
         ht, hp = self.h_theta, self.h_phi
@@ -314,6 +316,49 @@ class Sphere2(BaseGrid):
             (0, 1): (D_theta @ D_phi - cot @ D_phi).tocsr(),
             (1, 1): (D2_phi + sc @ D_theta).tocsr(),
         }
+
+    def averaged_stencil_inverse(self, J):
+        """Inverse of the operator whose stencil is the phi-average of the
+        sparse matrix J, row of theta by row of theta.
+
+        Entry J[r, c] joins the kernel of theta row i(r) at theta offset
+        i(c) - i(r) and phi offset (c - r) mod n_phi; a pole ghost is the
+        same theta row at phi + pi, so it lands at theta offset 0.  The
+        averaged operator commutes with phi shifts, so each phi Fourier mode
+        is one tridiagonal system in theta, all factored at once by a Thomas
+        sweep.  J must couple only neighbouring theta rows, as every matrix
+        built from this grid's stencils does.  Returns None when a pivot is
+        (near-)zero, since the sweep cannot invert the operator then.
+        """
+        n_theta, n_phi = self.shape
+        J = J.tocoo()
+        row_t, row_p = np.divmod(J.row, n_phi)
+        col_t, col_p = np.divmod(J.col, n_phi)
+        slot = (3 * row_t + (col_t - row_t) + 1) * n_phi + (col_p - row_p) % n_phi
+        kernel = np.bincount(slot, weights=J.data, minlength=3 * self.num_nodes)
+        # (lower, diagonal, upper) coefficients, each (n_theta, mode)
+        lower, diag, upper = np.conj(np.fft.rfft(
+            kernel.reshape(n_theta, 3, n_phi) / n_phi, axis=-1)).transpose(1, 0, 2)
+        # LU without pivoting; lower becomes the elimination multipliers
+        pivot = diag.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(1, n_theta):
+                lower[i] /= pivot[i - 1]
+                pivot[i] -= lower[i] * upper[i - 1]
+        size = np.abs(pivot)
+        # a zero pivot leaves inf or nan after it, which fails this test too
+        if not size.min() > _SYMBOL_FLOOR * size.max():
+            return None
+
+        def apply(x):
+            y = np.fft.rfft(np.reshape(x, self.shape), axis=-1)
+            for i in range(1, n_theta):
+                y[i] -= lower[i] * y[i - 1]
+            y[-1] /= pivot[-1]
+            for i in range(n_theta - 2, -1, -1):
+                y[i] = (y[i] - upper[i] * y[i + 1]) / pivot[i]
+            return np.fft.irfft(y, n=n_phi, axis=-1).ravel()
+        return apply
 
 
 # ---------------------------------------------------------------------------

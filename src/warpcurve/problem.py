@@ -460,17 +460,23 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     us = np.linspace(spec.r1, spec.r2, m + 2)[1:-1]
     h = 1e-6 * (spec.r2 - spec.r1)
 
-    def beta(l, uv):
-        fv, _, _ = warp_eval(w, uv[:, None])
-        return fv ** (spec.k - l) * spec.alpha(l, uv[:, None])
+    uv = np.concatenate([us - h, us + h])[:, None]
+    fv, _, _ = warp_eval(w, uv)
+    scale = 1.0  # max(1, |f^{k-l} alpha_l|) over the lattices, for the tolerance
 
     def slope(l):
-        # both sides of the difference from one (2m x N) lattice
-        b = beta(l, np.concatenate([us - h, us + h]))
-        return -(b[m:] - b[:m]) / (2.0 * h)
+        # both sides of the difference from one (2m x N) lattice, worked in
+        # place (alpha returns a new array)
+        nonlocal scale
+        b = spec.alpha(l, uv)
+        b *= fv ** (spec.k - l)
+        scale = max(scale, float(b.max()), -float(b.min()))
+        d = np.subtract(b[:m], b[m:], out=b[:m])  # -(b(u + h) - b(u - h))
+        d /= 2.0 * h
+        return d
 
     margin, offender = _lattice_min(us, (slope(l) for l in orders))
-    tol = 1e-9 * max(1.0, max(float(np.max(np.abs(beta(l, us)))) for l in orders))
+    tol = 1e-9 * scale
     # within the tolerance the worst point is rounding noise: name no offender
     passed = bool(margin >= -tol)
     checks["as-3"] = HypothesisCheck(

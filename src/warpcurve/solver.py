@@ -99,9 +99,11 @@ def initial_solution(spec: ProblemSpec) -> GridFunction:
     return u
 
 
-# GMRES settings for flat-torus Newton systems: relative tolerance on the
-# 2-norm residual, Krylov dimension between restarts, and restart cycles
-GMRES_RTOL = 1e-12
+# GMRES settings for Newton systems: relative tolerance on the 2-norm
+# residual, Krylov dimension between restarts, and restart cycles.  On
+# Sphere2(64, 128) the true residual of any solve, GMRES or sparse LU with
+# refinement, bottoms out near 2e-12 of |rhs|, so 1e-12 is out of reach.
+GMRES_RTOL = 1e-10
 GMRES_RESTART = 30
 GMRES_MAXITER = 5
 
@@ -109,26 +111,26 @@ GMRES_MAXITER = 5
 def _solve_linear(J, rhs, grid):
     """Solve J x = rhs; returns (x, GMRES iterations).
 
-    On a FlatTorus: GMRES preconditioned by the FFT inverse of J's
-    row-averaged stencil.  Everywhere else, and whenever that symbol
-    vanishes or GMRES misses its tolerance: sparse LU with one round of
-    iterative refinement.
+    GMRES preconditioned by the grid's averaged_stencil_inverse of J (the
+    FFT inverse of the row-averaged stencil on the torus, FFT in phi plus a
+    tridiagonal solve in theta per mode on the sphere).  When that inverse
+    does not exist or GMRES misses its tolerance: sparse LU with one round
+    of iterative refinement.
     """
     iters = 0
-    if isinstance(grid, geometry.FlatTorus):
-        apply = grid.averaged_stencil_inverse(J)
-        if apply is not None:
-            def count(_):
-                nonlocal iters
-                iters += 1
-            M = spla.LinearOperator(J.shape, matvec=apply, dtype=float)
-            x, info = spla.gmres(J, rhs, rtol=GMRES_RTOL, atol=0.0,
-                                 restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                                 M=M, callback=count, callback_type="pr_norm")
-            if info == 0:
-                return x, iters
-            log.info("GMRES missed %.0e after %d iterations; using sparse LU",
-                     GMRES_RTOL, iters)
+    apply = grid.averaged_stencil_inverse(J)
+    if apply is not None:
+        def count(_):
+            nonlocal iters
+            iters += 1
+        M = spla.LinearOperator(J.shape, matvec=apply, dtype=float)
+        x, info = spla.gmres(J, rhs, rtol=GMRES_RTOL, atol=0.0,
+                             restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+                             M=M, callback=count, callback_type="pr_norm")
+        if info == 0:
+            return x, iters
+        log.info("GMRES missed %.0e after %d iterations; using sparse LU",
+                 GMRES_RTOL, iters)
     lu = spla.splu(J.tocsc())
     x = lu.solve(rhs)
     # one round of iterative refinement

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from warpcurve import solver
 from warpcurve.errors import ConfigError, ContinuationError
-from warpcurve.geometry import FlatTorus, GridFunction, WarpingFunction
+from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                                ProblemSpec, jacobian, residual)
@@ -195,3 +195,70 @@ def test_averaged_stencil_inverse_is_exact_for_constant_coefficients():
     apply = grid.averaged_stencil_inverse(J)
     rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
     assert np.abs(J @ apply(rhs) - rhs).max() <= 1e-12
+
+
+def perturbed_sphere_spec(n_theta, n_phi):
+    grid = Sphere2(n_theta, n_phi)
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": "sphere_z"}),
+                                CoefficientTerm(0.5, 0.05, {"kind": "sphere_x"})], 2)
+    return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (32, 64)], ids=["sphere-16x32", "sphere-32x64"])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_solve_linear_sphere_matches_splu(shape, t):
+    spec = perturbed_sphere_spec(*shape)
+    # smooth across the poles: ambient coordinates x, z and x y
+    th, ph = spec.grid.coords[:, 0], spec.grid.coords[:, 1]
+    u = GridFunction(1.45 + 0.03 * np.sin(th) * np.cos(ph) + 0.02 * np.cos(th)
+                     + 0.02 * np.sin(th) ** 2 * np.sin(2.0 * ph), spec.grid)
+    J = jacobian(u, t, spec)
+    rhs = -residual(u, t, spec).values
+    got, iters = solver._solve_linear(J, rhs, spec.grid)
+    want = spla.splu(J.tocsc()).solve(rhs)
+    assert iters > 0
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_sphere_averaged_stencil_inverse_is_exact_for_phi_invariant_operators():
+    # operators whose coefficients depend on theta only are their own phi
+    # average, so the FFT-in-phi, tridiagonal-in-theta inverse is exact;
+    # both reach across the poles, and the second weights the (0, 1) Hessian
+    spec = perturbed_sphere_spec(16, 32)
+    grid = spec.grid
+    th = grid.coords[:, 0]
+    ops = [jacobian(GridFunction.constant(1.45, grid), 0.0, spec),
+           (sp.diags(2.0 + np.cos(th)) - grid.hess_ops[(0, 0)]
+            - sp.diags(0.5 * np.sin(th)) @ grid.hess_ops[(0, 1)]
+            - sp.diags(1.0 / np.sin(th) ** 2) @ grid.hess_ops[(1, 1)]
+            + sp.diags(np.cos(th)) @ grid.diff_ops[0]).tocsr()]
+    rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
+    for J in ops:
+        apply = grid.averaged_stencil_inverse(J)
+        assert np.abs(J @ apply(rhs) - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_solve_linear_sphere_vanishing_average_falls_back_to_splu():
+    # a diagonal alternating in sign along phi averages to 0 in every row
+    grid = Sphere2(8, 16)
+    j_phi = np.indices(grid.shape)[1].ravel()
+    J = sp.diags(np.where(j_phi % 2 == 0, 1.0, -1.0) * (2.0 + grid.coords[:, 0])).tocsr()
+    assert grid.averaged_stencil_inverse(J) is None
+    rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
+    got, iters = solver._solve_linear(J, rhs, grid)
+    assert iters == 0
+    want = spla.splu(J.tocsc()).solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32),
+                                     lambda: perturbed_spec((16, 16), 2)],
+                         ids=["sphere-16x32", "torus2-16"])
+def test_continuation_never_falls_back_to_splu(spec_fn, monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("sparse LU fallback used")
+    monkeypatch.setattr(solver.spla, "splu", no_lu)
+    state = solver.continuation(spec_fn())
+    assert state.t == 1.0
+    assert all(rec["linear_iters"] > 0 for rec in state.steps[1:])
