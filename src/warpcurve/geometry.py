@@ -8,7 +8,6 @@ Jacobian inherits the exact stencil sparsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,17 +124,22 @@ class BaseGrid:
                 d2u[:, j, i] = hij
         return du, d2u
 
-    @cached_property
-    def stencil_pattern(self):
-        """Boolean CSR pattern of all derivative couplings plus the diagonal."""
-        pat = sp.identity(self.num_nodes, format="csr")
-        for D in self.diff_ops:
-            pat = pat + abs(D)
-        for op in self.hess_ops.values():
-            pat = pat + abs(op)
-        pat = pat.tocsr()
-        pat.data[:] = 1.0
-        return pat
+
+def _central_differences(up, dn, h):
+    """First and second central differences (D, D2) as CSR matrices, for
+    nodes whose neighbours at spacing h are up[r] and dn[r]."""
+    N = up.size
+    rows = np.arange(N)
+    D = sp.csr_matrix(
+        (np.concatenate([np.full(N, 0.5 / h), np.full(N, -0.5 / h)]),
+         (np.concatenate([rows, rows]), np.concatenate([up, dn]))),
+        shape=(N, N))
+    D2 = sp.csr_matrix(
+        (np.concatenate([np.full(N, 1.0 / h**2), np.full(N, -2.0 / h**2),
+                         np.full(N, 1.0 / h**2)]),
+         (np.concatenate([rows] * 3), np.concatenate([up, rows, dn]))),
+        shape=(N, N))
+    return D, D2
 
 
 # smallest |symbol| / max |symbol| (torus) or |pivot| / max |pivot| (sphere)
@@ -172,23 +176,13 @@ class FlatTorus(BaseGrid):
         self.ginv = self.g.copy()
 
         idx = np.arange(self.num_nodes).reshape(self.shape)
-        N = self.num_nodes
         self.diff_ops = []
         d2_diag = []
         for a in range(self.n):
-            h = self.spacing[a]
-            up = np.roll(idx, -1, axis=a).ravel()
-            dn = np.roll(idx, 1, axis=a).ravel()
-            rows = np.concatenate([idx.ravel(), idx.ravel()])
-            cols = np.concatenate([up, dn])
-            vals = np.concatenate([np.full(N, 0.5 / h), np.full(N, -0.5 / h)])
-            self.diff_ops.append(sp.csr_matrix((vals, (rows, cols)), shape=(N, N)))
-            rows2 = np.concatenate([idx.ravel()] * 3)
-            cols2 = np.concatenate([up, idx.ravel(), dn])
-            vals2 = np.concatenate([np.full(N, 1.0 / h**2),
-                                    np.full(N, -2.0 / h**2),
-                                    np.full(N, 1.0 / h**2)])
-            d2_diag.append(sp.csr_matrix((vals2, (rows2, cols2)), shape=(N, N)))
+            D, D2 = _central_differences(np.roll(idx, -1, axis=a).ravel(),
+                                         np.roll(idx, 1, axis=a).ravel(), self.spacing[a])
+            self.diff_ops.append(D)
+            d2_diag.append(D2)
         self.hess_ops = {}
         for i in range(self.n):
             for j in range(i, self.n):
@@ -281,31 +275,10 @@ class Sphere2(BaseGrid):
         dn[1:] = idx[:-1]
         dn[0] = anti[0]             # ghost across the theta = 0 pole
 
-        rows = idx.ravel()
-        ht, hp = self.h_theta, self.h_phi
-        D_theta = sp.csr_matrix(
-            (np.concatenate([np.full(N, 0.5 / ht), np.full(N, -0.5 / ht)]),
-             (np.concatenate([rows, rows]), np.concatenate([up.ravel(), dn.ravel()]))),
-            shape=(N, N))
-        pe = np.roll(idx, -1, axis=1).ravel()
-        pw = np.roll(idx, +1, axis=1).ravel()
-        D_phi = sp.csr_matrix(
-            (np.concatenate([np.full(N, 0.5 / hp), np.full(N, -0.5 / hp)]),
-             (np.concatenate([rows, rows]), np.concatenate([pe, pw]))),
-            shape=(N, N))
+        D_theta, D2_theta = _central_differences(up.ravel(), dn.ravel(), self.h_theta)
+        D_phi, D2_phi = _central_differences(np.roll(idx, -1, axis=1).ravel(),
+                                             np.roll(idx, +1, axis=1).ravel(), self.h_phi)
         self.diff_ops = [D_theta, D_phi]
-
-        D2_theta = sp.csr_matrix(
-            (np.concatenate([np.full(N, 1.0 / ht**2), np.full(N, -2.0 / ht**2),
-                             np.full(N, 1.0 / ht**2)]),
-             (np.concatenate([rows] * 3),
-              np.concatenate([up.ravel(), rows, dn.ravel()]))),
-            shape=(N, N))
-        D2_phi = sp.csr_matrix(
-            (np.concatenate([np.full(N, 1.0 / hp**2), np.full(N, -2.0 / hp**2),
-                             np.full(N, 1.0 / hp**2)]),
-             (np.concatenate([rows] * 3), np.concatenate([pe, rows, pw]))),
-            shape=(N, N))
 
         cot = sp.diags(ct / st)
         sc = sp.diags(st * ct)
@@ -390,45 +363,45 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class CurvatureRecord:
-    """Per-node geometry of the graph: induced metric, second fundamental
-    form, principal curvatures (ascending), support function tau, and
-    v = sqrt(f^2 + |Du|^2).  Arrays are batched over nodes."""
+    """Per-node geometry of the graph of u, batched over nodes: f, f', f''
+    at u, the covariant gradient and Hessian of u, induced metric, second
+    fundamental form, principal curvatures (ascending) with gtilde-orthonormal
+    eigenvector columns V[:, :, a], support function tau, v = sqrt(f^2 + |Du|^2).
+    One record per iterate serves its residual, Jacobian and diagnostics."""
 
+    f: np.ndarray       # (N,)
+    fp: np.ndarray      # (N,)
+    fpp: np.ndarray     # (N,)
+    du: np.ndarray      # (N, n)
+    d2u: np.ndarray     # (N, n, n)
     gtilde: np.ndarray  # (N, n, n)
     h: np.ndarray       # (N, n, n)
     lam: np.ndarray     # (N, n)
+    V: np.ndarray       # (N, n, n)
     tau: np.ndarray     # (N,)
     v: np.ndarray       # (N,)
 
 
-def _cholesky_congruence(gtilde, h):
-    """(L^-1, A) with gtilde = L L^T and A = L^-1 h L^-T symmetrised, so
-    the pencil h w = lam gtilde w becomes the symmetric problem A y = lam y."""
+def pencil_eigensystem(gtilde, h):
+    """(lam, V): eigenvalues of the pencil h w = lam gtilde w, ascending, and
+    gtilde-orthonormal eigenvector columns V[..., :, a], batched.
+
+    Cholesky congruence: gtilde = L L^T, then a symmetric eigensolve of
+    L^-1 h L^-T, which keeps the spectrum real by construction.
+    """
     try:
         L = np.linalg.cholesky(gtilde)
     except np.linalg.LinAlgError as exc:
         raise GeometryError("induced metric not positive definite") from exc
     Linv = np.linalg.inv(L)
     A = Linv @ h @ np.swapaxes(Linv, -1, -2)
-    return Linv, 0.5 * (A + np.swapaxes(A, -1, -2))
+    lam, W = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return lam, np.swapaxes(Linv, -1, -2) @ W
 
 
 def principal_curvatures(gtilde, h):
-    """Eigenvalues of the pencil h w = lam gtilde w, ascending, batched.
-
-    Cholesky congruence: gtilde = L L^T, then a symmetric eigensolve of
-    L^-1 h L^-T, which keeps the spectrum real by construction.
-    """
-    _, A = _cholesky_congruence(gtilde, h)
-    return np.linalg.eigvalsh(A)
-
-
-def pencil_eigensystem(gtilde, h):
-    """(lam, V) with gtilde-orthonormal eigenvector columns V[..., :, a]."""
-    Linv, A = _cholesky_congruence(gtilde, h)
-    lam, W = np.linalg.eigh(A)
-    V = np.swapaxes(Linv, -1, -2) @ W
-    return lam, V
+    """Eigenvalues of the pencil h w = lam gtilde w, ascending, batched."""
+    return pencil_eigensystem(gtilde, h)[0]
 
 
 def fundamental_forms(u: GridFunction, w: WarpingFunction):
@@ -441,7 +414,7 @@ def fundamental_forms(u: GridFunction, w: WarpingFunction):
     which reduces to the orthonormal-frame expression when g_ij = delta_ij.
     """
     grid = u.grid
-    f, fp, _ = warp_eval(w, u.values)
+    f, fp, fpp = warp_eval(w, u.values)
     du, d2u = grid.gradient_hessian(u.values)
     uu = du[:, :, None] * du[:, None, :]
     gradsq = np.einsum("nij,ni,nj->n", grid.ginv, du, du)
@@ -449,6 +422,6 @@ def fundamental_forms(u: GridFunction, w: WarpingFunction):
     gtilde = f[:, None, None] ** 2 * grid.g + uu
     h = (-f[:, None, None] * d2u + 2.0 * fp[:, None, None] * uu
          + (f ** 2 * fp)[:, None, None] * grid.g) / v[:, None, None]
-    tau = f ** 2 / v
-    lam = principal_curvatures(gtilde, h)
-    return CurvatureRecord(gtilde=gtilde, h=h, lam=lam, tau=tau, v=v)
+    lam, V = pencil_eigensystem(gtilde, h)
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, gtilde=gtilde, h=h,
+                           lam=lam, V=V, tau=f ** 2 / v, v=v)

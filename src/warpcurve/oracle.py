@@ -95,13 +95,25 @@ def fd_directional(u: GridFunction, direction: GridFunction, t, spec: ProblemSpe
     return u.with_values(out)
 
 
+def stencil_pattern(grid: BaseGrid):
+    """Boolean CSR pattern of the grid's derivative couplings plus the diagonal."""
+    pat = sp.identity(grid.num_nodes, format="csr")
+    for D in grid.diff_ops:
+        pat = pat + abs(D)
+    for op in grid.hess_ops.values():
+        pat = pat + abs(op)
+    pat = pat.tocsr()
+    pat.data[:] = 1.0
+    return pat
+
+
 def _fd_coloring(grid: BaseGrid):
     """Distance-2 greedy coloring of the stencil pattern.
 
     Same-colored columns never share a residual row, so one perturbed
     evaluation recovers one Jacobian entry per affected row.  Returns the
     node colors and, per color, the (rows, cols) pattern entries it owns."""
-    pat = grid.stencil_pattern.tocsc()
+    pat = stencil_pattern(grid).tocsc()
     conflict = (pat.T @ pat).tocsr()
     N = grid.num_nodes
     colors = np.full(N, -1, dtype=int)

@@ -280,8 +280,8 @@ def alpha_k1_homotopy(u, t, spec: ProblemSpec):
     return t * spec.alpha(spec.k - 1, u) + (1.0 - t) * leaf
 
 
-def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec):
-    f, fp, fpp = warp_eval(spec.warping, u)
+def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
+    f, fp, fpp = rec.f, rec.fp, rec.fpp
     kappa = fp / f
     dkappa = (fpp * f - fp ** 2) / f ** 2
     dleaf = spec.ratio_e * (spec.phi.deriv(u) * kappa + spec.phi(u) * dkappa)
@@ -302,9 +302,11 @@ def _check_cone(lam, k):
             node=worst, lam=lam[worst])
 
 
-def residual(u: GridFunction, t, spec: ProblemSpec) -> GridFunction:
-    """Node-wise value of the deformed curvature equation."""
-    rec = geometry.fundamental_forms(u, spec.warping)
+def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
+    """Node-wise value of the deformed curvature equation.  rec is the
+    curvature record of u; it is built here when not given."""
+    if rec is None:
+        rec = geometry.fundamental_forms(u, spec.warping)
     k = spec.k
     _check_cone(rec.lam, k)
     sig = symfunc.sigma_all(rec.lam)
@@ -317,9 +319,10 @@ def residual(u: GridFunction, t, spec: ProblemSpec) -> GridFunction:
     return u.with_values(F)
 
 
-def jacobian(u: GridFunction, t, spec: ProblemSpec):
+def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     """Sparse Jacobian of the residual, by the chain rule through the
-    eigenvalue map of the pencil (h, gtilde).
+    eigenvalue map of the pencil (h, gtilde).  rec is the curvature record
+    of u; it is built here when not given.
 
     For a symmetric pencil with gtilde-orthonormal eigenvectors v_a, the
     first-order change of the operator value is
@@ -327,10 +330,11 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec):
     M1 = sum_a G^a v_a v_a^T, M2 = sum_a G^a lam_a v_a v_a^T, both well
     defined across eigenvalue crossings.
     """
-    grid, w, k = spec.grid, spec.warping, spec.k
-    rec = geometry.fundamental_forms(u, w)
+    grid, k = spec.grid, spec.k
+    if rec is None:
+        rec = geometry.fundamental_forms(u, spec.warping)
     _check_cone(rec.lam, k)
-    lam, V = geometry.pencil_eigensystem(rec.gtilde, rec.h)
+    lam, V = rec.lam, rec.V
     quot, dquot = symfunc.quotient_and_grads(lam, k)
     Glam = dquot[:, k, :].copy()
     Fu = np.zeros(grid.num_nodes)
@@ -339,11 +343,10 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec):
             al = spec.alpha(l, u.values)
             Glam -= t * al[:, None] * dquot[:, l, :]
             Fu -= t * spec.alpha_du(l, u.values) * quot[:, l]
-    Fu -= _alpha_k1_homotopy_du(u.values, t, spec)
+    Fu -= _alpha_k1_homotopy_du(u.values, t, spec, rec)
 
-    f, fp, fpp = warp_eval(w, u.values)
-    du, d2u = grid.gradient_hessian(u.values)
-    v = rec.v
+    f, fp, fpp = rec.f, rec.fp, rec.fpp
+    du, d2u, v = rec.du, rec.d2u, rec.v
     g = grid.g
     uu = du[:, :, None] * du[:, None, :]
     w_contra = np.einsum("nij,nj->ni", grid.ginv, du)

@@ -21,8 +21,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Numerical counterparts of the a priori bounds; recomputed from
-    scratch on every call, never cached across iterates."""
+    """Numerical counterparts of the a priori bounds, computed from the
+    iterate's own curvature record and never cached across iterates."""
 
     u_min: float
     u_max: float
@@ -46,6 +46,7 @@ class NewtonStats:
     residual_norms: list = field(default_factory=list)
     backtracks: int = 0
     linear_iters: int = 0  # GMRES iterations summed over the linear solves
+    lu_fallbacks: int = 0  # linear solves that ended in sparse LU
 
 
 @dataclass
@@ -56,16 +57,18 @@ class ContinuationState:
     steps: list = field(default_factory=list)  # per-step JSONL-able records
 
 
-def diagnostics(u: GridFunction, spec: ProblemSpec) -> DiagnosticsReport:
-    rec = geometry.fundamental_forms(u, spec.warping)
+def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsReport:
+    """Report on u; rec is its curvature record, built here when not given."""
+    if rec is None:
+        rec = geometry.fundamental_forms(u, spec.warping)
     k = spec.k
     sig = symfunc.sigma_all(rec.lam)
-    cone_margin = float(sig[:, 1:k].min()) if k >= 2 else float(sig[:, 1].min())
+    cone_margin = float(sig[:, 1:k].min())
 
     # Newton-Maclaurin certificate wherever lam in Gamma_k
     in_gk = sig[:, 1:k + 1].min(axis=1) > 0.0
     nm_min = np.inf
-    if np.any(in_gk) and k >= 2:
+    if np.any(in_gk):
         lam_gk = rec.lam[in_gk]
         m1, m2 = symfunc.newton_maclaurin_margins(lam_gk, k, k - 1, 1, 0)
         nm_min = float(min(m1.min(), m2.min()))
@@ -109,7 +112,7 @@ GMRES_MAXITER = 5
 
 
 def _solve_linear(J, rhs, grid):
-    """Solve J x = rhs; returns (x, GMRES iterations).
+    """Solve J x = rhs; returns (x, GMRES iterations, whether it used LU).
 
     GMRES preconditioned by the grid's averaged_stencil_inverse of J (the
     FFT inverse of the row-averaged stencil on the torus, FFT in phi plus a
@@ -128,7 +131,7 @@ def _solve_linear(J, rhs, grid):
                              restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                              M=M, callback=count, callback_type="pr_norm")
         if info == 0:
-            return x, iters
+            return x, iters, False
         log.info("GMRES missed %.0e after %d iterations; using sparse LU",
                  GMRES_RTOL, iters)
     lu = spla.splu(J.tocsc())
@@ -136,7 +139,7 @@ def _solve_linear(J, rhs, grid):
     # one round of iterative refinement
     r = rhs - J @ x
     x = x + lu.solve(r)
-    return x, iters
+    return x, iters, True
 
 
 def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
@@ -144,11 +147,13 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
 
     Every accepted step keeps all nodes inside Gamma_{k-1} and the height
     inside the guarded annulus; damping is backtracking with an Armijo
-    decrease condition on |F|^2.
+    decrease condition on |F|^2.  Returns (u, stats, rec), rec the curvature
+    record of u, which its residual and its Jacobian read.
     """
     tol = spec.newton_tol if tol is None else tol
     u = u_init
-    F = problem.residual(u, t, spec).values  # raises ConeExitError if outside
+    rec = geometry.fundamental_forms(u, spec.warping)
+    F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
     stats = NewtonStats(residual_norms=[float(np.abs(F).max())])
     guard = spec.guard_frac * (spec.r2 - spec.r1)
     lo, hi = spec.r1 - guard, spec.r2 + guard
@@ -156,10 +161,11 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
 
     for it in range(spec.max_newton):
         if stats.residual_norms[-1] <= tol:
-            return u, stats
-        J = problem.jacobian(u, t, spec)
-        delta, iters = _solve_linear(J, -F, spec.grid)
+            return u, stats, rec
+        J = problem.jacobian(u, t, spec, rec)
+        delta, iters, fell_back = _solve_linear(J, -F, spec.grid)
         stats.linear_iters += iters
+        stats.lu_fallbacks += fell_back
         s = 1.0
         accepted = False
         for _ in range(spec.max_backtracks):
@@ -169,14 +175,15 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
                 stats.backtracks += 1
                 continue
             try:
-                F_try = problem.residual(u_try, t, spec).values
+                rec_try = geometry.fundamental_forms(u_try, spec.warping)
+                F_try = problem.residual(u_try, t, spec, rec_try).values
             except ConeExitError:
                 s *= 0.5
                 stats.backtracks += 1
                 continue
             norm2_try = float(F_try @ F_try)
             if norm2_try <= (1.0 - 2e-4 * s) * norm2:
-                u, F, norm2 = u_try, F_try, norm2_try
+                u, F, norm2, rec = u_try, F_try, norm2_try, rec_try
                 accepted = True
                 break
             s *= 0.5
@@ -188,7 +195,7 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
         stats.residual_norms.append(float(np.abs(F).max()))
 
     if stats.residual_norms[-1] <= tol:
-        return u, stats
+        return u, stats, rec
     raise NonConvergenceError(
         f"Newton did not reach {tol:.1e} in {spec.max_newton} iterations "
         f"(last |F| = {stats.residual_norms[-1]:.3e})")
@@ -212,16 +219,17 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     steps = []
     easy_run = 0
 
-    def record(t_cur, stats):
-        diag = diagnostics(u, spec)
-        rec = {"t": t_cur, "newton_iters": stats.iterations,
-               "linear_iters": stats.linear_iters,
-               "residual_norm": stats.residual_norms[-1],
-               "u_min": diag.u_min, "u_max": diag.u_max,
-               "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
-        steps.append(rec)
+    def record(t_cur, stats, rec=None):
+        diag = diagnostics(u, spec, rec)
+        entry = {"t": t_cur, "newton_iters": stats.iterations,
+                 "linear_iters": stats.linear_iters,
+                 "lu_fallbacks": stats.lu_fallbacks,
+                 "residual_norm": stats.residual_norms[-1],
+                 "u_min": diag.u_min, "u_max": diag.u_max,
+                 "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
+        steps.append(entry)
         if log_stream is not None:
-            log_stream.write(json.dumps(rec) + "\n")
+            log_stream.write(json.dumps(entry) + "\n")
         return diag
 
     diag = record(0.0, NewtonStats(residual_norms=[0.0]))
@@ -231,7 +239,7 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     while t < t_final:
         t_next = min(t_final, t + dt)
         try:
-            u_next, stats = newton_solve(u, t_next, spec)
+            u_next, stats, rec = newton_solve(u, t_next, spec)
         except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
             dt *= 0.5
             easy_run = 0
@@ -244,7 +252,8 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
                      t_next, type(exc).__name__, dt)
             continue
         u, t = u_next, t_next
-        diag = record(t, stats)
+        diag = record(t, stats, rec)
+        del rec  # the next step builds its own; holding both raised peak RSS
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow

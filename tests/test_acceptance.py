@@ -101,7 +101,7 @@ def test_criterion_03_homotopy_start():
     u0 = solver.initial_solution(spec)
     res0 = float(np.abs(residual(u0, 0.0, spec).values).max())
     u_pert = u0.with_values(u0.values + 0.05 * np.sin(grid.coords[:, 0]))
-    u_back, _ = solver.newton_solve(u_pert, 0.0, spec)
+    u_back, _, _ = solver.newton_solve(u_pert, 0.0, spec)
     drift = float(np.abs(u_back.values - u0.values).max())
     report("03 homotopy-start", res0 <= 1e-12 and drift <= 1e-8,
            f"|F(u0,0)| {res0:.2e}, return drift {drift:.2e}")
@@ -183,7 +183,7 @@ def test_criterion_08_ellipticity_along_path():
     u = solver.initial_solution(spec)
     min_grad = np.inf
     for t in np.linspace(0.0, 1.0, 11):
-        u, _ = solver.newton_solve(u, float(t), spec)
+        u, _, _ = solver.newton_solve(u, float(t), spec)
         rec = fundamental_forms(u, spec.warping)
         _, dquot = symfunc.quotient_and_grads(rec.lam, spec.k)
         glam = dquot[:, spec.k, :].copy()

@@ -4,7 +4,7 @@ import pytest
 from warpcurve import geometry, problem, symfunc
 from warpcurve.errors import ConeExitError, ConfigError, HypothesisError
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
-from warpcurve.oracle import colored_fd_jacobian, fd_directional
+from warpcurve.oracle import colored_fd_jacobian, fd_directional, stencil_pattern
 from warpcurve.problem import (CHECK_SAMPLES, CoefficientFamily, CoefficientTerm,
                                PhiFunction, ProblemSpec, TabulatedCoefficients,
                                alpha_k1_homotopy, check_hypotheses, jacobian,
@@ -260,7 +260,7 @@ def test_jacobian_sparsity_matches_stencil():
     spec = hyperbolic_spec((6, 6, 6))
     u = GridFunction(1.3 + 0.02 * np.cos(spec.grid.coords[:, 1]), spec.grid)
     J = jacobian(u, 1.0, spec).tocsr()
-    pat = spec.grid.stencil_pattern
+    pat = stencil_pattern(spec.grid)
     extra = (abs(J) > 0).astype(float) - pat
     assert extra.max() <= 0.0  # no couplings beyond the stencil
 
@@ -282,6 +282,29 @@ def test_jacobian_matches_colored_fd_entrywise(grid, profiles):
         J = jacobian(u, t, spec)
         err = abs(J - colored_fd_jacobian(u, t, spec)).max()
         assert err <= 1e-6 * abs(J).max()
+
+
+@pytest.mark.parametrize("grid, profiles", [
+    (FlatTorus((8, 8, 8)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 2})),
+    (Sphere2(12, 24), ({"kind": "sphere_z"}, {"kind": "sphere_x"})),
+], ids=["torus3-8", "sphere-12x24"])
+def test_jacobian_from_given_record_is_identical(grid, profiles, monkeypatch):
+    # the record Newton hands over is the one jacobian would build itself
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
+                                CoefficientTerm(0.5, 0.05, profiles[1])], 2)
+    spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    x = grid.coords
+    u = GridFunction(1.45 + 0.03 * np.cos(x[:, 0]) * np.sin(x[:, 1]), grid)
+    rec = geometry.fundamental_forms(u, spec.warping)
+    for t in (0.0, 0.5, 1.0):
+        want = jacobian(u, t, spec)
+        with monkeypatch.context() as m:
+            for name in ("fundamental_forms", "pencil_eigensystem"):
+                m.setattr(geometry, name, None)
+            m.setattr(geometry.BaseGrid, "gradient_hessian", None)
+            got = jacobian(u, t, spec, rec)
+        assert (got != want).nnz == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from warpcurve import solver
+from warpcurve import geometry, problem, solver
 from warpcurve.errors import ConfigError, ContinuationError
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
@@ -32,7 +32,7 @@ def test_initial_solution_is_constant_pivot():
 def test_newton_at_exact_root_returns_immediately():
     spec = hyperbolic_spec()
     root = radial_root(RadialProblem(spec.warping, 3, 2, (6.0, 1.0), 1.0, 1.6))
-    u, stats = solver.newton_solve(GridFunction.constant(root, spec.grid), 1.0, spec)
+    u, stats, _ = solver.newton_solve(GridFunction.constant(root, spec.grid), 1.0, spec)
     assert stats.iterations <= 1
     assert np.abs(u.values - root).max() <= 1e-10
 
@@ -41,7 +41,7 @@ def test_newton_converges_back_to_pivot():
     spec = hyperbolic_spec()
     pert = 0.05 * np.sin(spec.grid.coords[:, 0])
     u_init = GridFunction(spec.phi.pivot + pert, spec.grid)
-    u, stats = solver.newton_solve(u_init, 0.0, spec)
+    u, stats, _ = solver.newton_solve(u_init, 0.0, spec)
     assert np.abs(u.values - spec.phi.pivot).max() <= 1e-8
     assert stats.residual_norms[-1] <= spec.newton_tol
 
@@ -49,7 +49,7 @@ def test_newton_converges_back_to_pivot():
 def test_newton_quadratic_convergence_tail():
     spec = hyperbolic_spec()
     pert = 0.04 * np.sin(spec.grid.coords[:, 0])
-    _, stats = solver.newton_solve(
+    _, stats, _ = solver.newton_solve(
         GridFunction(spec.phi.pivot + pert, spec.grid), 0.0, spec, tol=1e-13)
     norms = [r for r in stats.residual_norms if r > 1e-14]
     # estimated convergence order from the last three residuals
@@ -68,8 +68,9 @@ def test_continuation_radial_reaches_oracle_root():
     lines = [json.loads(s) for s in stream.getvalue().splitlines()]
     assert len(lines) == len(state.steps)
     for rec in lines:
-        assert set(rec) == {"t", "newton_iters", "linear_iters", "residual_norm",
-                            "u_min", "u_max", "tau_min", "lambda_abs_max"}
+        assert set(rec) == {"t", "newton_iters", "linear_iters", "lu_fallbacks",
+                            "residual_norm", "u_min", "u_max", "tau_min",
+                            "lambda_abs_max"}
     assert lines[0]["t"] == 0.0 and lines[-1]["t"] == 1.0
     assert lines[0]["linear_iters"] == 0
     # constant iterates have constant-coefficient Jacobians, which the FFT
@@ -158,9 +159,9 @@ def test_solve_linear_torus_matches_splu(resolution, k, t):
     u = GridFunction(1.3 + 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1]), spec.grid)
     J = jacobian(u, t, spec)
     rhs = -residual(u, t, spec).values
-    got, iters = solver._solve_linear(J, rhs, spec.grid)
+    got, iters, fell_back = solver._solve_linear(J, rhs, spec.grid)
     want = spla.splu(J.tocsc()).solve(rhs)
-    assert iters > 0
+    assert iters > 0 and not fell_back
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -171,8 +172,8 @@ def test_solve_linear_vanishing_symbol_falls_back_to_splu():
     J = sp.diags(np.where(idx % 2 == 0, 1.0, -1.0)).tocsr()
     assert grid.averaged_stencil_inverse(J) is None
     rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
-    got, iters = solver._solve_linear(J, rhs, grid)
-    assert iters == 0
+    got, iters, fell_back = solver._solve_linear(J, rhs, grid)
+    assert iters == 0 and fell_back
     want = spla.splu(J.tocsc()).solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -183,8 +184,8 @@ def test_solve_linear_gmres_miss_falls_back_to_splu():
     grid = FlatTorus((16, 16))
     d = -1.0 + 4.0 * (np.arange(grid.num_nodes) + 0.5) / grid.num_nodes
     rhs = np.ones(grid.num_nodes)
-    got, iters = solver._solve_linear(sp.diags(d).tocsr(), rhs, grid)
-    assert iters == solver.GMRES_RESTART * solver.GMRES_MAXITER
+    got, iters, fell_back = solver._solve_linear(sp.diags(d).tocsr(), rhs, grid)
+    assert iters == solver.GMRES_RESTART * solver.GMRES_MAXITER and fell_back
     assert np.abs(got - rhs / d).max() <= 1e-12
 
 
@@ -215,9 +216,9 @@ def test_solve_linear_sphere_matches_splu(shape, t):
                      + 0.02 * np.sin(th) ** 2 * np.sin(2.0 * ph), spec.grid)
     J = jacobian(u, t, spec)
     rhs = -residual(u, t, spec).values
-    got, iters = solver._solve_linear(J, rhs, spec.grid)
+    got, iters, fell_back = solver._solve_linear(J, rhs, spec.grid)
     want = spla.splu(J.tocsc()).solve(rhs)
-    assert iters > 0
+    assert iters > 0 and not fell_back
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -246,8 +247,8 @@ def test_solve_linear_sphere_vanishing_average_falls_back_to_splu():
     J = sp.diags(np.where(j_phi % 2 == 0, 1.0, -1.0) * (2.0 + grid.coords[:, 0])).tocsr()
     assert grid.averaged_stencil_inverse(J) is None
     rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
-    got, iters = solver._solve_linear(J, rhs, grid)
-    assert iters == 0
+    got, iters, fell_back = solver._solve_linear(J, rhs, grid)
+    assert iters == 0 and fell_back
     want = spla.splu(J.tocsc()).solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -262,3 +263,39 @@ def test_continuation_never_falls_back_to_splu(spec_fn, monkeypatch):
     state = solver.continuation(spec_fn())
     assert state.t == 1.0
     assert all(rec["linear_iters"] > 0 for rec in state.steps[1:])
+    assert all(rec["lu_fallbacks"] == 0 for rec in state.steps)
+
+
+def test_continuation_logs_every_lu_fallback(monkeypatch):
+    # with no averaged inverse every Newton system goes to sparse LU
+    monkeypatch.setattr(FlatTorus, "averaged_stencil_inverse", lambda self, J: None)
+    state = solver.continuation(hyperbolic_spec())
+    assert state.t == 1.0
+    assert all(rec["lu_fallbacks"] == rec["newton_iters"] and rec["linear_iters"] == 0
+               for rec in state.steps)
+    assert state.steps[-1]["lu_fallbacks"] > 0
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32),
+                                     lambda: perturbed_spec((16, 16), 2)],
+                         ids=["sphere-16x32", "torus2-16"])
+def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypatch):
+    # each point Newton evaluates gets one record, which its residual, its
+    # Jacobian and its step record's diagnostics share; only the t = 0 step
+    # record, after initial_solution's residual, builds one of its own
+    calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(geometry, "fundamental_forms")
+    counted(problem, "residual")
+    counted(problem, "jacobian")
+    state = solver.continuation(spec_fn())
+    assert state.t == 1.0
+    assert calls["jacobian"] == sum(rec["newton_iters"] for rec in state.steps) > 0
+    assert calls["fundamental_forms"] == calls["residual"] + 1
