@@ -8,6 +8,7 @@ Jacobian inherits the exact stencil sparsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,10 +100,28 @@ def warp_eval(w: WarpingFunction, t):
 # Grids
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class StencilPattern:
+    """Boolean CSR template of a grid's identity, diff_ops and hess_ops
+    together; scatter maps the operators' stacked row weights [w_0; w_1; ...]
+    to its data, and slots[e] is entry e's averaged_stencil_inverse slot."""
+
+    template: sp.csr_matrix
+    scatter: sp.csr_matrix
+    slots: np.ndarray
+
+    def matrix(self, weights):
+        """sum_o diags(weights[o]) @ operator o, on the template's own indices
+        and indptr (zeros kept), added in operator order as sparse sums are."""
+        tmpl = self.template
+        return sp.csr_matrix((self.scatter @ np.concatenate(weights), tmpl.indices, tmpl.indptr),
+                             tmpl.shape)
+
+
 class BaseGrid:
     """Common interface: node coordinates, base metric data, sparse
-    covariant derivative operators, and averaged_stencil_inverse(J), the
-    Newton preconditioner of each subclass."""
+    covariant derivative operators with their StencilPattern, and
+    averaged_stencil_inverse(J), each subclass's Newton preconditioner."""
 
     n: int
     num_nodes: int
@@ -123,6 +142,29 @@ class BaseGrid:
                 d2u[:, i, j] = hij
                 d2u[:, j, i] = hij
         return du, d2u
+
+    @cached_property
+    def pattern(self):
+        """This grid's StencilPattern, built on first use, in int32 where it
+        can; the operators are only read, never sorted or rewritten in place."""
+        N = self.num_nodes
+        ops = [sp.identity(N, format="csr"), *self.diff_ops, *self.hess_ops.values()]
+        def rows(indptr, dtype=np.int32):
+            return np.repeat(np.arange(N, dtype=dtype), np.diff(indptr))
+        def keys(op):  # row-major keys r N + c of its entries, in stored order
+            return rows(op.indptr, np.int64) * N + op.indices
+
+        union = np.sort(np.concatenate([keys(op) for op in ops]))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        # an entry of operator o in row r adds its value times w_o[r] to its pattern entry
+        scatter = sp.csr_matrix(
+            (np.concatenate([op.data for op in ops]),
+             (np.concatenate([np.searchsorted(union, keys(op)).astype(np.int32) for op in ops]),
+              np.concatenate([rows(op.indptr) + np.int32(o * N) for o, op in enumerate(ops)]))),
+            shape=(union.size, len(ops) * N))
+        tmpl = sp.csr_matrix((np.ones(union.size, bool), (union % N).astype(np.int32),
+                              np.searchsorted(union, np.arange(N + 1) * N).astype(np.int32)), (N, N))
+        return StencilPattern(tmpl, scatter, self._kernel_slots(rows(tmpl.indptr), tmpl.indices))
 
 
 def _central_differences(up, dn, h):
@@ -191,21 +233,25 @@ class FlatTorus(BaseGrid):
                 else:
                     self.hess_ops[(i, j)] = (self.diff_ops[i] @ self.diff_ops[j]).tocsr()
 
+    def _kernel_slots(self, rows, cols):
+        """Kernel slot of entry (r, c): its periodic offset (c - r) mod shape."""
+        slots, stride = np.zeros_like(rows), self.num_nodes
+        for size in self.shape:
+            stride //= size
+            slots += (cols // stride - rows // stride) % size * stride
+        return slots
+
     def averaged_stencil_inverse(self, J):
         """Inverse of the constant-coefficient periodic operator whose
-        stencil is the row average of the sparse matrix J, applied by FFT.
+        stencil is the row average of J, a matrix on this grid's pattern,
+        applied by FFT.
 
         Entry J[r, c] joins the kernel at the periodic offset (c - r) mod
         shape; the averaged operator is diagonal in Fourier modes with
         symbol conj(rfftn(kernel)).  Returns None when that symbol has a
         (near-)zero entry, since the inverse does not exist there.
         """
-        J = J.tocoo()
-        row = np.unravel_index(J.row, self.shape)
-        col = np.unravel_index(J.col, self.shape)
-        offset = np.ravel_multi_index(
-            tuple((c - r) % s for r, c, s in zip(row, col, self.shape)), self.shape)
-        kernel = np.bincount(offset, weights=J.data, minlength=self.num_nodes)
+        kernel = np.bincount(self.pattern.slots, weights=J.data, minlength=self.num_nodes)
         axes = tuple(range(self.n))
         symbol = np.conj(np.fft.rfftn(kernel.reshape(self.shape) / self.num_nodes))
         size = np.abs(symbol)
@@ -290,25 +336,23 @@ class Sphere2(BaseGrid):
             (1, 1): (D2_phi + sc @ D_theta).tocsr(),
         }
 
-    def averaged_stencil_inverse(self, J):
-        """Inverse of the operator whose stencil is the phi-average of the
-        sparse matrix J, row of theta by row of theta.
+    def _kernel_slots(self, rows, cols):
+        """Kernel slot of entry (r, c): theta row i(r), theta offset i(c) - i(r)
+        and phi offset (c - r) mod n_phi; a pole ghost lands at theta offset 0."""
+        n_phi = self.shape[1]
+        return (2 * (rows // n_phi) + cols // n_phi + 1) * n_phi + (cols - rows) % n_phi
 
-        Entry J[r, c] joins the kernel of theta row i(r) at theta offset
-        i(c) - i(r) and phi offset (c - r) mod n_phi; a pole ghost is the
-        same theta row at phi + pi, so it lands at theta offset 0.  The
-        averaged operator commutes with phi shifts, so each phi Fourier mode
-        is one tridiagonal system in theta, all factored at once by a Thomas
-        sweep.  J must couple only neighbouring theta rows, as every matrix
-        built from this grid's stencils does.  Returns None when a pivot is
-        (near-)zero, since the sweep cannot invert the operator then.
+    def averaged_stencil_inverse(self, J):
+        """Inverse of the operator whose stencil is the phi-average of J, a
+        matrix on this grid's pattern, row of theta by row of theta.
+
+        The averaged operator commutes with phi shifts, so each phi Fourier
+        mode is one tridiagonal system in theta, all factored at once by a
+        Thomas sweep.  Returns None when a pivot is (near-)zero, since the
+        sweep cannot invert the operator then.
         """
         n_theta, n_phi = self.shape
-        J = J.tocoo()
-        row_t, row_p = np.divmod(J.row, n_phi)
-        col_t, col_p = np.divmod(J.col, n_phi)
-        slot = (3 * row_t + (col_t - row_t) + 1) * n_phi + (col_p - row_p) % n_phi
-        kernel = np.bincount(slot, weights=J.data, minlength=3 * self.num_nodes)
+        kernel = np.bincount(self.pattern.slots, weights=J.data, minlength=3 * self.num_nodes)
         # (lower, diagonal, upper) coefficients, each (n_theta, mode)
         lower, diag, upper = np.conj(np.fft.rfft(
             kernel.reshape(n_theta, 3, n_phi) / n_phi, axis=-1)).transpose(1, 0, 2)
@@ -387,8 +431,29 @@ def pencil_eigensystem(gtilde, h):
     gtilde-orthonormal eigenvector columns V[..., :, a], batched.
 
     Cholesky congruence: gtilde = L L^T, then a symmetric eigensolve of
-    L^-1 h L^-T, which keeps the spectrum real by construction.
+    A = L^-1 h L^-T, which keeps the spectrum real by construction.  For
+    n = 2 both are closed forms.  lam = m -+ hypot((A00 - A11)/2, A01), with
+    m = (A00 + A11)/2, is exact at a leaf, where the discriminant of
+    det(h - lam gtilde) = 0 would cancel; A's eigenvectors are the axes
+    turned by atan2(A01, (A00 - A11)/2) / 2.
     """
+    if gtilde.shape[-1] == 2:
+        g00, g10 = gtilde[..., 0, 0], gtilde[..., 1, 0]
+        det = g00 * gtilde[..., 1, 1] - g10 ** 2
+        if not (np.all(g00 > 0.0) and np.all(det > 0.0)):  # before any sqrt
+            raise GeometryError("induced metric not positive definite")
+        p, r = 1.0 / np.sqrt(g00), np.sqrt(g00 / det)  # L^-1 = [[p, 0], [q, r]]
+        q = -g10 * p * p * r
+        h00, h11, h01 = h[..., 0, 0], h[..., 1, 1], 0.5 * (h[..., 0, 1] + h[..., 1, 0])
+        a00, a01 = p * p * h00, p * (q * h00 + r * h01)
+        a11 = q * q * h00 + 2.0 * q * r * h01 + r * r * h11
+        m, half = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
+        rad, angle = np.hypot(half, a01), 0.5 * np.arctan2(a01, half)
+        c, s = np.cos(angle), np.sin(angle)
+        # eigenvectors of A: (-s, c) for m - rad, (c, s) for m + rad; V = L^-T W
+        V = np.stack([np.stack([q * c - p * s, p * c + q * s], -1),
+                      np.stack([r * c, r * s], -1)], -2)
+        return np.stack([m - rad, m + rad], axis=-1), V
     try:
         L = np.linalg.cholesky(gtilde)
     except np.linalg.LinAlgError as exc:

@@ -75,18 +75,22 @@ def radial_root(p: RadialProblem, tol=1e-12, max_iter=100):
 
 
 def fd_directional(u: GridFunction, direction: GridFunction, t, spec: ProblemSpec):
-    """Central-difference directional derivative of the residual along
-    'direction', the reference the Jacobian paths are compared against."""
+    """Directional derivative of the residual along 'direction', the
+    reference the Jacobian paths are compared against: (4 D(h/2) - D(h)) / 3
+    cancels the O(h^2) error of a central difference D(h), large in the
+    sphere's pole rows."""
     d = direction.values
     dnorm = float(np.abs(d).max())
     if dnorm == 0.0:
         return u.with_values(np.zeros_like(u.values))
     h = 1e-5 * max(float(np.abs(u.values).max()), 1.0) / dnorm
 
+    def central(step):
+        return (residual(u.with_values(u.values + step * d), t, spec).values
+                - residual(u.with_values(u.values - step * d), t, spec).values) / (2.0 * step)
+
     def attempt(step):
-        Fp = residual(u.with_values(u.values + step * d), t, spec).values
-        Fm = residual(u.with_values(u.values - step * d), t, spec).values
-        return (Fp - Fm) / (2.0 * step)
+        return (4.0 * central(0.5 * step) - central(step)) / 3.0
 
     try:
         out = attempt(h)
@@ -96,15 +100,8 @@ def fd_directional(u: GridFunction, direction: GridFunction, t, spec: ProblemSpe
 
 
 def stencil_pattern(grid: BaseGrid):
-    """Boolean CSR pattern of the grid's derivative couplings plus the diagonal."""
-    pat = sp.identity(grid.num_nodes, format="csr")
-    for D in grid.diff_ops:
-        pat = pat + abs(D)
-    for op in grid.hess_ops.values():
-        pat = pat + abs(op)
-    pat = pat.tocsr()
-    pat.data[:] = 1.0
-    return pat
+    """The grid's Jacobian pattern (couplings plus diagonal) as CSR of ones."""
+    return grid.pattern.template.astype(float)
 
 
 def _fd_coloring(grid: BaseGrid):

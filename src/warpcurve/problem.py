@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry, symfunc
 from .errors import ConeExitError, ConfigError, HypothesisError
@@ -328,9 +327,10 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
     M1 = sum_a G^a v_a v_a^T, M2 = sum_a G^a lam_a v_a v_a^T, both well
-    defined across eigenvalue crossings.
+    defined across eigenvalue crossings.  J is filled on the grid's pattern.
     """
     grid, k = spec.grid, spec.k
+    pattern = grid.pattern  # a first call builds it here, before the arrays below exist
     if rec is None:
         rec = geometry.fundamental_forms(u, spec.warping)
     _check_cone(rec.lam, k)
@@ -366,13 +366,8 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
           - 2.0 * np.einsum("nij,nj->ni", M2, du))
     c2 = -f[:, None, None] * M1 / v[:, None, None]
 
-    J = sp.diags(c0)
-    for j, D in enumerate(grid.diff_ops):
-        J = J + sp.diags(c1[:, j]) @ D
-    for (i, j), H in grid.hess_ops.items():
-        wgt = c2[:, i, j] if i == j else 2.0 * c2[:, i, j]
-        J = J + sp.diags(wgt) @ H
-    return J.tocsr()
+    return pattern.matrix(
+        [c0, *c1.T, *(c2[:, i, j] if i == j else 2.0 * c2[:, i, j] for i, j in grid.hess_ops)])
 
 
 # ---------------------------------------------------------------------------

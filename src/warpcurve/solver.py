@@ -89,17 +89,17 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
         flags=tuple(flags))
 
 
-def initial_solution(spec: ProblemSpec) -> GridFunction:
-    """Constant field at the unique root of phi = 1 (the t = 0 solution)."""
+def initial_solution(spec: ProblemSpec):
+    """Constant field at the root of phi = 1 (the t = 0 solution), and its record."""
     u0 = spec.phi.root
     if not spec.r1 < u0 < spec.r2:
         raise ConfigError(f"phi has no root in (r1, r2): u0={u0}")
     u = GridFunction.constant(u0, spec.grid)
-    res = problem.residual(u, 0.0, spec).values
-    norm = float(np.abs(res).max())
+    rec = geometry.fundamental_forms(u, spec.warping)
+    norm = float(np.abs(problem.residual(u, 0.0, spec, rec).values).max())
     if norm > 1e-10:
         raise ConfigError(f"constant start fails the t=0 equation (|F|={norm:.3e})")
-    return u
+    return u, rec
 
 
 # GMRES settings for Newton systems: relative tolerance on the 2-norm
@@ -142,17 +142,17 @@ def _solve_linear(J, rhs, grid):
     return x, iters, True
 
 
-def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None):
+def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None, rec=None):
     """Damped Newton iteration at fixed t.
 
     Every accepted step keeps all nodes inside Gamma_{k-1} and the height
     inside the guarded annulus; damping is backtracking with an Armijo
-    decrease condition on |F|^2.  Returns (u, stats, rec), rec the curvature
-    record of u, which its residual and its Jacobian read.
+    decrease condition on |F|^2.  rec is u_init's curvature record (built
+    when not given); returns (u, stats, rec), rec the record of the final u.
     """
     tol = spec.newton_tol if tol is None else tol
     u = u_init
-    rec = geometry.fundamental_forms(u, spec.warping)
+    rec = geometry.fundamental_forms(u, spec.warping) if rec is None else rec
     F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
     stats = NewtonStats(residual_norms=[float(np.abs(F).max())])
     guard = spec.guard_frac * (spec.r2 - spec.r1)
@@ -213,13 +213,15 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     if check:
         problem.check_hypotheses(spec).raise_if_failed()
 
-    u = initial_solution(spec)
+    # u's record goes to the next Newton solve, which frees it on moving on
+    # (holding it here too raised peak RSS); a failed step's retry rebuilds it
+    u, *handoff = initial_solution(spec)
     t = 0.0
     dt = spec.dt_init
     steps = []
     easy_run = 0
 
-    def record(t_cur, stats, rec=None):
+    def record(t_cur, stats, rec):
         diag = diagnostics(u, spec, rec)
         entry = {"t": t_cur, "newton_iters": stats.iterations,
                  "linear_iters": stats.linear_iters,
@@ -232,14 +234,15 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
             log_stream.write(json.dumps(entry) + "\n")
         return diag
 
-    diag = record(0.0, NewtonStats(residual_norms=[0.0]))
+    diag = record(0.0, NewtonStats(residual_norms=[0.0]), handoff[0])
     if t_final == 0.0:
         return ContinuationState(t=0.0, u=u, diagnostics=diag, steps=steps)
 
     while t < t_final:
         t_next = min(t_final, t + dt)
         try:
-            u_next, stats, rec = newton_solve(u, t_next, spec)
+            u_next, stats, *handoff = newton_solve(u, t_next, spec,
+                                                   rec=handoff.pop() if handoff else None)
         except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
             dt *= 0.5
             easy_run = 0
@@ -252,8 +255,7 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
                      t_next, type(exc).__name__, dt)
             continue
         u, t = u_next, t_next
-        diag = record(t, stats, rec)
-        del rec  # the next step builds its own; holding both raised peak RSS
+        diag = record(t, stats, handoff[0])
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow

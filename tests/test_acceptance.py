@@ -98,7 +98,7 @@ def test_criterion_03_homotopy_start():
     spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
                        k=2, coeffs=coeffs, phi=PhiFunction(1.3),
                        r1=1.0, r2=1.6)
-    u0 = solver.initial_solution(spec)
+    u0, _ = solver.initial_solution(spec)
     res0 = float(np.abs(residual(u0, 0.0, spec).values).max())
     u_pert = u0.with_values(u0.values + 0.05 * np.sin(grid.coords[:, 0]))
     u_back, _, _ = solver.newton_solve(u_pert, 0.0, spec)
@@ -180,7 +180,7 @@ def test_criterion_08_ellipticity_along_path():
     spec = torus2d_spec((10, 10), eps=(0.05, 0.05),
                         profiles=({"kind": "cos", "axis": 0},
                                   {"kind": "sin", "axis": 1}))
-    u = solver.initial_solution(spec)
+    u, _ = solver.initial_solution(spec)
     min_grad = np.inf
     for t in np.linspace(0.0, 1.0, 11):
         u, _, _ = solver.newton_solve(u, float(t), spec)
@@ -230,24 +230,39 @@ def test_criterion_09_convergence_order():
 
 
 def test_criterion_10_determinism(tmp_path):
-    cfg = {
-        "manifold": {"type": "flat_torus", "resolution": [8, 8]},
+    # the 8x8 torus and an 8x16 sphere, whose n = 2 curvatures both take the
+    # closed-form eigensystem (atan2, cos, sin)
+    base = {
         "warping": {"kind": "hyperbolic", "param": 1.0},
         "k": 2, "r1": 1.0, "r2": 1.6,
         "phi": {"pivot": 1.45},
-        "coefficients": {"kind": "builtin", "terms": [
-            {"amplitude": 3.0, "epsilon": 0.04,
-             "profile": {"kind": "cos", "axis": 0}},
-            {"amplitude": 0.5, "epsilon": 0.02,
-             "profile": {"kind": "sin", "axis": 1}}]},
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    blobs = []
-    for run in ("a", "b"):
-        out = tmp_path / run
-        code = cli.main(["solve", str(path), "--out", str(out)])
-        assert code == 0
-        blobs.append((out / "solution.csv").read_bytes())
-    report("10 determinism", blobs[0] == blobs[1],
-           f"solution CSVs byte-identical: {blobs[0] == blobs[1]}")
+    cfgs = {
+        "torus-8x8": {**base,
+                      "manifold": {"type": "flat_torus", "resolution": [8, 8]},
+                      "coefficients": {"kind": "builtin", "terms": [
+                          {"amplitude": 3.0, "epsilon": 0.04,
+                           "profile": {"kind": "cos", "axis": 0}},
+                          {"amplitude": 0.5, "epsilon": 0.02,
+                           "profile": {"kind": "sin", "axis": 1}}]}},
+        "sphere-8x16": {**base,
+                        "manifold": {"type": "sphere2", "resolution": [8, 16]},
+                        "coefficients": {"kind": "builtin", "terms": [
+                            {"amplitude": 3.0, "epsilon": 0.04,
+                             "profile": {"kind": "sphere_z"}},
+                            {"amplitude": 0.5, "epsilon": 0.02,
+                             "profile": {"kind": "sphere_x"}}]}},
+    }
+    same = {}
+    for name, cfg in cfgs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        blobs = []
+        for run in ("a", "b"):
+            out = tmp_path / name / run
+            code = cli.main(["solve", str(path), "--out", str(out)])
+            assert code == 0
+            blobs.append((out / "solution.csv").read_bytes())
+        same[name] = blobs[0] == blobs[1]
+    report("10 determinism", all(same.values()),
+           f"solution CSVs byte-identical: {same}")

@@ -194,6 +194,67 @@ def test_pencil_eigensystem_orthonormality():
     np.testing.assert_allclose(hv, gv, atol=1e-10)
 
 
+def _eigh_path(gtilde, h, far=1e3):
+    """The pencil through the general Cholesky + eigh path: each 2x2 pencil
+    embedded in a 3x3 one with a decoupled third eigenvalue far above."""
+    N = gtilde.shape[0]
+    g3 = np.zeros((N, 3, 3))
+    h3 = np.zeros((N, 3, 3))
+    g3[:, :2, :2], h3[:, :2, :2] = gtilde, h
+    g3[:, 2, 2], h3[:, 2, 2] = 1.0, far
+    lam, V = geometry.pencil_eigensystem(g3, h3)
+    return lam[:, :2], V[:, :2, :2]
+
+
+def _random_pencils(rng, N):
+    A = rng.standard_normal((N, 2, 2))
+    gtilde = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(2)
+    B = rng.standard_normal((N, 2, 2))
+    return gtilde, B + np.swapaxes(B, -1, -2)
+
+
+def test_closed_form_2x2_matches_eigh_path():
+    rng = np.random.default_rng(11)
+    gtilde, h = _random_pencils(rng, 2000)
+    lam, V = geometry.pencil_eigensystem(gtilde, h)
+    lam_ref, V_ref = _eigh_path(gtilde, h)
+    scale = np.abs(lam_ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(lam - lam_ref) <= 1e-14 * scale)
+    # gtilde-orthonormal eigenvectors of the pencil
+    gram = np.swapaxes(V, -1, -2) @ gtilde @ V
+    assert np.abs(gram - np.eye(2)).max() <= 1e-13
+    assert np.abs(h @ V - gtilde @ V * lam[:, None, :]).max() <= 1e-14 * scale.max()
+    # away from degeneracy each eigenvector is fixed up to sign, so the
+    # projectors v_a v_a^T gtilde of both paths agree
+    apart = (lam[:, 1] - lam[:, 0]) > 1e-3 * scale[:, 0]
+    assert apart.mean() > 0.99
+    for a in range(2):
+        P = V[:, :, a, None] * V[:, None, :, a] @ gtilde
+        P_ref = V_ref[:, :, a, None] * V_ref[:, None, :, a] @ gtilde
+        assert np.abs(P - P_ref)[apart].max() <= 1e-12
+
+
+def test_closed_form_2x2_exact_at_leaves():
+    # h = c gtilde: both eigenvalues are c, with no sqrt(eps) loss
+    rng = np.random.default_rng(12)
+    gtilde, _ = _random_pencils(rng, 2000)
+    c = rng.uniform(-3.0, 3.0, size=2000)
+    lam, V = geometry.pencil_eigensystem(gtilde, c[:, None, None] * gtilde)
+    assert np.all(np.abs(lam - c[:, None]) <= 1e-14 * np.maximum(np.abs(c), 1.0)[:, None])
+    gram = np.swapaxes(V, -1, -2) @ gtilde @ V
+    assert np.abs(gram - np.eye(2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("gtilde", [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]),
+                                    np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))],
+                         ids=["g00<0", "g11<0", "det<0", "zero"])
+def test_closed_form_2x2_rejects_indefinite_metric(gtilde):
+    # pyproject turns RuntimeWarnings into errors, so an unguarded sqrt of
+    # a negative number would surface here as RuntimeWarning
+    with pytest.raises(GeometryError):
+        geometry.pencil_eigensystem(gtilde[None], np.eye(2)[None])
+
+
 def test_small_perturbation_matches_directional_difference():
     grid = FlatTorus((16, 4, 4))
     w = WarpingFunction("hyperbolic", 1.0)

@@ -229,6 +229,36 @@ def test_jacobian_both_paths_match_oracle():
             assert np.abs(got - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("grid, profiles", [
+    (FlatTorus((16, 16)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1})),
+    (Sphere2(12, 24), ({"kind": "sphere_z"}, {"kind": "sphere_x"})),
+], ids=["torus2-16", "sphere-12x24"])
+def test_jacobian_matches_extrapolated_directional_difference(grid, profiles):
+    # the n = 2 closed-form eigensystem feeds this Jacobian.  A plain central
+    # difference missed it by 1.6e-5 on the sphere, O(h^2) in the pole rows;
+    # the Richardson-extrapolated oracle misses by 8.1e-11 there and by
+    # 5.2e-11 on the torus, rounding in the difference quotients
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
+                                CoefficientTerm(0.5, 0.05, profiles[1])], 2)
+    spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    x = grid.coords
+    if isinstance(grid, Sphere2):  # smooth across the poles
+        bump = 0.03 * np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.02 * np.cos(x[:, 0])
+    else:
+        bump = 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])
+    u = GridFunction(1.45 + bump, grid)
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for t in (0.0, 0.7, 1.0):
+        J = jacobian(u, t, spec)
+        for _ in range(10):
+            d = GridFunction(rng.standard_normal(grid.num_nodes), grid)
+            ref = fd_directional(u, d, t, spec).values
+            worst = max(worst, np.abs(J @ d.values - ref).max() / max(1.0, np.abs(ref).max()))
+    assert worst <= 1e-9
+
+
 def test_jacobian_constant_mode_positive_at_start():
     spec = hyperbolic_spec((4, 4, 4))
     u0 = GridFunction.constant(spec.phi.pivot, spec.grid)

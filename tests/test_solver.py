@@ -24,9 +24,10 @@ def hyperbolic_spec(resolution=(6, 6, 6), **kwargs):
 
 def test_initial_solution_is_constant_pivot():
     spec = hyperbolic_spec()
-    u0 = solver.initial_solution(spec)
+    u0, rec = solver.initial_solution(spec)
     assert np.all(u0.values == spec.phi.pivot)
     assert np.abs(residual(u0, 0.0, spec).values).max() <= 1e-12
+    assert np.array_equal(rec.lam, geometry.fundamental_forms(u0, spec.warping).lam)
 
 
 def test_newton_at_exact_root_returns_immediately():
@@ -165,11 +166,24 @@ def test_solve_linear_torus_matches_splu(resolution, k, t):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def on_pattern(grid, identity, diff=None, hess=None):
+    """sum_o diags(w_o) @ op_o over the grid's identity, diff_ops and
+    hess_ops, built on the grid's pattern as averaged_stencil_inverse needs;
+    an operator left out gets weight 0, and a scalar weight is constant."""
+    diff, hess = diff or {}, hess or {}
+
+    def full(w):
+        return np.broadcast_to(np.asarray(w, dtype=float), grid.num_nodes)
+    return grid.pattern.matrix([full(identity)]
+                               + [full(diff.get(a, 0.0)) for a in range(grid.n)]
+                               + [full(hess.get(key, 0.0)) for key in grid.hess_ops])
+
+
 def test_solve_linear_vanishing_symbol_falls_back_to_splu():
     # a +-1 checkerboard diagonal is nonsingular but its row average is 0
     grid = FlatTorus((6, 6))
     idx = np.indices(grid.shape).sum(axis=0).ravel()
-    J = sp.diags(np.where(idx % 2 == 0, 1.0, -1.0)).tocsr()
+    J = on_pattern(grid, np.where(idx % 2 == 0, 1.0, -1.0))
     assert grid.averaged_stencil_inverse(J) is None
     rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
     got, iters, fell_back = solver._solve_linear(J, rhs, grid)
@@ -184,15 +198,14 @@ def test_solve_linear_gmres_miss_falls_back_to_splu():
     grid = FlatTorus((16, 16))
     d = -1.0 + 4.0 * (np.arange(grid.num_nodes) + 0.5) / grid.num_nodes
     rhs = np.ones(grid.num_nodes)
-    got, iters, fell_back = solver._solve_linear(sp.diags(d).tocsr(), rhs, grid)
+    got, iters, fell_back = solver._solve_linear(on_pattern(grid, d), rhs, grid)
     assert iters == solver.GMRES_RESTART * solver.GMRES_MAXITER and fell_back
     assert np.abs(got - rhs / d).max() <= 1e-12
 
 
 def test_averaged_stencil_inverse_is_exact_for_constant_coefficients():
     grid = FlatTorus((8, 6, 4))
-    J = (2.0 * sp.identity(grid.num_nodes) - grid.hess_ops[(0, 0)]
-         + 0.3 * grid.diff_ops[1] + 0.1 * grid.hess_ops[(0, 2)]).tocsr()
+    J = on_pattern(grid, 2.0, diff={1: 0.3}, hess={(0, 0): -1.0, (0, 2): 0.1})
     apply = grid.averaged_stencil_inverse(J)
     rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
     assert np.abs(J @ apply(rhs) - rhs).max() <= 1e-12
@@ -230,10 +243,9 @@ def test_sphere_averaged_stencil_inverse_is_exact_for_phi_invariant_operators():
     grid = spec.grid
     th = grid.coords[:, 0]
     ops = [jacobian(GridFunction.constant(1.45, grid), 0.0, spec),
-           (sp.diags(2.0 + np.cos(th)) - grid.hess_ops[(0, 0)]
-            - sp.diags(0.5 * np.sin(th)) @ grid.hess_ops[(0, 1)]
-            - sp.diags(1.0 / np.sin(th) ** 2) @ grid.hess_ops[(1, 1)]
-            + sp.diags(np.cos(th)) @ grid.diff_ops[0]).tocsr()]
+           on_pattern(grid, 2.0 + np.cos(th), diff={0: np.cos(th)},
+                      hess={(0, 0): -1.0, (0, 1): -0.5 * np.sin(th),
+                            (1, 1): -1.0 / np.sin(th) ** 2})]
     rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
     for J in ops:
         apply = grid.averaged_stencil_inverse(J)
@@ -244,13 +256,82 @@ def test_solve_linear_sphere_vanishing_average_falls_back_to_splu():
     # a diagonal alternating in sign along phi averages to 0 in every row
     grid = Sphere2(8, 16)
     j_phi = np.indices(grid.shape)[1].ravel()
-    J = sp.diags(np.where(j_phi % 2 == 0, 1.0, -1.0) * (2.0 + grid.coords[:, 0])).tocsr()
+    J = on_pattern(grid, np.where(j_phi % 2 == 0, 1.0, -1.0) * (2.0 + grid.coords[:, 0]))
     assert grid.averaged_stencil_inverse(J) is None
     rhs = np.cos(grid.coords[:, 0]) + np.sin(grid.coords[:, 1])
     got, iters, fell_back = solver._solve_linear(J, rhs, grid)
     assert iters == 0 and fell_back
     want = spla.splu(J.tocsc()).solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# the fixed Jacobian pattern of a grid
+# ---------------------------------------------------------------------------
+
+PATTERN_SPECS = pytest.mark.parametrize("spec_fn", [
+    lambda: perturbed_spec((8, 8), 2), lambda: perturbed_spec((4, 4, 4), 3),
+    lambda: perturbed_sphere_spec(6, 12)], ids=["torus2-8", "torus3-4", "sphere-6x12"])
+
+
+def smooth_field(spec, amplitude=1.0):
+    """A smooth height near the pivot; on the sphere, smooth across the poles."""
+    x = spec.grid.coords
+    if isinstance(spec.grid, Sphere2):
+        bump = 0.03 * np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.02 * np.cos(x[:, 0])
+    else:
+        bump = 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])
+    return GridFunction(spec.phi.pivot + amplitude * bump, spec.grid)
+
+
+@PATTERN_SPECS
+def test_pattern_matrix_is_the_sum_of_weighted_operators(spec_fn):
+    grid = spec_fn().grid
+    ops = [sp.identity(grid.num_nodes, format="csr"), *grid.diff_ops, *grid.hess_ops.values()]
+    rng = np.random.default_rng(4)
+    weights = [rng.standard_normal(grid.num_nodes) for _ in ops]
+    want = sp.diags(weights[0]) @ ops[0]
+    for w, op in zip(weights[1:], ops[1:]):
+        want = want + sp.diags(w) @ op
+    got = grid.pattern.matrix(weights)
+    assert (got != want).nnz == 0  # entry for entry, to the last bit
+    assert got.nnz == grid.pattern.template.nnz  # stored zeros included
+
+
+@PATTERN_SPECS
+def test_jacobian_fills_one_pattern_and_leaves_the_operators(spec_fn):
+    spec = spec_fn()
+    grid = spec.grid
+    u = smooth_field(spec)
+    before = grid.gradient_hessian(u.values)  # the pattern is not built yet
+    J1 = jacobian(u, 0.5, spec)
+    after = grid.gradient_hessian(u.values)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    J2 = jacobian(smooth_field(spec, 0.5), 1.0, spec)
+    for J in (J1, J2):
+        assert np.shares_memory(J.indices, grid.pattern.template.indices)
+        assert np.shares_memory(J.indptr, grid.pattern.template.indptr)
+
+
+@PATTERN_SPECS
+def test_averaged_stencil_inverse_matches_dense_average(spec_fn):
+    # the averaged operator built densely: J averaged over every periodic
+    # translation on the torus, over every phi rotation on the sphere
+    spec = spec_fn()
+    grid = spec.grid
+    J = jacobian(smooth_field(spec), 0.7, spec)
+    dense = J.toarray()
+    idx = np.arange(grid.num_nodes).reshape(grid.shape)
+    if isinstance(grid, Sphere2):
+        perms = [np.roll(idx, k, axis=1).ravel() for k in range(grid.shape[1])]
+    else:
+        perms = [np.roll(idx, k, axis=tuple(range(grid.n))).ravel()
+                 for k in np.ndindex(grid.shape)]
+    average = sum(dense[np.ix_(p, p)] for p in perms) / len(perms)
+    rhs = np.random.default_rng(5).standard_normal(grid.num_nodes)
+    want = np.linalg.solve(average, rhs)
+    got = grid.averaged_stencil_inverse(J)(rhs)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32),
@@ -281,9 +362,10 @@ def test_continuation_logs_every_lu_fallback(monkeypatch):
                          ids=["sphere-16x32", "torus2-16"])
 def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypatch):
     # each point Newton evaluates gets one record, which its residual, its
-    # Jacobian and its step record's diagnostics share; only the t = 0 step
-    # record, after initial_solution's residual, builds one of its own
-    calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0}
+    # Jacobian, its step record's diagnostics and the next step's Newton
+    # start share; the t = 0 record serves the start check, the t = 0 step
+    # record and the first step
+    calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0, "newton_solve": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -295,7 +377,9 @@ def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypa
     counted(geometry, "fundamental_forms")
     counted(problem, "residual")
     counted(problem, "jacobian")
+    counted(solver, "newton_solve")
     state = solver.continuation(spec_fn())
     assert state.t == 1.0
     assert calls["jacobian"] == sum(rec["newton_iters"] for rec in state.steps) > 0
-    assert calls["fundamental_forms"] == calls["residual"] + 1
+    # a Newton start evaluates its residual on the record it was handed
+    assert calls["fundamental_forms"] == calls["residual"] - calls["newton_solve"]
