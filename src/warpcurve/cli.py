@@ -362,16 +362,52 @@ def _radial_spec(resolution=(8, 8, 8)):
                        phi=PhiFunction(pivot=1.3), r1=1.0, r2=1.6)
 
 
+def _jacobian_fd_cases():
+    """(spec, u) by name, at which the Jacobian is checked against finite
+    differences: the radial 6^3 torus (k = 2), a perturbed 6^3 torus with
+    k = 3, and a perturbed Sphere2(12, 24) with a u smooth across the poles."""
+    radial = _radial_spec((6, 6, 6))
+    x = radial.grid.coords
+    hyperbolic = WarpingFunction("hyperbolic", 1.0)
+    torus3 = ProblemSpec(
+        grid=radial.grid, warping=hyperbolic, k=3,
+        coeffs=CoefficientFamily([CoefficientTerm(2.0, 0.05, {"kind": "cos", "axis": 0}),
+                                  CoefficientTerm(0.5, 0.05, {"kind": "sin", "axis": 1}),
+                                  CoefficientTerm(0.25, 0.05, {"kind": "cos", "axis": 2})], 3),
+        phi=PhiFunction(pivot=1.3), r1=1.0, r2=1.6)
+    sphere = ProblemSpec(
+        grid=Sphere2(12, 24), warping=hyperbolic, k=2,
+        coeffs=CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": "sphere_z"}),
+                                  CoefficientTerm(0.5, 0.05, {"kind": "sphere_x"})], 2),
+        phi=PhiFunction(pivot=1.45), r1=1.0, r2=1.6)
+    th, ph = sphere.grid.coords[:, 0], sphere.grid.coords[:, 1]
+    return {
+        "torus3-k2": (radial, 1.3 + 0.05 * np.sin(x[:, 0])),
+        "torus3-k3": (torus3, 1.3 + 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])),
+        "sphere-12x24": (sphere, 1.45 + 0.03 * np.sin(th) * np.cos(ph) + 0.02 * np.cos(th)),
+    }
+
+
+def _jacobian_fd_misses(rng, directions, t=0.7):
+    """Worst relative miss of the colored-FD and the analytic Jacobian
+    against oracle.fd_directional, along random directions, per case of
+    _jacobian_fd_cases: {case: {"fd": miss, "analytic": miss}}."""
+    out = {}
+    for name, (spec, values) in _jacobian_fd_cases().items():
+        u = GridFunction(values, spec.grid)
+        dirs = [rng.standard_normal(spec.grid.num_nodes) for _ in range(directions)]
+        refs = [oracle.fd_directional(u, GridFunction(d, spec.grid), t, spec).values
+                for d in dirs]
+        out[name] = {
+            method: max(float(np.abs(J @ d - ref).max() / max(1.0, np.abs(ref).max()))
+                        for d, ref in zip(dirs, refs))
+            for method, J in (("fd", oracle.colored_fd_jacobian(u, t, spec)),
+                              ("analytic", problem.jacobian(u, t, spec)))}
+    return out
+
+
 def _verify_jacobian_fd(rng):
-    spec = _radial_spec((6, 6, 6))
-    u = GridFunction(1.3 + 0.05 * np.sin(spec.grid.coords[:, 0]), spec.grid)
-    worst = 0.0
-    for J in (oracle.colored_fd_jacobian(u, 0.7, spec), problem.jacobian(u, 0.7, spec)):
-        for _ in range(5):
-            d = GridFunction(rng.standard_normal(spec.grid.num_nodes), spec.grid)
-            ref = oracle.fd_directional(u, d, 0.7, spec).values
-            got = J @ d.values
-            worst = max(worst, float(np.abs(got - ref).max() / max(1.0, np.abs(ref).max())))
+    worst = max(max(m.values()) for m in _jacobian_fd_misses(rng, 5).values())
     return worst, worst <= 1e-6
 
 

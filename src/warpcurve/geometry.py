@@ -1,9 +1,11 @@
 """Discretized base manifolds, warping functions, and per-node curvature
 data of graphic hypersurfaces.
 
-Grids expose their covariant derivative stencils as sparse matrices, so a
-gradient/Hessian evaluation is a handful of matvecs and the residual
-Jacobian inherits the exact stencil sparsity.
+Grids expose their covariant derivative stencils as sparse matrices, in
+components along an orthonormal frame of the base, so a gradient/Hessian
+evaluation is a handful of matvecs, the base metric is the identity in
+everything downstream, and the residual Jacobian inherits the exact stencil
+sparsity.
 """
 from __future__ import annotations
 
@@ -119,19 +121,22 @@ class StencilPattern:
 
 
 class BaseGrid:
-    """Common interface: node coordinates, base metric data, sparse
-    covariant derivative operators with their StencilPattern, and
-    averaged_stencil_inverse(J), each subclass's Newton preconditioner."""
+    """Common interface: node coordinates, sparse covariant derivative
+    operators with their StencilPattern, and averaged_stencil_inverse(J),
+    each subclass's Newton preconditioner.
+
+    diff_ops[a] and hess_ops[(a, b)] give components along an orthonormal
+    frame e_a of the base, so the base metric never appears in the per-node
+    algebra: |Du|^2 = sum_a (D_a u)^2."""
 
     n: int
     num_nodes: int
     shape: tuple
     coords: np.ndarray  # (N, n)
-    g: np.ndarray       # (N, n, n)
-    ginv: np.ndarray    # (N, n, n)
 
     def gradient_hessian(self, values):
-        """Covariant gradient (N, n) and Hessian (N, n, n) of a node field."""
+        """Frame components of the covariant gradient (N, n) and Hessian
+        (N, n, n) of a node field."""
         values = np.asarray(values, dtype=float)
         du = np.stack([D @ values for D in self.diff_ops], axis=-1)
         n = self.n
@@ -213,9 +218,6 @@ class FlatTorus(BaseGrid):
         axes = [np.arange(N) * h for N, h in zip(self.shape, self.spacing)]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.coords = np.stack([m.ravel() for m in mesh], axis=-1)
-        eye = np.eye(self.n)
-        self.g = np.broadcast_to(eye, (self.num_nodes, self.n, self.n)).copy()
-        self.ginv = self.g.copy()
 
         idx = np.arange(self.num_nodes).reshape(self.shape)
         self.diff_ops = []
@@ -279,7 +281,10 @@ class Sphere2(BaseGrid):
 
     theta_i = (i + 1/2) pi / n_theta keeps nodes off the poles; ghost values
     across a pole come from the antipodal-longitude copy, so n_phi must be
-    even.  Metric g = d theta^2 + sin^2 theta d phi^2.
+    even.  Metric d theta^2 + sin^2 theta d phi^2; the operators give
+    components in the orthonormal frame (d_theta, d_phi / sin theta), so the
+    rows of D_phi and H_theta,phi carry 1/sin theta and those of H_phi,phi
+    1/sin^2 theta.
     """
 
     def __init__(self, n_theta, n_phi):
@@ -302,12 +307,6 @@ class Sphere2(BaseGrid):
         st = np.sin(self.coords[:, 0])
         ct = np.cos(self.coords[:, 0])
         N = self.num_nodes
-        self.g = np.zeros((N, 2, 2))
-        self.g[:, 0, 0] = 1.0
-        self.g[:, 1, 1] = st ** 2
-        self.ginv = np.zeros_like(self.g)
-        self.ginv[:, 0, 0] = 1.0
-        self.ginv[:, 1, 1] = 1.0 / st ** 2
 
         idx = np.arange(N).reshape(self.shape)
         half = n_phi // 2
@@ -324,8 +323,6 @@ class Sphere2(BaseGrid):
         D_theta, D2_theta = _central_differences(up.ravel(), dn.ravel(), self.h_theta)
         D_phi, D2_phi = _central_differences(np.roll(idx, -1, axis=1).ravel(),
                                              np.roll(idx, +1, axis=1).ravel(), self.h_phi)
-        self.diff_ops = [D_theta, D_phi]
-
         cot = sp.diags(ct / st)
         sc = sp.diags(st * ct)
         # covariant Hessian: u_;tt = dtt u, u_;tp = dtp u - cot(t) dp u,
@@ -335,6 +332,10 @@ class Sphere2(BaseGrid):
             (0, 1): (D_theta @ D_phi - cot @ D_phi).tocsr(),
             (1, 1): (D2_phi + sc @ D_theta).tocsr(),
         }
+        # coordinate to frame components: each phi index divides by sin(t)
+        for op, power in ((D_phi, 1), (self.hess_ops[(0, 1)], 1), (self.hess_ops[(1, 1)], 2)):
+            op.data /= np.repeat(st ** power, np.diff(op.indptr))
+        self.diff_ops = [D_theta, D_phi]
 
     def _kernel_slots(self, rows, cols):
         """Kernel slot of entry (r, c): theta row i(r), theta offset i(c) - i(r)
@@ -407,18 +408,18 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class CurvatureRecord:
-    """Per-node geometry of the graph of u, batched over nodes: f, f', f''
-    at u, the covariant gradient and Hessian of u, induced metric, second
-    fundamental form, principal curvatures (ascending) with gtilde-orthonormal
-    eigenvector columns V[:, :, a], support function tau, v = sqrt(f^2 + |Du|^2).
-    One record per iterate serves its residual, Jacobian and diagnostics."""
+    """Per-node geometry of the graph of u, batched over nodes and in the
+    base's orthonormal frame: f, f', f'' at u, the covariant gradient and
+    Hessian of u, second fundamental form, principal curvatures (ascending)
+    with eigenvector columns V[:, :, a] orthonormal for the induced metric,
+    support function tau, v = sqrt(f^2 + |Du|^2).  One record per iterate
+    serves its residual, Jacobian and diagnostics."""
 
     f: np.ndarray       # (N,)
     fp: np.ndarray      # (N,)
     fpp: np.ndarray     # (N,)
     du: np.ndarray      # (N, n)
     d2u: np.ndarray     # (N, n, n)
-    gtilde: np.ndarray  # (N, n, n)
     h: np.ndarray       # (N, n, n)
     lam: np.ndarray     # (N, n)
     V: np.ndarray       # (N, n, n)
@@ -472,21 +473,18 @@ def principal_curvatures(gtilde, h):
 def fundamental_forms(u: GridFunction, w: WarpingFunction):
     """Curvature record of the graph of u.
 
-    Coordinate form of the graph formulas:
-        gtilde_ij = f^2 g_ij + u_i u_j,
-        h_ij = (-f u_;ij + 2 f' u_i u_j + f^2 f' g_ij) / v,
-        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v,
-    which reduces to the orthonormal-frame expression when g_ij = delta_ij.
+    In the orthonormal frame of the base that the grid's operators use:
+        gtilde = f^2 I + Du Du^T,
+        h = (-f D^2u + 2 f' Du Du^T + f^2 f' I) / v,
+        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v.
     """
-    grid = u.grid
     f, fp, fpp = warp_eval(w, u.values)
-    du, d2u = grid.gradient_hessian(u.values)
+    du, d2u = u.grid.gradient_hessian(u.values)
     uu = du[:, :, None] * du[:, None, :]
-    gradsq = np.einsum("nij,ni,nj->n", grid.ginv, du, du)
-    v = np.sqrt(f ** 2 + gradsq)
-    gtilde = f[:, None, None] ** 2 * grid.g + uu
+    v = np.sqrt(f ** 2 + np.sum(du * du, axis=1))
+    eye = np.eye(du.shape[1])
     h = (-f[:, None, None] * d2u + 2.0 * fp[:, None, None] * uu
-         + (f ** 2 * fp)[:, None, None] * grid.g) / v[:, None, None]
-    lam, V = pencil_eigensystem(gtilde, h)
-    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, gtilde=gtilde, h=h,
+         + (f ** 2 * fp)[:, None, None] * eye) / v[:, None, None]
+    lam, V = pencil_eigensystem(f[:, None, None] ** 2 * eye + uu, h)
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, h=h,
                            lam=lam, V=V, tau=f ** 2 / v, v=v)

@@ -320,14 +320,15 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
 
 def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     """Sparse Jacobian of the residual, by the chain rule through the
-    eigenvalue map of the pencil (h, gtilde).  rec is the curvature record
-    of u; it is built here when not given.
+    eigenvalue map of the pencil (h, gtilde), in the base's orthonormal
+    frame.  rec is the curvature record of u; it is built here when not given.
 
     For a symmetric pencil with gtilde-orthonormal eigenvectors v_a, the
     first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
     M1 = sum_a G^a v_a v_a^T, M2 = sum_a G^a lam_a v_a v_a^T, both well
-    defined across eigenvalue crossings.  J is filled on the grid's pattern.
+    defined across eigenvalue crossings; Tr(M1 h) = sum_a G^a lam_a.  J is
+    filled on the grid's pattern.
     """
     grid, k = spec.grid, spec.k
     pattern = grid.pattern  # a first call builds it here, before the arrays below exist
@@ -347,23 +348,22 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
 
     f, fp, fpp = rec.f, rec.fp, rec.fpp
     du, d2u, v = rec.du, rec.d2u, rec.v
-    g = grid.g
-    uu = du[:, :, None] * du[:, None, :]
-    w_contra = np.einsum("nij,nj->ni", grid.ginv, du)
+    Vt = np.swapaxes(V, 1, 2)
+    M1 = (V * Glam[:, None, :]) @ Vt
+    M2 = (V * (Glam * lam)[:, None, :]) @ Vt
+    M1du, M2du = (M1 @ du[:, :, None])[:, :, 0], (M2 @ du[:, :, None])[:, :, 0]
+    tr_M1h = np.sum(Glam * lam, axis=1)  # V^T h V = diag(lam)
 
-    M1 = np.einsum("nia,na,nja->nij", V, Glam, V)
-    M2 = np.einsum("nia,na,nja->nij", V, Glam * lam, V)
-
-    K0 = (-fp[:, None, None] * d2u + 2.0 * fpp[:, None, None] * uu
-          + (2.0 * f * fp ** 2 + f ** 2 * fpp)[:, None, None] * g)
-    tr_M1h = np.einsum("nij,nij->n", M1, rec.h)
-    c0 = (np.einsum("nij,nij->n", M1, K0) / v
+    # c0 = Tr(M1 dh/du) - Tr(M2 dgtilde/du) + dF/du with dgtilde/du = 2 f f' I,
+    # dh/du = K0 / v - h f f' / v^2, K0 = -f' D^2u + 2 f'' Du Du^T + (2 f f'^2 + f^2 f'') I
+    c0 = ((-fp * np.sum(M1 * d2u, axis=(1, 2)) + 2.0 * fpp * np.sum(du * M1du, axis=1)
+           + (2.0 * f * fp ** 2 + f ** 2 * fpp) * np.trace(M1, axis1=1, axis2=2)) / v
           - tr_M1h * f * fp / v ** 2
-          - 2.0 * f * fp * np.einsum("nij,nij->n", M2, g)
+          - 2.0 * f * fp * np.trace(M2, axis1=1, axis2=2)
           + Fu)
-    c1 = (4.0 * fp[:, None] * np.einsum("nij,nj->ni", M1, du) / v[:, None]
-          - tr_M1h[:, None] * w_contra / v[:, None] ** 2
-          - 2.0 * np.einsum("nij,nj->ni", M2, du))
+    c1 = (4.0 * fp[:, None] * M1du / v[:, None]
+          - tr_M1h[:, None] * du / v[:, None] ** 2
+          - 2.0 * M2du)
     c2 = -f[:, None, None] * M1 / v[:, None, None]
 
     return pattern.matrix(

@@ -142,15 +142,16 @@ def _solve_linear(J, rhs, grid):
     return x, iters, True
 
 
-def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None, rec=None):
+def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     """Damped Newton iteration at fixed t.
 
     Every accepted step keeps all nodes inside Gamma_{k-1} and the height
     inside the guarded annulus; damping is backtracking with an Armijo
-    decrease condition on |F|^2.  rec is u_init's curvature record (built
+    decrease condition on |F|^2.  The iteration stops when |F|_inf is at most
+    spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
+    that rounding u alone can cause.  rec is u_init's curvature record (built
     when not given); returns (u, stats, rec), rec the record of the final u.
     """
-    tol = spec.newton_tol if tol is None else tol
     u = u_init
     rec = geometry.fundamental_forms(u, spec.warping) if rec is None else rec
     F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
@@ -159,10 +160,18 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None, rec=None)
     lo, hi = spec.r1 - guard, spec.r2 + guard
     norm2 = float(F @ F)
 
-    for it in range(spec.max_newton):
-        if stats.residual_norms[-1] <= tol:
+    while True:
+        norm = stats.residual_norms[-1]
+        if norm <= spec.newton_tol:
             return u, stats, rec
         J = problem.jacobian(u, t, spec, rec)
+        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * spla.norm(J, np.inf)
+        if norm <= floor:
+            return u, stats, rec
+        if stats.iterations == spec.max_newton:
+            raise NonConvergenceError(
+                f"Newton did not reach {spec.newton_tol:.1e} in {spec.max_newton} iterations "
+                f"(last |F| = {norm:.3e}, rounding floor {floor:.3e})")
         delta, iters, fell_back = _solve_linear(J, -F, spec.grid)
         stats.linear_iters += iters
         stats.lu_fallbacks += fell_back
@@ -190,15 +199,10 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, tol=None, rec=None)
             stats.backtracks += 1
         if not accepted:
             raise StepFailureError(
-                f"no acceptable Newton step at t={t} after {spec.max_backtracks} backtracks")
+                f"no acceptable Newton step at t={t} after {spec.max_backtracks} backtracks "
+                f"(|F| = {norm:.3e}, rounding floor {floor:.3e})")
         stats.iterations += 1
         stats.residual_norms.append(float(np.abs(F).max()))
-
-    if stats.residual_norms[-1] <= tol:
-        return u, stats, rec
-    raise NonConvergenceError(
-        f"Newton did not reach {tol:.1e} in {spec.max_newton} iterations "
-        f"(last |F| = {stats.residual_norms[-1]:.3e})")
 
 
 def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,

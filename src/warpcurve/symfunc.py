@@ -112,14 +112,13 @@ def quotient_and_grads(lam, k):
         bad_lam = np.atleast_2d(lam)[node] if node is not None else lam
         raise ConeExitError(
             f"sigma_{k-1} <= 0: ellipticity lost", node=node, lam=bad_lam)
-    dden = elem_sym_grad(lam, k - 1)
-    quot = np.empty(lam.shape[:-1] + (k + 1,))
-    dquot = np.empty(lam.shape[:-1] + (k + 1, n))
-    den_e = den[..., None]
-    for a in range(k + 1):
-        num = sig[..., a]
-        dnum = elem_sym_grad(lam, a) if a >= 1 else np.zeros_like(lam)
-        quot[..., a] = num / den
-        dquot[..., a, :] = (dnum * den_e - num[..., None] * dden) / den_e ** 2
+    # dsig[..., l, i] = d sigma_l / d lam_i = sigma_{l-1}(lam with entry i
+    # removed): one recurrence per removed entry serves every order
+    dsig = np.zeros(lam.shape[:-1] + (k + 1, n))
+    for i in range(n):
+        dsig[..., 1:, i] = sigma_all(np.delete(lam, i, axis=-1))[..., :k]
+    den_e = den[..., None, None]
+    quot = sig[..., :k + 1] / den[..., None]
+    dquot = (dsig * den_e - sig[..., :k + 1, None] * dsig[..., k - 1, None, :]) / den_e ** 2
     return quot, dquot
 

@@ -101,16 +101,31 @@ def test_torus_second_derivative_of_sine():
 
 
 def test_sphere_covariant_derivatives_of_cos_theta():
+    # frame components along (d_theta, d_phi / sin theta)
     grid = Sphere2(48, 96)
     th = grid.coords[:, 0]
     u = np.cos(th)
     du, d2u = grid.gradient_hessian(u)
-    gradsq = np.einsum("nij,ni,nj->n", grid.ginv, du, du)
-    assert np.abs(gradsq - np.sin(th) ** 2).max() < 5e-3
-    # covariant Hessian of cos(theta): u_;tt = -cos, u_;pp = -sin^2 cos
+    assert np.abs(np.sum(du ** 2, axis=1) - np.sin(th) ** 2).max() < 5e-3
+    # covariant Hessian of cos(theta) in the frame: u_;tt = u_;pp = -cos
     assert np.abs(d2u[:, 0, 0] + np.cos(th)).max() < 5e-3
-    assert np.abs(d2u[:, 1, 1] + np.sin(th) ** 2 * np.cos(th)).max() < 5e-3
+    assert np.abs(d2u[:, 1, 1] + np.cos(th)).max() < 5e-3
     assert np.abs(d2u[:, 0, 1]).max() < 5e-3
+
+
+def test_sphere_frame_derivatives_of_ambient_x():
+    # x = sin(theta) cos(phi) restricted to the unit sphere has frame Hessian
+    # -x I and |Du|^2 = 1 - x^2.  It varies in phi, so a D_phi left in
+    # coordinate components or divided by sin(theta) twice fails here
+    grid = Sphere2(48, 96)
+    th, ph = grid.coords[:, 0], grid.coords[:, 1]
+    x = np.sin(th) * np.cos(ph)
+    du, d2u = grid.gradient_hessian(x)
+    assert np.abs(np.sum(du ** 2, axis=1) - (1.0 - x ** 2)).max() < 3e-3
+    err = np.abs(d2u + x[:, None, None] * np.eye(2))
+    assert err.max() < 4e-2  # first order in the pole rows (ROADMAP item 4)
+    away = (th > 0.2) & (th < np.pi - 0.2)
+    assert err[away].max() < 5e-3
 
 
 def test_inject_from():
@@ -154,8 +169,8 @@ def test_leaf_identity_constant_graphs():
                 rec = fundamental_forms(GridFunction.constant(c, grid), w)
                 assert np.abs(rec.lam - fp / f).max() <= 1e-12
                 assert np.abs(rec.tau - f).max() <= 1e-12
-                np.testing.assert_allclose(rec.gtilde, f ** 2 * grid.g, atol=1e-13)
-                np.testing.assert_allclose(rec.h, (f * fp) * grid.g, atol=1e-13)
+                eye = np.broadcast_to(np.eye(grid.n), rec.h.shape)
+                np.testing.assert_allclose(rec.h, (f * fp) * eye, atol=1e-13)
 
 
 def test_constant_hyperbolic_leaf_value():

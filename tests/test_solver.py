@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from warpcurve import geometry, problem, solver
-from warpcurve.errors import ConfigError, ContinuationError
+from warpcurve.errors import ConfigError, ContinuationError, NonConvergenceError
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
@@ -48,10 +48,10 @@ def test_newton_converges_back_to_pivot():
 
 
 def test_newton_quadratic_convergence_tail():
-    spec = hyperbolic_spec()
+    spec = hyperbolic_spec(newton_tol=1e-13)
     pert = 0.04 * np.sin(spec.grid.coords[:, 0])
     _, stats, _ = solver.newton_solve(
-        GridFunction(spec.phi.pivot + pert, spec.grid), 0.0, spec, tol=1e-13)
+        GridFunction(spec.phi.pivot + pert, spec.grid), 0.0, spec)
     norms = [r for r in stats.residual_norms if r > 1e-14]
     # estimated convergence order from the last three residuals
     if len(norms) >= 3:
@@ -95,6 +95,13 @@ def test_continuation_underflow_serializes_last_state():
         solver.continuation(spec)
     assert err.value.last_state is not None
     assert err.value.last_state.t == 0.0
+
+
+def test_newton_failure_reports_residual_and_floor():
+    spec = hyperbolic_spec(max_newton=1, newton_tol=1e-16)
+    u = GridFunction(spec.phi.pivot + 0.05 * np.sin(spec.grid.coords[:, 0]), spec.grid)
+    with pytest.raises(NonConvergenceError, match=r"last \|F\| = .*rounding floor"):
+        solver.newton_solve(u, 0.0, spec)
 
 
 def test_diagnostics_constant_solution():
@@ -238,14 +245,16 @@ def test_solve_linear_sphere_matches_splu(shape, t):
 def test_sphere_averaged_stencil_inverse_is_exact_for_phi_invariant_operators():
     # operators whose coefficients depend on theta only are their own phi
     # average, so the FFT-in-phi, tridiagonal-in-theta inverse is exact;
-    # both reach across the poles, and the second weights the (0, 1) Hessian
+    # both reach across the poles, and the second weights the (0, 1) Hessian;
+    # its frame weights are the coordinate weights -0.5 sin and -1/sin^2
+    # times sin^2 and sin^2, so the operator is the one it has always been
     spec = perturbed_sphere_spec(16, 32)
     grid = spec.grid
     th = grid.coords[:, 0]
     ops = [jacobian(GridFunction.constant(1.45, grid), 0.0, spec),
            on_pattern(grid, 2.0 + np.cos(th), diff={0: np.cos(th)},
-                      hess={(0, 0): -1.0, (0, 1): -0.5 * np.sin(th),
-                            (1, 1): -1.0 / np.sin(th) ** 2})]
+                      hess={(0, 0): -1.0, (0, 1): -0.5 * np.sin(th) ** 2,
+                            (1, 1): -1.0})]
     rhs = np.random.default_rng(0).standard_normal(grid.num_nodes)
     for J in ops:
         apply = grid.averaged_stencil_inverse(J)
@@ -383,3 +392,32 @@ def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypa
     assert calls["jacobian"] == sum(rec["newton_iters"] for rec in state.steps) > 0
     # a Newton start evaluates its residual on the record it was handed
     assert calls["fundamental_forms"] == calls["residual"] - calls["newton_solve"]
+
+
+# ---------------------------------------------------------------------------
+# Newton's stopping test at the residual's rounding floor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_theta", [32, 64, 128])
+def test_rounding_floor_estimate_matches_one_ulp_probe(n_theta):
+    # perturbing the exact t = 0 solution by one ulp per node, with random
+    # signs, moves the residual by about eps max|u| |J|_inf, the estimate
+    # newton_solve scales by 4; the worst rows are the sphere's pole rows
+    spec = perturbed_sphere_spec(n_theta, 2 * n_theta)
+    u = GridFunction.constant(spec.phi.pivot, spec.grid)
+    estimate = (np.finfo(float).eps * np.abs(u.values).max()
+                * spla.norm(jacobian(u, 0.0, spec), np.inf))
+    signs = np.random.default_rng(0).choice([-np.inf, np.inf], spec.grid.num_nodes)
+    probe = np.abs(residual(u.with_values(np.nextafter(u.values, signs)), 0.0, spec).values).max()
+    assert 0.5 <= probe / estimate <= 2.0
+
+
+def test_sphere_96x192_converges_above_default_tolerance():
+    # its rounding floor, about 1e-9 in the pole rows, is above the default
+    # newton_tol of 1e-10, which Newton alone can no longer reach
+    spec = perturbed_sphere_spec(96, 192)
+    state = solver.continuation(spec)
+    assert state.t == 1.0
+    assert state.steps[-1]["residual_norm"] > spec.newton_tol
+    F = residual(state.u, 1.0, spec).values
+    assert np.abs(F).max() <= 1e-8
