@@ -189,6 +189,38 @@ def _central_differences(up, dn, h):
     return D, D2
 
 
+def _trig_interpolate(a, axis, size, shift=0.0):
+    """The trigonometric interpolant of a's samples along axis, at size > m
+    equispaced points of the same period starting shift sample spacings
+    after a's first sample (m = a.shape[axis]); complex, with an imaginary
+    part that is rounding for real a.
+
+    The spectrum is zero-padded; an even m's Nyquist coefficient is split
+    evenly between the frequencies +-m/2, which makes it the real mode
+    cos(m x / 2) that the samples alone cannot tell from e^(i m x / 2).
+    """
+    m = a.shape[axis]
+    c = np.moveaxis(np.fft.fft(a, axis=axis), axis, 0)
+    pos, neg = (m + 1) // 2, m // 2  # frequencies 0 .. pos-1 and -neg .. -1
+    out = np.zeros((size,) + c.shape[1:], dtype=complex)
+    out[:pos] = c[:pos]
+    out[size - neg:] = c[pos:]
+    if m % 2 == 0:
+        out[size - neg] *= 0.5
+        out[neg] = out[size - neg]
+    if shift:
+        freq = np.fft.fftfreq(size, 1.0 / size)
+        out *= np.exp(2j * np.pi * shift / m * freq).reshape((size,) + (1,) * (out.ndim - 1))
+    return np.moveaxis(np.fft.ifft(out, axis=0), 0, axis) * (size / m)
+
+
+def _check_refines(grid, coarse, kind):
+    if not isinstance(coarse, kind):
+        raise ConfigError(f"prolongation needs a coarser {kind.__name__}")
+    if any(N <= cN for N, cN in zip(grid.shape, coarse.shape)):
+        raise ConfigError("prolongation needs more nodes on every axis")
+
+
 # smallest |symbol| / max |symbol| (torus) or |pivot| / max |pivot| (sphere)
 # an averaged stencil may have and still be inverted by a grid's
 # averaged_stencil_inverse
@@ -274,6 +306,18 @@ class FlatTorus(BaseGrid):
         arr = np.asarray(fine_values, float).reshape(fine_grid.shape)
         sl = tuple(slice(None, None, 2) for _ in range(self.n))
         return arr[sl].ravel()
+
+    def prolong_from(self, coarse_values, coarse_grid):
+        """Evaluate a field on a coarser torus of the same periods at this
+        grid's nodes: its trigonometric interpolant, by zero-padding its
+        spectrum, so band-limited fields are carried exactly."""
+        _check_refines(self, coarse_grid, FlatTorus)
+        if coarse_grid.periods != self.periods:  # also tells the dimensions apart
+            raise ConfigError("prolongation needs a torus of the same periods")
+        arr = np.asarray(coarse_values, float).reshape(coarse_grid.shape)
+        for axis, size in enumerate(self.shape):
+            arr = _trig_interpolate(arr, axis, size)
+        return arr.real.ravel()
 
 
 class Sphere2(BaseGrid):
@@ -377,6 +421,23 @@ class Sphere2(BaseGrid):
                 y[i] = (y[i] - upper[i] * y[i + 1]) / pivot[i]
             return np.fft.irfft(y, n=n_phi, axis=-1).ravel()
         return apply
+
+    def prolong_from(self, coarse_values, coarse_grid):
+        """Evaluate a field on a coarser Sphere2 at this grid's nodes, by the
+        double Fourier sphere: theta is extended to (0, 2 pi) with
+        u(2 pi - theta, phi) = u(theta, phi + pi), which is periodic in both
+        angles and as smooth as u on the sphere, and its trigonometric
+        interpolant is evaluated at this grid's nodes.  Both grids start half
+        a cell of their own after theta = 0, so the theta samples move by
+        (h_fine - h_coarse) / 2.  Exact for fields whose extension is
+        band-limited to the coarse grid, such as polynomials in the ambient
+        coordinates of low degree."""
+        _check_refines(self, coarse_grid, Sphere2)
+        (nt, nphi), (nt_fine, nphi_fine) = coarse_grid.shape, self.shape
+        arr = np.asarray(coarse_values, float).reshape(coarse_grid.shape)
+        ext = np.concatenate([arr, np.roll(arr[::-1], -(nphi // 2), axis=1)])
+        ext = _trig_interpolate(ext, 0, 2 * nt_fine, shift=(nt / nt_fine - 1.0) / 2.0)
+        return _trig_interpolate(ext[:nt_fine], 1, nphi_fine).real.ravel()
 
 
 # ---------------------------------------------------------------------------

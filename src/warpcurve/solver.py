@@ -1,8 +1,10 @@
-"""Damped Newton solve at fixed homotopy parameter and adaptive path
-following from the constant leaf solution at t = 0 to the target equation
-at t = 1."""
+"""Damped Newton solve at fixed homotopy parameter, adaptive path following
+from the constant leaf solution at t = 0 to the target equation at t = 1,
+and grid sequencing: the path is followed on a coarse grid, and each finer
+grid only finishes its solution with Newton."""
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import dataclass, field
@@ -12,8 +14,8 @@ import scipy.sparse.linalg as spla
 
 from . import geometry, problem, symfunc
 from .errors import (ConeExitError, ConfigError, ContinuationError,
-                     NonConvergenceError, StepFailureError)
-from .geometry import GridFunction
+                     NonConvergenceError, StepFailureError, WarpcurveError)
+from .geometry import FlatTorus, GridFunction, Sphere2
 from .problem import ProblemSpec
 
 log = logging.getLogger(__name__)
@@ -149,8 +151,10 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     inside the guarded annulus; damping is backtracking with an Armijo
     decrease condition on |F|^2.  The iteration stops when |F|_inf is at most
     spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
-    that rounding u alone can cause.  rec is u_init's curvature record (built
-    when not given); returns (u, stats, rec), rec the record of the final u.
+    that rounding u alone can cause, taken from the last J assembled: a J is
+    assembled only for a step, so the stopping test never builds one.  rec is
+    u_init's curvature record (built when not given); returns (u, stats, rec),
+    rec the record of the final u.
     """
     u = u_init
     rec = geometry.fundamental_forms(u, spec.warping) if rec is None else rec
@@ -159,19 +163,20 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     guard = spec.guard_frac * (spec.r2 - spec.r1)
     lo, hi = spec.r1 - guard, spec.r2 + guard
     norm2 = float(F @ F)
+    floor = 0.0  # no J yet
 
     while True:
         norm = stats.residual_norms[-1]
-        if norm <= spec.newton_tol:
-            return u, stats, rec
-        J = problem.jacobian(u, t, spec, rec)
-        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * spla.norm(J, np.inf)
-        if norm <= floor:
+        if norm <= max(spec.newton_tol, floor):
             return u, stats, rec
         if stats.iterations == spec.max_newton:
             raise NonConvergenceError(
                 f"Newton did not reach {spec.newton_tol:.1e} in {spec.max_newton} iterations "
                 f"(last |F| = {norm:.3e}, rounding floor {floor:.3e})")
+        J = problem.jacobian(u, t, spec, rec)
+        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * spla.norm(J, np.inf)
+        if norm <= floor:  # a start already at the floor, where no step can decrease |F|
+            return u, stats, rec
         delta, iters, fell_back = _solve_linear(J, -F, spec.grid)
         stats.linear_iters += iters
         stats.lu_fallbacks += fell_back
@@ -205,42 +210,37 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         stats.residual_norms.append(float(np.abs(F).max()))
 
 
-def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
-                 check=True) -> ContinuationState:
-    """Follow the homotopy path from the constant solution at t = 0.
+def _record(steps, log_stream, spec, t, u, stats, rec):
+    """Append the step record of u, solved at t on spec's grid, to steps and
+    write it to log_stream; returns u's diagnostics."""
+    diag = diagnostics(u, spec, rec)
+    entry = {"t": t, "grid": list(spec.grid.shape), "newton_iters": stats.iterations,
+             "linear_iters": stats.linear_iters,
+             "lu_fallbacks": stats.lu_fallbacks,
+             "residual_norm": stats.residual_norms[-1],
+             "u_min": diag.u_min, "u_max": diag.u_max,
+             "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
+    steps.append(entry)
+    if log_stream is not None:
+        log_stream.write(json.dumps(entry) + "\n")
+    return diag
+
+
+def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> ContinuationState:
+    """Follow the homotopy path from the constant solution at t = 0 on
+    spec's own grid, appending a record per accepted step to steps.
 
     Order-0 predictor (reuse u); the step halves on Newton failure and grows
-    by dt_grow after two consecutive easy successes.  With check=True the
-    structural hypotheses are verified first and a violation raises
-    HypothesisError; callers that have already checked them pass False.
+    by dt_grow after two consecutive easy successes.
     """
-    if check:
-        problem.check_hypotheses(spec).raise_if_failed()
-
+    steps = [] if steps is None else steps
     # u's record goes to the next Newton solve, which frees it on moving on
     # (holding it here too raised peak RSS); a failed step's retry rebuilds it
     u, *handoff = initial_solution(spec)
     t = 0.0
     dt = spec.dt_init
-    steps = []
     easy_run = 0
-
-    def record(t_cur, stats, rec):
-        diag = diagnostics(u, spec, rec)
-        entry = {"t": t_cur, "newton_iters": stats.iterations,
-                 "linear_iters": stats.linear_iters,
-                 "lu_fallbacks": stats.lu_fallbacks,
-                 "residual_norm": stats.residual_norms[-1],
-                 "u_min": diag.u_min, "u_max": diag.u_max,
-                 "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
-        steps.append(entry)
-        if log_stream is not None:
-            log_stream.write(json.dumps(entry) + "\n")
-        return diag
-
-    diag = record(0.0, NewtonStats(residual_norms=[0.0]), handoff[0])
-    if t_final == 0.0:
-        return ContinuationState(t=0.0, u=u, diagnostics=diag, steps=steps)
+    diag = _record(steps, log_stream, spec, 0.0, u, NewtonStats(residual_norms=[0.0]), handoff[0])
 
     while t < t_final:
         t_next = min(t_final, t + dt)
@@ -259,10 +259,75 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
                      t_next, type(exc).__name__, dt)
             continue
         u, t = u_next, t_next
-        diag = record(t, stats, handoff[0])
+        diag = _record(steps, log_stream, spec, t, u, stats, handoff[0])
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow
             easy_run = 0
 
     return ContinuationState(t=t, u=u, diagnostics=diag, steps=steps)
+
+
+# A coarse level halves every axis of its grid and keeps at least this many
+# nodes on each.  On a perturbed Sphere2(64, 128) and 64^2 torus, coarsest
+# levels of 4 to 32 nodes per axis all let every finer level finish in one
+# or two Newton iterations; 16 leaves a margin for steeper coefficient
+# profiles, which a coarser grid would resolve worse.
+COARSEST_AXIS = 16
+
+
+def _coarse_spec(spec: ProblemSpec):
+    """spec on its grid with every axis halved, or None when that grid would
+    have fewer than COARSEST_AXIS nodes on an axis or cannot be built, or
+    the coefficients are given per node and cannot be sampled there."""
+    grid = spec.grid
+    half = [size // 2 for size in grid.shape]
+    if min(half) < COARSEST_AXIS:
+        return None
+    coarse = copy.copy(spec)
+    coarse.coeffs = copy.copy(spec.coeffs)  # bind samples the profiles in place
+    try:
+        coarse.grid = (FlatTorus(half, periods=grid.periods) if isinstance(grid, FlatTorus)
+                       else Sphere2(*half))
+        coarse.coeffs.bind(coarse.grid)
+    except ConfigError:
+        return None
+    return coarse
+
+
+def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
+                 check=True) -> ContinuationState:
+    """Solve spec at t_final by grid sequencing.
+
+    The homotopy path from the constant solution at t = 0 is followed on the
+    coarsest level of spec's grid (see _coarse_spec); each finer level, up to
+    spec's own grid, prolongs the level below (grid.prolong_from) and
+    finishes with Newton at t_final.  A grid with no coarse level, or a
+    ladder in which anything fails, is solved by the homotopy on spec's own
+    grid, so a ContinuationError is always that path's and its last_state
+    is on spec's grid.  Every step record names the grid it ran on; the
+    records of a failed ladder stay in front of the fallback's.  With
+    check=True the structural hypotheses are verified first and a violation
+    raises HypothesisError; callers that have already checked them pass False.
+    """
+    if check:
+        problem.check_hypotheses(spec).raise_if_failed()
+
+    levels = [spec]
+    while (coarse := _coarse_spec(levels[0])) is not None:
+        levels.insert(0, coarse)
+    steps = []
+    if len(levels) > 1:
+        try:
+            state = _homotopy(levels[0], t_final, log_stream, steps)
+            for level in levels[1:]:
+                u = GridFunction(level.grid.prolong_from(state.u.values, state.u.grid),
+                                 level.grid)
+                u, stats, rec = newton_solve(u, t_final, level)
+                diag = _record(steps, log_stream, level, t_final, u, stats, rec)
+                state = ContinuationState(t=t_final, u=u, diagnostics=diag, steps=steps)
+            return state
+        except WarpcurveError as exc:
+            log.info("grid sequencing failed (%s: %s); following the path on the %s grid",
+                     type(exc).__name__, exc, "x".join(map(str, spec.grid.shape)))
+    return _homotopy(spec, t_final, log_stream, steps)

@@ -225,6 +225,17 @@ def test_verify_filter(capsys):
     assert "sigma-brute" not in out
 
 
+def test_verify_jacobian_fd_reports_each_case(capsys):
+    # the analytic Jacobian misses by about 7e-11, far under the colored
+    # FD's 3e-7 on the sphere, so it needs a line of its own to be seen
+    assert cli.main(["verify", "--filter", "jacobian-fd"]) == 0
+    out = capsys.readouterr().out
+    for name in cli._jacobian_fd_cases():
+        line, = (s for s in out.splitlines() if s.strip().startswith(f"{name}:"))
+        fd, analytic = (float(part.split()[-1]) for part in line.split(":")[1].split(","))
+        assert fd <= 1e-6 and analytic <= 1e-9, line
+
+
 def test_verify_unknown_filter(capsys):
     assert cli.main(["verify", "--filter", "bogus"]) == 1
 

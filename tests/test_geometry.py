@@ -138,6 +138,82 @@ def test_inject_from():
         coarse.inject_from(field[: fine.num_nodes], FlatTorus((10, 10)))
 
 
+def band_limited_torus_field(grid, coarse_shape, seed):
+    """A sum of products of 1-D trigonometric polynomials that coarse_shape
+    resolves: on each axis, frequencies below half its coarse node count and
+    that count's Nyquist cosine.  Angles are reduced in integers, so every
+    sample is exact to rounding on any grid of the same periods."""
+    rng = np.random.default_rng(seed)
+    idx = np.indices(grid.shape).reshape(grid.n, -1)
+    total = np.zeros(grid.num_nodes)
+    for _ in range(3):
+        term = np.ones(grid.num_nodes)
+        for axis, m in enumerate(coarse_shape):
+            size = grid.shape[axis]
+            factor = np.zeros(grid.num_nodes)
+            for freq in range(m // 2 + 1):
+                angle = 2.0 * np.pi * np.mod(freq * idx[axis], size) / size
+                a, b = rng.standard_normal(2)
+                factor += a * np.cos(angle) + (b * np.sin(angle) if 2 * freq < m else 0.0)
+            term *= factor
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("coarse_shape,fine_shape", [
+    ((16, 16), (64, 64)), ((8, 6, 4), (16, 12, 8)), ((16, 16), (33, 40))])
+def test_torus_prolong_from_carries_band_limited_fields(coarse_shape, fine_shape):
+    coarse, fine = FlatTorus(coarse_shape), FlatTorus(fine_shape)
+    want = band_limited_torus_field(fine, coarse_shape, seed=3)
+    got = fine.prolong_from(band_limited_torus_field(coarse, coarse_shape, seed=3), coarse)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_torus_inject_from_undoes_prolong_from():
+    rng = np.random.default_rng(0)
+    for shape in ((16, 16), (8, 6, 4)):
+        coarse, fine = FlatTorus(shape), FlatTorus(tuple(2 * s for s in shape))
+        values = rng.standard_normal(coarse.num_nodes)
+        back = coarse.inject_from(fine.prolong_from(values, coarse), fine)
+        assert np.abs(back - values).max() <= 1e-14
+    fine = FlatTorus((32, 32))
+    for other in (FlatTorus((32, 16)), FlatTorus((16, 16), periods=(1.0, 1.0)),
+                  FlatTorus((16, 16, 16)), Sphere2(16, 16)):
+        with pytest.raises(ConfigError):
+            fine.prolong_from(np.ones(other.num_nodes), other)
+
+
+def ambient(grid):
+    """Ambient coordinates (x, y, z) of a Sphere2 grid's nodes."""
+    th, ph = grid.coords[:, 0], grid.coords[:, 1]
+    return np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+
+
+def test_sphere_prolong_from_carries_ambient_polynomials():
+    coarse, fine = Sphere2(16, 32), Sphere2(64, 128)
+
+    def field(grid):
+        x, _, z = ambient(grid)
+        return x + z ** 2  # sin(theta) cos(phi) + cos(theta)^2
+    assert np.abs(fine.prolong_from(field(coarse), coarse) - field(fine)).max() <= 1e-14
+    with pytest.raises(ConfigError):
+        coarse.prolong_from(field(fine), fine)
+
+
+@pytest.mark.parametrize("coarse_shape,fine_shape", [((16, 32), (32, 64)), ((8, 16), (20, 24))])
+def test_sphere_prolong_from_crosses_the_poles_with_the_right_sign(coarse_shape, fine_shape):
+    # fields of odd azimuthal mode change sign across a pole, where the
+    # theta extension continues u at phi + pi; continued at phi instead,
+    # the extension would have a kink there and miss by about 1e-3
+    coarse, fine = Sphere2(*coarse_shape), Sphere2(*fine_shape)
+
+    def fields(grid):
+        x, y, z = ambient(grid)
+        return np.stack([x, y * z, x ** 3 - x * y * y])
+    got = np.stack([fine.prolong_from(f, coarse) for f in fields(coarse)])
+    assert np.abs(got - fields(fine)).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from warpcurve import geometry, problem, solver
-from warpcurve.errors import ConfigError, ContinuationError, NonConvergenceError
+from warpcurve.errors import (ConfigError, ContinuationError, NonConvergenceError,
+                              StepFailureError)
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
-                               ProblemSpec, jacobian, residual)
+                               ProblemSpec, TabulatedCoefficients, jacobian,
+                               residual)
 
 
 def hyperbolic_spec(resolution=(6, 6, 6), **kwargs):
@@ -69,9 +71,10 @@ def test_continuation_radial_reaches_oracle_root():
     lines = [json.loads(s) for s in stream.getvalue().splitlines()]
     assert len(lines) == len(state.steps)
     for rec in lines:
-        assert set(rec) == {"t", "newton_iters", "linear_iters", "lu_fallbacks",
+        assert set(rec) == {"t", "grid", "newton_iters", "linear_iters", "lu_fallbacks",
                             "residual_norm", "u_min", "u_max", "tau_min",
                             "lambda_abs_max"}
+        assert rec["grid"] == [8, 8, 8]
     assert lines[0]["t"] == 0.0 and lines[-1]["t"] == 1.0
     assert lines[0]["linear_iters"] == 0
     # constant iterates have constant-coefficient Jacobians, which the FFT
@@ -147,7 +150,7 @@ def test_continuation_xdependent_stays_in_box():
     assert np.abs(residual(state.u, 1.0, spec).values).max() <= 1e-8
 
 
-def perturbed_spec(resolution, k):
+def perturbed_spec(resolution, k, **kwargs):
     grid = FlatTorus(resolution)
     profiles = ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1},
                 {"kind": "cos", "axis": grid.n - 1})
@@ -155,7 +158,7 @@ def perturbed_spec(resolution, k):
     coeffs = CoefficientFamily([CoefficientTerm(a, 0.05, p)
                                 for a, p in zip(amplitudes, profiles)], k)
     return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
-                       k=k, coeffs=coeffs, phi=PhiFunction(1.3), r1=1.0, r2=1.6)
+                       k=k, coeffs=coeffs, phi=PhiFunction(1.3), r1=1.0, r2=1.6, **kwargs)
 
 
 @pytest.mark.parametrize("resolution,k", [((32, 32), 2), ((8, 8, 8), 3)],
@@ -412,12 +415,122 @@ def test_rounding_floor_estimate_matches_one_ulp_probe(n_theta):
     assert 0.5 <= probe / estimate <= 2.0
 
 
-def test_sphere_96x192_converges_above_default_tolerance():
+def test_sphere_96x192_converges_above_default_tolerance(monkeypatch):
     # its rounding floor, about 1e-9 in the pole rows, is above the default
-    # newton_tol of 1e-10, which Newton alone can no longer reach
+    # newton_tol of 1e-10, which Newton alone can no longer reach; the
+    # stopping test reads the floor of the last Jacobian a step used, so
+    # every Jacobian serves a step
+    calls = []
+    original = problem.jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(problem, "jacobian", counted)
     spec = perturbed_sphere_spec(96, 192)
     state = solver.continuation(spec)
-    assert state.t == 1.0
+    assert state.t == 1.0 and state.steps[0]["grid"] == [24, 48]  # sequenced
+    assert state.steps[-1]["grid"] == [96, 192]
     assert state.steps[-1]["residual_norm"] > spec.newton_tol
     F = residual(state.u, 1.0, spec).values
     assert np.abs(F).max() <= 1e-8
+    assert len(calls) == sum(rec["newton_iters"] for rec in state.steps) > 0
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing
+# ---------------------------------------------------------------------------
+
+def test_coarse_levels_halve_every_axis_down_to_16():
+    def shapes(spec):
+        out = [spec.grid.shape]
+        while (spec := solver._coarse_spec(spec)) is not None:
+            out.append(spec.grid.shape)
+        return out
+    assert shapes(perturbed_sphere_spec(64, 128)) == [(64, 128), (32, 64), (16, 32)]
+    assert shapes(perturbed_spec((64, 64), 2)) == [(64, 64), (32, 32), (16, 16)]
+    assert shapes(perturbed_spec((16, 16, 16), 3)) == [(16, 16, 16)]
+    assert shapes(perturbed_spec((33, 40), 2)) == [(33, 40), (16, 20)]
+    # (16, 33) would have an odd longitude count
+    assert shapes(perturbed_sphere_spec(64, 132)) == [(64, 132), (32, 66)]
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(64, 128),
+                                     lambda: perturbed_spec((64, 64), 2)],
+                         ids=["sphere-64x128", "torus2-64"])
+def test_sequenced_solution_matches_the_direct_homotopy(spec_fn):
+    spec = spec_fn()
+    # the coarse levels bind copies of the coefficients, never spec's own
+    before = [spec.alpha(l, 1.3) for l in range(spec.k)]
+    state = solver.continuation(spec)
+    assert all(np.array_equal(spec.alpha(l, 1.3), a) for l, a in enumerate(before))
+    direct = solver._homotopy(spec, 1.0, None)
+    assert np.abs(state.u.values - direct.u.values).max() <= 1e-9
+    # the path on the coarsest grid, then one Newton record per finer grid
+    grids, shape = [rec["grid"] for rec in state.steps], list(spec.grid.shape)
+    assert grids[0] == [s // 4 for s in shape]
+    assert grids[-2:] == [[s // 2 for s in shape], shape]
+    assert [rec["t"] for rec in state.steps[-2:]] == [1.0, 1.0]
+    assert state.u.grid is spec.grid and state.t == 1.0
+
+
+def fail_on_grid(monkeypatch, grid, count):
+    """Make the first `count` newton_solve calls on grid raise."""
+    original = solver.newton_solve
+    failures = []
+
+    def newton_solve(u, t, spec, rec=None):
+        if spec.grid is grid and len(failures) < count:
+            failures.append(t)
+            raise StepFailureError("forced")
+        return original(u, t, spec, rec=rec)
+    monkeypatch.setattr(solver, "newton_solve", newton_solve)
+    return failures
+
+
+def test_failed_fine_newton_falls_back_to_the_direct_homotopy(monkeypatch):
+    spec = perturbed_spec((32, 32), 2)
+    direct = solver._homotopy(spec, 1.0, None)
+    failures = fail_on_grid(monkeypatch, spec.grid, 1)
+    state = solver.continuation(spec)
+    assert failures == [1.0]  # the fine level's Newton, not a homotopy step
+    assert np.array_equal(state.u.values, direct.u.values)
+    # the ladder's records stay in front of the fallback's, which restart at t = 0
+    start = [rec["grid"] for rec in state.steps].index([32, 32])
+    assert {tuple(rec["grid"]) for rec in state.steps[:start]} == {(16, 16)}
+    assert state.steps[start:] == direct.steps
+
+
+def test_failed_sequencing_raises_the_direct_paths_error(monkeypatch):
+    # every Newton solve on the fine grid fails: the ladder's fine level and
+    # then each step of the direct path, until the step size underflows
+    spec = perturbed_spec((32, 32), 2, dt_min=0.09)
+    fail_on_grid(monkeypatch, spec.grid, np.inf)
+    with pytest.raises(ContinuationError) as err:
+        solver.continuation(spec)
+    state = err.value.last_state
+    assert state.u.grid is spec.grid and state.t == 0.0
+
+
+def test_coarse_failure_raises_the_direct_paths_error():
+    # no step is acceptable on any grid: the coarse level's ContinuationError
+    # is caught, and the one raised is the fine grid's
+    spec = perturbed_spec((32, 32), 2, max_newton=1, newton_tol=1e-16, dt_min=0.09)
+    with pytest.raises(ContinuationError) as err:
+        solver.continuation(spec)
+    assert err.value.last_state.u.grid is spec.grid
+    assert {tuple(rec["grid"]) for rec in err.value.last_state.steps} == {(16, 16), (32, 32)}
+
+
+def test_tabulated_coefficients_take_the_direct_path():
+    # u-independent tables: the constant solution solves coth(u) = 1 + sqrt(7)
+    grid = FlatTorus((32, 32))
+    tables = [np.full((2, grid.num_nodes), a) for a in (6.0, 1.0)]
+    spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0), k=2,
+                       coeffs=TabulatedCoefficients([0.05, 1.8], tables, 2),
+                       phi=PhiFunction(0.28), r1=0.2, r2=0.35)
+    assert solver._coarse_spec(spec) is None
+    state = solver.continuation(spec, check=False)
+    assert all(rec["grid"] == [32, 32] for rec in state.steps)
+    assert state.steps[0]["t"] == 0.0 and state.t == 1.0
+    assert np.abs(state.u.values - np.arctanh(1.0 / (1.0 + np.sqrt(7.0)))).max() <= 1e-8
