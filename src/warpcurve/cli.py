@@ -15,6 +15,7 @@ from math import acosh
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, geometry, oracle, problem, solver, symfunc
 from .errors import ContinuationError, WarpcurveError
@@ -239,7 +240,10 @@ def write_archive(out_dir, cfg, spec, state, status):
             cells = [FLOAT_FMT % c for c in row] + [FLOAT_FMT % val]
             fh.write(",".join(cells) + "\n")
     meta = {"version": __version__, "config": cfg, "status": status,
-            "t_final": state.t, "diagnostics": state.diagnostics.as_dict()}
+            "t_final": state.t, "diagnostics": state.diagnostics.as_dict(),
+            "totals": {key: sum(rec[key] for rec in state.steps)
+                       for key in ("newton_iters", "linear_iters", "lu_fallbacks")},
+            "libraries": {"numpy": np.__version__, "scipy": scipy.__version__}}
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

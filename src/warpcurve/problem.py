@@ -3,7 +3,6 @@ assembly of the discrete residual field and its Jacobian."""
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from math import comb
 
@@ -13,9 +12,8 @@ from . import geometry, symfunc
 from .errors import ConeExitError, ConfigError, HypothesisError
 from .geometry import BaseGrid, GridFunction, WarpingFunction, warp_eval
 
-log = logging.getLogger(__name__)
-
 CHECK_SAMPLES = 64  # u-samples per range in check_hypotheses
+CHECK_CHUNK = 1 << 16  # entries of a coefficient product formed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +106,14 @@ class CoefficientFamily:
         return (-(self.k - l) * t.amplitude * f ** (-(self.k - l) - 1) * fp
                 * (1.0 + t.epsilon * self._psi[l]))
 
+    def factors(self, l, us, w: WarpingFunction):
+        """(B, P) with alpha_l(us[i], x) = (B @ P)[i, x]; rank 1 here:
+        B = a_l f(us)^{-(k-l)} as a column, P = 1 + eps_l psi_l as a row."""
+        f, _, _ = warp_eval(w, us)
+        t = self.terms[l]
+        return ((t.amplitude * f ** (-(self.k - l)))[:, None],
+                (1.0 + t.epsilon * self._psi[l])[None, :])
+
 
 class TabulatedCoefficients:
     """Escape hatch: alpha_l given on a (u-sample x node) table, linear in u."""
@@ -132,13 +138,19 @@ class TabulatedCoefficients:
             if tb.shape[1] != grid.num_nodes:
                 raise ConfigError("table columns must match the grid nodes")
 
-    def _bracket(self, l, u):
-        """Segment index j of u, its position t in [u_j, u_{j+1}], and the
-        table values at both ends, node by node; u is a scalar, one value
-        per node, or a (u-sample, 1) column of a (u-sample x node) lattice."""
-        us, tb = self.u_samples, self.tables[l]
+    def _segment(self, u):
+        """Segment index j of u and its position t in [u_j, u_{j+1}]; t lies
+        outside [0, 1] beyond the end samples, where the table extrapolates."""
+        us = self.u_samples
         j = np.clip(np.searchsorted(us, u) - 1, 0, us.size - 2)
-        t = (u - us[j]) / (us[j + 1] - us[j])
+        return j, (u - us[j]) / (us[j + 1] - us[j])
+
+    def _bracket(self, l, u):
+        """Segment index j of u, its position t, and the table values at both
+        ends, node by node; u is a scalar, one value per node, or a
+        (u-sample, 1) column of a (u-sample x node) lattice."""
+        tb = self.tables[l]
+        j, t = self._segment(u)
         nodes = np.arange(tb.shape[1])
         return j, t, tb[j, nodes], tb[j + 1, nodes]
 
@@ -149,6 +161,16 @@ class TabulatedCoefficients:
     def du(self, l, u, w=None):
         j, _, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return (hi - lo) / (self.u_samples[j + 1] - self.u_samples[j])
+
+    def factors(self, l, us, w=None):
+        """(B, P) with alpha_l(us[i], x) = (B @ P)[i, x]: B holds each u's two
+        hat-function weights over the u samples, P is the table."""
+        j, t = self._segment(us)
+        rows = np.arange(us.size)
+        B = np.zeros((us.size, self.u_samples.size))
+        B[rows, j] = 1.0 - t
+        B[rows, j + 1] = t
+        return B, self.tables[l]
 
 
 def load_coefficient_table(path, grid: BaseGrid):
@@ -234,9 +256,6 @@ class ProblemSpec:
         n = self.grid.n
         if not 2 <= self.k <= n:
             raise ConfigError(f"need 2 <= k <= n, got k={self.k}, n={n}")
-        if n == 2:
-            log.warning("base dimension n=2 is a borderline case (k=n); "
-                        "all formulas remain valid at k=2")
         if not self.r1 < self.r2:
             raise ConfigError("need r1 < r2")
         if not (self.warping.t_min < self.r1 and self.r2 < self.warping.t_max):
@@ -266,6 +285,9 @@ class ProblemSpec:
 
     def alpha_du(self, l, u):
         return self.coeffs.du(l, u, self.warping)
+
+    def alpha_factors(self, l, us):
+        return self.coeffs.factors(l, us, self.warping)
 
 
 def alpha_k1_homotopy(u, t, spec: ProblemSpec):
@@ -403,39 +425,96 @@ class HypothesisReport:
                 f"offender {c.offender})", name=c.name, offender=c.offender)
 
 
+def _product_min(B, P):
+    """Smallest entry of B @ P and its first (row, column) in row-major
+    order, without forming B @ P whole.  With a single row in P, each row of
+    the product is a multiple of it, so its extreme lies in P's argmin or
+    argmax column and only the winning row is formed: O(rows + columns).
+    Otherwise B @ P is formed a chunk of columns at a time."""
+    if P.shape[0] == 1:
+        b, p = B[:, 0], P[0]
+        i = int(np.argmin(np.minimum(b * p.min(), b * p.max())))
+        row = b[i] * p
+        x = int(np.argmin(row))
+        return float(row[x]), i, x
+    best = (np.inf, 0, 0)
+    step = max(1, CHECK_CHUNK // B.shape[0])
+    for x0 in range(0, P.shape[1], step):
+        C = B @ P[:, x0:x0 + step]
+        i, x = np.unravel_index(np.argmin(C), C.shape)
+        best = min(best, (float(C[i, x]), int(i), x0 + int(x)))
+    return best
+
+
+def _near_min(B, P, slack):
+    """(rows, columns) of every entry of B @ P within slack of its smallest,
+    in row-major order; B @ P is formed a chunk of columns at a time."""
+    best, found = np.inf, []
+    step = max(1, CHECK_CHUNK // B.shape[0])
+    for x0 in range(0, P.shape[1], step):
+        C = B @ P[:, x0:x0 + step]
+        low = C.min(axis=1)
+        best = min(best, low.min())
+        rows = np.flatnonzero(low <= best + slack)
+        i, x = np.nonzero(C[rows] <= best + slack)
+        found.append((C[rows[i], x], rows[i], x0 + x))
+    values, rows, cols = (np.concatenate(a) for a in zip(*found))
+    keep = values <= best + slack
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
+def _orders_min(us, products):
+    """Smallest entry of the per-order products B_l @ P_l, given as (B_l, P_l)
+    pairs with one B row per u in us, and the first (u, node, l) where it
+    occurs."""
+    worst, offender = np.inf, None
+    for l, (B, P) in enumerate(products):
+        value, i, x = _product_min(B, P)
+        if value < worst:
+            worst, offender = value, (float(us[i]), x, l)
+    return worst, offender
+
+
 def _leaf_check(name, spec: ProblemSpec, us, sign):
-    """Leaf inequality sign * (LHS - RHS) >= 0 on the (u-sample x node)
-    lattice, LHS = sigma_k(e) kappa^k, RHS = sum_l alpha_l sigma_l(e) kappa^l,
-    kappa = f'/f."""
+    """Leaf inequality sign * (LHS - RHS) >= 0 at every (u-sample, node),
+    LHS = sigma_k(e) kappa^k, RHS = sum_l alpha_l sigma_l(e) kappa^l,
+    kappa = f'/f.  One stacked product
+    [sign C(n,k) kappa^k | -sign C(n,l) kappa^l B_l] @ [1; P_0; ...] finds
+    the entries within its rounding error of the smallest; these few are
+    then evaluated term by term as written above, which fixes the margin
+    and the first offender in row-major order to that arithmetic."""
     n, k = spec.n, spec.k
     f, fp, _ = warp_eval(spec.warping, us)
-    kappa = (fp / f)[:, None]
+    kpow = [(fp / f) ** l for l in range(k + 1)]
+    factors = [spec.alpha_factors(l, us) for l in range(k)]
+    Bs = np.hstack([sign * comb(n, k) * kpow[k][:, None]]
+                   + [-sign * comb(n, l) * kpow[l][:, None] * B for l, (B, _) in enumerate(factors)])
+    Ps = np.vstack([np.ones((1, spec.grid.num_nodes))] + [P for _, P in factors])
+    # each evaluation is within about (r + k + 4) eps T / 2 of the exact sum
+    # of the same float terms (r stacked rows, T >= sum |terms| everywhere),
+    # so the slack covers twice their distance with a factor 2 to spare
+    T = np.abs(Bs).max(axis=0) @ np.abs(Ps).max(axis=1)
+    slack = 4.0 * (Ps.shape[0] + k + 4) * np.finfo(float).eps * T
+    rows, cols = _near_min(Bs, Ps, slack)
     rhs = 0.0
-    for l in range(k):
-        rhs = rhs + spec.alpha(l, us[:, None]) * comb(n, l) * kappa ** l
-    margins = sign * (comb(n, k) * kappa ** k - rhs)
-    i, x = np.unravel_index(np.argmin(margins), margins.shape)
+    for l, (B, P) in enumerate(factors):
+        alpha = np.einsum("cr,rc->c", B[rows], P[:, cols])
+        rhs = rhs + alpha * comb(n, l) * kpow[l][rows]
+    margins = sign * (comb(n, k) * kpow[k][rows] - rhs)
+    j = int(np.argmin(margins))
     return HypothesisCheck(
-        name, bool(margins[i, x] >= 0.0), float(margins[i, x]),
-        (float(us[i]), int(x), None), (float(us[0]), float(us[-1])))
-
-
-def _lattice_min(us, lattices):
-    """Smallest entry of per-order (u-sample x node) lattices, made one order
-    at a time, and the first (u, node, l) where it occurs."""
-    worst, offender = np.inf, None
-    for l, a in enumerate(lattices):
-        i, x = np.unravel_index(np.argmin(a), a.shape)
-        if a[i, x] < worst:
-            worst, offender = float(a[i, x]), (float(us[i]), int(x), l)
-    return worst, offender
+        name, bool(margins[j] >= 0.0), float(margins[j]),
+        (float(us[rows[j]]), int(cols[j]), None), (float(us[0]), float(us[-1])))
 
 
 def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Sampled verification of the structural hypotheses: the two leaf-side
     inequalities, monotonicity of f^{k-l} alpha_l, the phi conditions, and
-    uniform positivity of the coefficients.  Each coefficient is evaluated
-    on a (u-sample x node) lattice, one order at a time."""
+    uniform positivity of the coefficients, at every (u-sample, node).  Each
+    is worked from the coefficients' (B, P) factors (alpha_factors), never
+    from a (u-sample x node) lattice of alpha."""
     m = CHECK_SAMPLES
     w = spec.warping
     orders = range(spec.k)
@@ -458,22 +537,19 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     us = np.linspace(spec.r1, spec.r2, m + 2)[1:-1]
     h = 1e-6 * (spec.r2 - spec.r1)
 
-    uv = np.concatenate([us - h, us + h])[:, None]
+    uv = np.concatenate([us - h, us + h])
     fv, _, _ = warp_eval(w, uv)
-    scale = 1.0  # max(1, |f^{k-l} alpha_l|) over the lattices, for the tolerance
+    scale = 1.0  # max(1, |f^{k-l} alpha_l|) over (u +- h, node), for the tolerance
 
     def slope(l):
-        # both sides of the difference from one (2m x N) lattice, worked in
-        # place (alpha returns a new array)
+        # f^{k-l} alpha_l = B @ P at u - h (first m rows of B) and u + h
         nonlocal scale
-        b = spec.alpha(l, uv)
-        b *= fv ** (spec.k - l)
-        scale = max(scale, float(b.max()), -float(b.min()))
-        d = np.subtract(b[:m], b[m:], out=b[:m])  # -(b(u + h) - b(u - h))
-        d /= 2.0 * h
-        return d
+        B, P = spec.alpha_factors(l, uv)
+        B = B * (fv ** (spec.k - l))[:, None]
+        scale = max(scale, -_product_min(-B, P)[0], -_product_min(B, P)[0])
+        return (B[:m] - B[m:]) / (2.0 * h), P  # -(b(u + h) - b(u - h)) / 2h
 
-    margin, offender = _lattice_min(us, (slope(l) for l in orders))
+    margin, offender = _orders_min(us, (slope(l) for l in orders))
     tol = 1e-9 * scale
     # within the tolerance the worst point is rounding noise: name no offender
     passed = bool(margin >= -tol)
@@ -498,7 +574,7 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
 
     # uniform positivity alpha_l >= c_l > 0 on [r1, r2] x M
     us = np.linspace(spec.r1, spec.r2, m)
-    worst, offender = _lattice_min(us, (spec.alpha(l, us[:, None]) for l in orders))
+    worst, offender = _orders_min(us, (spec.alpha_factors(l, us) for l in orders))
     checks["positivity"] = HypothesisCheck(
         "positivity", bool(worst > 0.0), worst, offender,
         (float(spec.r1), float(spec.r2)))

@@ -1,10 +1,12 @@
 import ast
 import importlib.util
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import warpcurve
 from warpcurve import cli
@@ -130,6 +132,12 @@ def test_solve_radial_config(tmp_path, capsys):
     # archive is complete
     for fname in ("solution.csv", "metadata.json", "log.jsonl"):
         assert (tmp_path / "out" / fname).exists()
+    # run totals are the sums over the step log
+    steps = [json.loads(line) for line in (tmp_path / "out" / "log.jsonl").read_text().splitlines()]
+    assert meta["totals"] == {key: sum(rec[key] for rec in steps)
+                              for key in ("newton_iters", "linear_iters", "lu_fallbacks")}
+    assert meta["totals"]["newton_iters"] > 0 and meta["totals"]["linear_iters"] > 0
+    assert meta["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
     _, values = cli.read_archive(tmp_path / "out")
     assert values.size == 216
 
@@ -225,11 +233,16 @@ def test_verify_filter(capsys):
     assert "sigma-brute" not in out
 
 
-def test_verify_jacobian_fd_reports_each_case(capsys):
+def test_verify_jacobian_fd_reports_each_case(capsys, caplog):
     # the analytic Jacobian misses by about 7e-11, far under the colored
     # FD's 3e-7 on the sphere, so it needs a line of its own to be seen
-    assert cli.main(["verify", "--filter", "jacobian-fd"]) == 0
-    out = capsys.readouterr().out
+    with caplog.at_level(logging.DEBUG):
+        assert cli.main(["verify", "--filter", "jacobian-fd"]) == 0
+    out, err = capsys.readouterr()
+    # nothing interrupts the table: no warning printed or logged (an n = 2
+    # spec, such as the sphere case's, once logged one)
+    assert err == "" and "warning" not in out.lower()
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     for name in cli._jacobian_fd_cases():
         line, = (s for s in out.splitlines() if s.strip().startswith(f"{name}:"))
         fd, analytic = (float(part.split()[-1]) for part in line.split(":")[1].split(","))

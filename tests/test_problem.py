@@ -1,9 +1,13 @@
+import logging
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
 from warpcurve import geometry, problem, symfunc
 from warpcurve.errors import ConeExitError, ConfigError, HypothesisError
-from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
+from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction, warp_eval
 from warpcurve.oracle import colored_fd_jacobian, fd_directional, stencil_pattern
 from warpcurve.problem import (CHECK_SAMPLES, CoefficientFamily, CoefficientTerm,
                                PhiFunction, ProblemSpec, TabulatedCoefficients,
@@ -471,6 +475,191 @@ def test_as3_passing_names_no_offender_on_k3_torus():
     assert as3.passed
     assert as3.offender is None
     assert abs(as3.worst_margin) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the factored check against a brute-force (u-sample x node) lattice
+# ---------------------------------------------------------------------------
+
+def lattice_checks(spec):
+    """Reference for the four coefficient checks of check_hypotheses: every
+    alpha_l evaluated on a full (u-sample x node) lattice, one order at a
+    time.  Returns {name: (passed, margin, offender)} and the as-3
+    tolerance scale."""
+    m, w, n, k = CHECK_SAMPLES, spec.warping, spec.n, spec.k
+    delta = 0.1 * (spec.r2 - spec.r1)
+    eps_dom = 1e-9 * max(1.0, abs(w.t_max) if np.isfinite(w.t_max) else 1.0)
+
+    def lattice_min(us, lattices):
+        worst, offender = np.inf, None
+        for l, a in enumerate(lattices):
+            i, x = np.unravel_index(np.argmin(a), a.shape)
+            if a[i, x] < worst:
+                worst, offender = float(a[i, x]), (float(us[i]), int(x), l)
+        return worst, offender
+
+    def leaf(us, sign):
+        f, fp, _ = warp_eval(w, us)
+        kappa = (fp / f)[:, None]
+        rhs = 0.0
+        for l in range(k):
+            rhs = rhs + spec.alpha(l, us[:, None]) * comb(n, l) * kappa ** l
+        margins = sign * (comb(n, k) * kappa ** k - rhs)
+        i, x = np.unravel_index(np.argmin(margins), margins.shape)
+        return bool(margins[i, x] >= 0.0), float(margins[i, x]), (float(us[i]), int(x), None)
+
+    out = {}
+    hi = spec.r2 + delta
+    if np.isfinite(w.t_max):
+        hi = min(hi, w.t_max - eps_dom)
+    out["as-1"] = leaf(np.linspace(spec.r2, hi, m), 1.0)
+    lo = max(spec.r1 / 4.0, w.t_min + 1e-6 * (spec.r1 - w.t_min))
+    out["as-2"] = leaf(np.linspace(lo, spec.r1, m), -1.0)
+
+    us = np.linspace(spec.r1, spec.r2, m + 2)[1:-1]
+    h = 1e-6 * (spec.r2 - spec.r1)
+    uv = np.concatenate([us - h, us + h])[:, None]
+    fv, _, _ = warp_eval(w, uv)
+    slopes, scale = [], 1.0
+    for l in range(k):
+        b = spec.alpha(l, uv) * fv ** (k - l)
+        scale = max(scale, float(b.max()), -float(b.min()))
+        slopes.append((b[:m] - b[m:]) / (2.0 * h))
+    margin, offender = lattice_min(us, slopes)
+    passed = bool(margin >= -1e-9 * scale)
+    out["as-3"] = (passed, margin, None if passed else offender)
+
+    us = np.linspace(spec.r1, spec.r2, m)
+    worst, offender = lattice_min(us, [spec.alpha(l, us[:, None]) for l in range(k)])
+    out["positivity"] = (bool(worst > 0.0), worst, offender)
+    return out, scale
+
+
+def assert_matches_lattice(spec):
+    """Same passed and offender as the lattice reference on every check;
+    leaf and positivity margins within 1e-12, a failing as-3 within 1e-9
+    relative, and a passing as-3 within the rounding noise its tolerance
+    allows.  Returns the checks and the reference."""
+    got = check_hypotheses(spec).checks
+    want, scale = lattice_checks(spec)
+    for name, (passed, margin, offender) in want.items():
+        chk = got[name]
+        assert (chk.passed, chk.offender) == (passed, offender), name
+        if name != "as-3":
+            assert chk.worst_margin == pytest.approx(margin, rel=1e-12, abs=1e-14), name
+        elif not passed:
+            assert chk.worst_margin == pytest.approx(margin, rel=1e-9), name
+        else:
+            assert chk.worst_margin == pytest.approx(margin, rel=1e-9, abs=2e-9 * scale), name
+    return got, want
+
+
+def builtin_spec(grid, terms):
+    return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0), k=len(terms),
+                       coeffs=CoefficientFamily(terms, len(terms)), phi=PhiFunction(1.3),
+                       r1=1.0, r2=1.6)
+
+
+def random_builtin_spec(rng, grid, amplitudes):
+    def profile():
+        if isinstance(grid, Sphere2):
+            return {"kind": str(rng.choice(["sphere_x", "sphere_y", "sphere_z"]))}
+        return {"kind": str(rng.choice(["cos", "sin"])), "axis": int(rng.integers(grid.n)),
+                "freq": int(rng.integers(1, 3)), "phase": float(rng.uniform(0.0, 2 * np.pi))}
+
+    return builtin_spec(grid, [CoefficientTerm(float(a), float(rng.uniform(0.0, 0.3)), profile())
+                               for a in amplitudes])
+
+
+@pytest.mark.parametrize("grid, k, amplitudes", [
+    (FlatTorus((8, 8)), 2, (2.0, 0.5)), (FlatTorus((6, 5, 4)), 2, (6.0, 1.0)),
+    (FlatTorus((6, 5, 4)), 3, (2.0, 0.5, 0.25)), (Sphere2(8, 16), 2, (3.0, 0.5))],
+    ids=["torus2-k2", "torus3-k2", "torus3-k3", "sphere-k2"])
+def test_check_matches_lattice_on_random_builtin_specs(grid, k, amplitudes):
+    rng = np.random.default_rng(31 + k + grid.num_nodes)
+    outcomes = set()
+    for _ in range(16):
+        spec = random_builtin_spec(rng, grid, np.array(amplitudes) * rng.uniform(0.1, 1.8, k))
+        got, want = assert_matches_lattice(spec)
+        outcomes.update((name, c.passed) for name, c in got.items())
+        # the leaf checks re-evaluate their near-minimal entries in the
+        # lattice's order, and positivity is one product per entry
+        for name in ("as-1", "as-2", "positivity"):
+            assert got[name].worst_margin == want[name][1], name
+    # both outcomes of the leaf checks were compared
+    assert {("as-1", True), ("as-1", False), ("as-2", True), ("as-2", False)} <= outcomes
+
+
+def test_check_matches_lattice_on_random_tables():
+    rng = np.random.default_rng(17)
+    for grid in (FlatTorus((5, 4)), FlatTorus((4, 5, 4)), Sphere2(4, 8)):
+        for _ in range(8):
+            k = int(rng.integers(2, grid.n + 1))
+            u_samples = np.sort(rng.uniform(0.1, 2.2, int(rng.integers(2, 7))))
+            # falling in u as a power of u, so as-3 both passes and fails,
+            # and dipping below zero now and then for positivity
+            tables = [rng.uniform(-0.2, 3.0, (u_samples.size, grid.num_nodes))
+                      * u_samples[:, None] ** -rng.uniform(0.0, 6.0) for _ in range(k)]
+            assert_matches_lattice(table_spec(grid, u_samples, tables))
+
+
+def test_check_matches_lattice_on_forced_failures():
+    grid = FlatTorus((8, 8))
+    # eps psi_0 reaches -0.999 at x_0 = pi: alpha_0 all but vanishes there,
+    # and the reversed leaf inequality below r1 fails in that column
+    got, _ = assert_matches_lattice(builtin_spec(grid, [
+        CoefficientTerm(3.0, 0.999, {"kind": "cos", "axis": 0}), CoefficientTerm(0.5)]))
+    assert not got["as-2"].passed and got["positivity"].passed
+    assert grid.coords[got["as-2"].offender[1], 0] == pytest.approx(np.pi)
+    # an amplitude 20 times the workload's breaks the leaf inequality above r2
+    got, _ = assert_matches_lattice(builtin_spec(grid, [
+        CoefficientTerm(60.0, 0.05, {"kind": "cos", "axis": 0}),
+        CoefficientTerm(0.5, 0.05, {"kind": "sin", "axis": 1})]))
+    assert not got["as-1"].passed and got["as-2"].passed
+
+
+def test_product_min_and_near_min_against_full_product(monkeypatch):
+    # small integers: every product is exact and ties are common, so the
+    # first (row, column) in row-major order is pinned down
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(problem, "CHECK_CHUNK", 40)  # several column chunks
+    for rows in (1, 3):
+        for _ in range(20):
+            B = rng.integers(-3, 4, (9, rows)).astype(float)
+            P = rng.integers(-2, 3, (rows, 50)).astype(float)
+            full = B @ P
+            i, x = np.unravel_index(np.argmin(full), full.shape)
+            assert problem._product_min(B, P) == (full[i, x], i, x)
+            for slack in (0.0, 1.0, 2.5):
+                near_rows, near_cols = problem._near_min(B, P, slack)
+                want_rows, want_cols = np.nonzero(full <= full.min() + slack)
+                np.testing.assert_array_equal(near_rows, want_rows)
+                np.testing.assert_array_equal(near_cols, want_cols)
+
+
+def test_check_hypotheses_forms_no_lattice():
+    # one (128 x 65 536) as-3 lattice alone is 64 MiB
+    profiles = ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1})
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
+                                CoefficientTerm(0.5, 0.05, profiles[1])], 2)
+    spec = ProblemSpec(grid=FlatTorus((256, 256)), warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    tracemalloc.start()
+    try:
+        report = check_hypotheses(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2 ** 20
+
+
+def test_n2_spec_logs_no_warning(caplog):
+    with caplog.at_level(logging.DEBUG, logger="warpcurve"):
+        ProblemSpec(grid=FlatTorus((4, 4)), warping=WarpingFunction("hyperbolic", 1.0), k=2,
+                    coeffs=CoefficientFamily([CoefficientTerm(3.0), CoefficientTerm(0.5)], 2),
+                    phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_ellipticity_certificate_along_quotient():
