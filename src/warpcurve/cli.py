@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, fields
 from functools import cache
@@ -211,6 +212,17 @@ def _coord_names(grid):
     return [f"x{i + 1}" for i in range(grid.n)]
 
 
+_BLOCK_ROWS = 256
+
+
+def _write_rows(fh, template, table):
+    """Write template % row for each row of a 2-D array.  Python floats
+    format faster than numpy scalars, so rows are converted with tolist(), a
+    block at a time: the whole table as Python objects would cost memory."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        fh.writelines([template % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist()])
+
+
 def _write_coefficient_tables(out, files, coeffs):
     """Copy table coefficients into the archive under their configured
     relative names, so build_spec can rebuild the spec from the archive.
@@ -223,9 +235,10 @@ def _write_coefficient_tables(out, files, coeffs):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             fh.write("u,node,value\n")
+            nodes = np.arange(table.shape[1])
             for u, row in zip(coeffs.u_samples, table):
-                for node, value in enumerate(row):
-                    fh.write(f"{FLOAT_FMT % u},{node},{FLOAT_FMT % value}\n")
+                _write_rows(fh, f"{FLOAT_FMT},%d,{FLOAT_FMT}\n",
+                            np.column_stack([np.full(row.size, u), nodes, row]))
 
 
 def write_archive(out_dir, cfg, spec, state, status):
@@ -236,14 +249,16 @@ def write_archive(out_dir, cfg, spec, state, status):
     names = _coord_names(spec.grid)
     with open(out / "solution.csv", "w") as fh:
         fh.write(",".join(names + ["u"]) + "\n")
-        for row, val in zip(spec.grid.coords, state.u.values):
-            cells = [FLOAT_FMT % c for c in row] + [FLOAT_FMT % val]
-            fh.write(",".join(cells) + "\n")
+        _write_rows(fh, ",".join([FLOAT_FMT] * (len(names) + 1)) + "\n",
+                    np.column_stack([spec.grid.coords, state.u.values]))
     meta = {"version": __version__, "config": cfg, "status": status,
             "t_final": state.t, "diagnostics": state.diagnostics.as_dict(),
             "totals": {key: sum(rec[key] for rec in state.steps)
                        for key in ("newton_iters", "linear_iters", "lu_fallbacks")},
-            "libraries": {"numpy": np.__version__, "scipy": scipy.__version__}}
+            "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
+            # BLAS thread counts as set in the environment, None when unset
+            "blas_threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -488,42 +488,91 @@ class CurvatureRecord:
     v: np.ndarray       # (N,)
 
 
+def _dot(pairs):
+    """sum of a * b over the (a, b) pairs, added up in place."""
+    (a, b), *rest = pairs
+    acc = a * b
+    for a, b in rest:
+        acc += a * b
+    return acc
+
+
+def _inverse_cholesky_factor(gtilde):
+    """Entries P[i, j], j <= i, of P = L^-1 for gtilde = L L^T, from the
+    lower triangle of gtilde: n x n scalar recurrences, each vectorised over
+    the batch, so no LAPACK call is made per small matrix."""
+    n = gtilde.shape[-1]
+    L = {}
+    for j in range(n):
+        d = gtilde[..., j, j]
+        for k in range(j):
+            d = d - L[j, k] ** 2
+        if not np.all(d > 0.0):  # before its sqrt; a NaN pivot fails too
+            raise GeometryError("induced metric not positive definite")
+        L[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            s = gtilde[..., i, j]
+            for k in range(j):
+                s = s - L[i, k] * L[j, k]
+            L[i, j] = s / L[j, j]
+    P = {}
+    for i in range(n):
+        P[i, i] = 1.0 / L[i, i]
+        for j in range(i):
+            P[i, j] = -_dot((L[i, k], P[k, j]) for k in range(j, i)) / L[i, i]
+    return P
+
+
+def _congruence(P, h):
+    """Entries A[i, j], j <= i, of A = (P h) P^T for P lower triangular,
+    from the lower triangle of h."""
+    n = h.shape[-1]
+    Ph = {(i, l): _dot((P[i, k], h[..., max(k, l), min(k, l)]) for k in range(i + 1))
+          for i in range(n) for l in range(i + 1)}  # A needs l <= i only
+    return {(i, j): _dot((Ph[i, l], P[j, l]) for l in range(j + 1))
+            for i in range(n) for j in range(i + 1)}
+
+
+def _eigh_2x2(a00, a10, a11):
+    """Ascending eigenvalues and eigenvector entries W[k, a] of the
+    symmetric 2 x 2 matrices [[a00, a10], [a10, a11]], in closed form:
+    lam = m -+ hypot((a00 - a11)/2, a10), with m = (a00 + a11)/2, and the
+    axes turned by atan2(a10, (a00 - a11)/2) / 2."""
+    m, half = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
+    rad, angle = np.hypot(half, a10), 0.5 * np.arctan2(a10, half)
+    c, s = np.cos(angle), np.sin(angle)
+    # eigenvectors (-s, c) for m - rad and (c, s) for m + rad
+    return np.stack([m - rad, m + rad], axis=-1), {(0, 0): -s, (1, 0): c, (0, 1): c, (1, 1): s}
+
+
 def pencil_eigensystem(gtilde, h):
     """(lam, V): eigenvalues of the pencil h w = lam gtilde w, ascending, and
-    gtilde-orthonormal eigenvector columns V[..., :, a], batched.
+    gtilde-orthonormal eigenvector columns V[..., :, a], batched; only the
+    lower triangles of the symmetric gtilde and h are read.
 
-    Cholesky congruence: gtilde = L L^T, then a symmetric eigensolve of
-    A = L^-1 h L^-T, which keeps the spectrum real by construction.  For
-    n = 2 both are closed forms.  lam = m -+ hypot((A00 - A11)/2, A01), with
-    m = (A00 + A11)/2, is exact at a leaf, where the discriminant of
-    det(h - lam gtilde) = 0 would cancel; A's eigenvectors are the axes
-    turned by atan2(A01, (A00 - A11)/2) / 2.
+    One closed-form Cholesky congruence for every n: P = L^-1 with
+    gtilde = L L^T, entry by entry, then A = P h P^T, whose symmetric
+    eigensystem A W = W diag(lam) keeps the spectrum real by construction,
+    and V = P^T W.  For n = 3 the eigensolve is np.linalg.eigh; for n = 2 it
+    is closed too, and exact at a leaf, where the discriminant of
+    det(h - lam gtilde) = 0 would cancel.
     """
-    if gtilde.shape[-1] == 2:
-        g00, g10 = gtilde[..., 0, 0], gtilde[..., 1, 0]
-        det = g00 * gtilde[..., 1, 1] - g10 ** 2
-        if not (np.all(g00 > 0.0) and np.all(det > 0.0)):  # before any sqrt
-            raise GeometryError("induced metric not positive definite")
-        p, r = 1.0 / np.sqrt(g00), np.sqrt(g00 / det)  # L^-1 = [[p, 0], [q, r]]
-        q = -g10 * p * p * r
-        h00, h11, h01 = h[..., 0, 0], h[..., 1, 1], 0.5 * (h[..., 0, 1] + h[..., 1, 0])
-        a00, a01 = p * p * h00, p * (q * h00 + r * h01)
-        a11 = q * q * h00 + 2.0 * q * r * h01 + r * r * h11
-        m, half = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
-        rad, angle = np.hypot(half, a01), 0.5 * np.arctan2(a01, half)
-        c, s = np.cos(angle), np.sin(angle)
-        # eigenvectors of A: (-s, c) for m - rad, (c, s) for m + rad; V = L^-T W
-        V = np.stack([np.stack([q * c - p * s, p * c + q * s], -1),
-                      np.stack([r * c, r * s], -1)], -2)
-        return np.stack([m - rad, m + rad], axis=-1), V
-    try:
-        L = np.linalg.cholesky(gtilde)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("induced metric not positive definite") from exc
-    Linv = np.linalg.inv(L)
-    A = Linv @ h @ np.swapaxes(Linv, -1, -2)
-    lam, W = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
-    return lam, np.swapaxes(Linv, -1, -2) @ W
+    n = gtilde.shape[-1]
+    P = _inverse_cholesky_factor(gtilde)
+    A = _congruence(P, h)
+    if n == 2:
+        lam, W = _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])
+    else:
+        lower = np.empty(gtilde.shape)
+        for (i, j), a in A.items():
+            lower[..., i, j] = a
+        lam, W = np.linalg.eigh(lower)  # reads the lower triangle only
+        W = {(k, a): W[..., k, a] for k in range(n) for a in range(n)}
+    V = np.empty(gtilde.shape)
+    for i in range(n):
+        for a in range(n):
+            V[..., i, a] = _dot((P[k, i], W[k, a]) for k in range(i, n))
+    return lam, V
 
 
 def principal_curvatures(gtilde, h):

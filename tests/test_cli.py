@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 import scipy
 
 import warpcurve
-from warpcurve import cli
+from warpcurve import cli, solver
 from warpcurve.errors import WarpcurveError
+from warpcurve.geometry import GridFunction
 
 
 def base_config(**overrides):
@@ -138,6 +140,8 @@ def test_solve_radial_config(tmp_path, capsys):
                               for key in ("newton_iters", "linear_iters", "lu_fallbacks")}
     assert meta["totals"]["newton_iters"] > 0 and meta["totals"]["linear_iters"] > 0
     assert meta["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert meta["blas_threads"] == {var: os.environ.get(var) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     _, values = cli.read_archive(tmp_path / "out")
     assert values.size == 216
 
@@ -212,6 +216,45 @@ def test_solve_determinism(tmp_path):
         assert cli.main(["solve", str(path), "--out", str(out)]) == 0
         outs.append((out / "solution.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("manifold,table", [
+    ({"type": "flat_torus", "resolution": [8, 8, 5]}, False),
+    ({"type": "sphere2", "resolution": [16, 32]}, False),
+    ({"type": "flat_torus", "resolution": [17, 16]}, True)],
+    ids=["torus3", "sphere2", "table"])
+def test_archive_bytes_match_per_cell_formatting(tmp_path, manifold, table):
+    # more rows than one conversion block, and digits that need all 17; the
+    # reference is the writer's former cell-by-cell formatting
+    rng = np.random.default_rng(3)
+    cfg = base_config(manifold=manifold)
+    if table:
+        nodes = int(np.prod(manifold["resolution"]))
+        us = (0.05, 0.7 + rng.uniform(), 1.8)
+        for l in range(2):
+            lines = ["u,node,value"] + [f"{u!r},{node},{rng.uniform(0.5, 6.0)!r}"
+                                        for u in us for node in range(nodes)]
+            (tmp_path / f"alpha{l}.csv").write_text("\n".join(lines) + "\n")
+        cfg["coefficients"] = {"kind": "table", "files": ["alpha0.csv", "alpha1.csv"]}
+    cfg = cli.normalize_config(cfg)
+    spec = cli.build_spec(cfg, base_dir=tmp_path)
+    u = GridFunction(1.3 + 0.01 * rng.standard_normal(spec.grid.num_nodes), spec.grid)
+    state = solver.ContinuationState(1.0, u, solver.diagnostics(u, spec))
+    out = tmp_path / "out"
+    cli.write_archive(out, cfg, spec, state, "converged")
+
+    fmt = cli.FLOAT_FMT
+    want = ",".join(cli._coord_names(spec.grid) + ["u"]) + "\n"
+    for row, val in zip(spec.grid.coords, u.values):
+        want += ",".join([fmt % c for c in row] + [fmt % val]) + "\n"
+    assert (out / "solution.csv").read_bytes() == want.encode()
+    if table:
+        for fname, tab in zip(cfg["coefficients"]["files"], spec.coeffs.tables):
+            want = "u,node,value\n"
+            for us_i, row in zip(spec.coeffs.u_samples, tab):
+                for node, value in enumerate(row):
+                    want += f"{fmt % us_i},{node},{fmt % value}\n"
+            assert (out / fname).read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------

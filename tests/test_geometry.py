@@ -297,10 +297,10 @@ def _eigh_path(gtilde, h, far=1e3):
     return lam[:, :2], V[:, :2, :2]
 
 
-def _random_pencils(rng, N):
-    A = rng.standard_normal((N, 2, 2))
-    gtilde = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(2)
-    B = rng.standard_normal((N, 2, 2))
+def _random_pencils(rng, N, n=2):
+    A = rng.standard_normal((N, n, n))
+    gtilde = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(n)
+    B = rng.standard_normal((N, n, n))
     return gtilde, B + np.swapaxes(B, -1, -2)
 
 
@@ -325,25 +325,82 @@ def test_closed_form_2x2_matches_eigh_path():
         assert np.abs(P - P_ref)[apart].max() <= 1e-12
 
 
-def test_closed_form_2x2_exact_at_leaves():
-    # h = c gtilde: both eigenvalues are c, with no sqrt(eps) loss
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_2x2_exact_at_leaves(n):
+    # h = c gtilde: every eigenvalue is c, with no sqrt(eps) loss
     rng = np.random.default_rng(12)
-    gtilde, _ = _random_pencils(rng, 2000)
+    gtilde, _ = _random_pencils(rng, 2000, n)
     c = rng.uniform(-3.0, 3.0, size=2000)
     lam, V = geometry.pencil_eigensystem(gtilde, c[:, None, None] * gtilde)
-    assert np.all(np.abs(lam - c[:, None]) <= 1e-14 * np.maximum(np.abs(c), 1.0)[:, None])
+    # 2 x 2: closed form.  3 x 3: A = c P gtilde P^T misses c I by rounding
+    # of order eps cond(gtilde) in its last pivot, as LAPACK's Cholesky and
+    # inverse did (1.26e-14 at cond 131 on these pencils)
+    tol = 1e-14 if n == 2 else 2.0 * np.finfo(float).eps * np.linalg.cond(gtilde)[:, None]
+    assert np.all(np.abs(lam - c[:, None]) <= tol * np.maximum(np.abs(c), 1.0)[:, None])
     gram = np.swapaxes(V, -1, -2) @ gtilde @ V
-    assert np.abs(gram - np.eye(2)).max() <= 1e-13
+    assert np.abs(gram - np.eye(n)).max() <= 1e-13
+
+
+def _nan_at(i, j):
+    g = np.eye(3)
+    g[i, j] = g[j, i] = np.nan
+    return g
 
 
 @pytest.mark.parametrize("gtilde", [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]),
-                                    np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))],
-                         ids=["g00<0", "g11<0", "det<0", "zero"])
+                                    np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)),
+                                    np.diag([1.0, 1.0, -1.0]),
+                                    np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+                                    np.zeros((3, 3)), _nan_at(0, 0), _nan_at(2, 1), _nan_at(2, 2)],
+                         ids=["g00<0", "g11<0", "det<0", "zero", "g22<0", "pivot2<0", "zero3",
+                              "nan00", "nan21", "nan22"])
 def test_closed_form_2x2_rejects_indefinite_metric(gtilde):
     # pyproject turns RuntimeWarnings into errors, so an unguarded sqrt of
     # a negative number would surface here as RuntimeWarning
+    n = gtilde.shape[0]
     with pytest.raises(GeometryError):
-        geometry.pencil_eigensystem(gtilde[None], np.eye(2)[None])
+        geometry.pencil_eigensystem(gtilde[None], np.eye(n)[None])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cond", [None, 1e6], ids=["random", "cond1e6"])
+def test_pencil_eigensystem_matches_scipy_eigh(n, cond):
+    # an independent reference: LAPACK's generalized symmetric solver, one
+    # pencil at a time.  Both round gtilde's small-eigenvalue directions by
+    # about eps cond(gtilde), so an ill-conditioned gtilde bounds how well
+    # they can agree (at cond 1e6, scipy's own lam is 7.5e-11 from a 40-digit
+    # reference and its own V^T gtilde V misses I by 1.1e-10)
+    from scipy.linalg import eigh
+    rng = np.random.default_rng(13)
+    N = 300
+    if cond is None:
+        gtilde, h = _random_pencils(rng, N, n)
+        tol = 1e-12
+    else:  # eigenvalues log-spaced over [1, cond] in random directions
+        Q, _ = np.linalg.qr(rng.standard_normal((N, n, n)))
+        gtilde = Q * np.geomspace(1.0, cond, n) @ np.swapaxes(Q, -1, -2)
+        B = rng.standard_normal((N, n, n))
+        h = B + np.swapaxes(B, -1, -2)
+        tol = 2.0 * np.finfo(float).eps * cond
+    lam, V = geometry.pencil_eigensystem(gtilde, h)
+    lam_ref = np.array([eigh(h_i, g_i, eigvals_only=True) for h_i, g_i in zip(h, gtilde)])
+    scale = np.abs(lam_ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(lam - lam_ref) <= tol * scale)
+    gram = np.swapaxes(V, -1, -2) @ gtilde @ V
+    assert np.abs(gram - np.eye(n)).max() <= tol
+
+
+@pytest.mark.parametrize("grid", [FlatTorus((8, 6)), Sphere2(8, 16), FlatTorus((6, 5, 4))],
+                         ids=["torus2", "sphere2", "torus3"])
+def test_fundamental_forms_needs_no_lapack_cholesky_or_inv(grid, monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("batched LAPACK cholesky or inv used")
+    monkeypatch.setattr(np.linalg, "cholesky", no_lapack)
+    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+    x = grid.coords
+    u = GridFunction(1.3 + 0.05 * np.cos(x[:, 0]) + 0.03 * np.sin(x[:, -1]), grid)
+    rec = fundamental_forms(u, WarpingFunction("hyperbolic", 1.0))
+    assert np.all(np.isfinite(rec.lam)) and np.all(np.isfinite(rec.V))
 
 
 def test_small_perturbation_matches_directional_difference():
