@@ -254,7 +254,8 @@ def write_archive(out_dir, cfg, spec, state, status):
     meta = {"version": __version__, "config": cfg, "status": status,
             "t_final": state.t, "diagnostics": state.diagnostics.as_dict(),
             "totals": {key: sum(rec[key] for rec in state.steps)
-                       for key in ("newton_iters", "linear_iters", "lu_fallbacks")},
+                       for key in ("newton_iters", "linear_iters", "lu_fallbacks",
+                                   "backtracks")},
             "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
             # BLAS thread counts as set in the environment, None when unset
             "blas_threads": {var: os.environ.get(var) for var in (

@@ -104,17 +104,20 @@ def initial_solution(spec: ProblemSpec):
     return u, rec
 
 
-# GMRES settings for Newton systems: relative tolerance on the 2-norm
-# residual, Krylov dimension between restarts, and restart cycles.  On
-# Sphere2(64, 128) the true residual of any solve, GMRES or sparse LU with
-# refinement, bottoms out near 2e-12 of |rhs|, so 1e-12 is out of reach.
+# GMRES settings for Newton systems: the floor of the relative tolerance on
+# the 2-norm residual, Krylov dimension between restarts, and restart cycles.
+# newton_solve asks each solve for a tenth of its stopping target relative to
+# |F|_2, and never for less than GMRES_RTOL: on Sphere2(64, 128) the true
+# residual of any solve, GMRES or sparse LU with refinement, bottoms out near
+# 2e-12 of |rhs|, so 1e-12 is out of reach.
 GMRES_RTOL = 1e-10
 GMRES_RESTART = 30
 GMRES_MAXITER = 5
 
 
-def _solve_linear(J, rhs, grid):
-    """Solve J x = rhs; returns (x, GMRES iterations, whether it used LU).
+def _solve_linear(J, rhs, grid, rtol=GMRES_RTOL):
+    """Solve J x = rhs to a 2-norm residual of rtol |rhs|; returns (x, GMRES
+    iterations, whether it used LU).
 
     GMRES preconditioned by the grid's averaged_stencil_inverse of J (the
     FFT inverse of the row-averaged stencil on the torus, FFT in phi plus a
@@ -129,13 +132,13 @@ def _solve_linear(J, rhs, grid):
             nonlocal iters
             iters += 1
         M = spla.LinearOperator(J.shape, matvec=apply, dtype=float)
-        x, info = spla.gmres(J, rhs, rtol=GMRES_RTOL, atol=0.0,
+        x, info = spla.gmres(J, rhs, rtol=rtol, atol=0.0,
                              restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                              M=M, callback=count, callback_type="pr_norm")
         if info == 0:
             return x, iters, False
         log.info("GMRES missed %.0e after %d iterations; using sparse LU",
-                 GMRES_RTOL, iters)
+                 rtol, iters)
     lu = spla.splu(J.tocsc())
     x = lu.solve(rhs)
     # one round of iterative refinement
@@ -152,16 +155,21 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     decrease condition on |F|^2.  The iteration stops when |F|_inf is at most
     spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
     that rounding u alone can cause, taken from the last J assembled: a J is
-    assembled only for a step, so the stopping test never builds one.  rec is
-    u_init's curvature record (built when not given); returns (u, stats, rec),
-    rec the record of the final u.
+    assembled only for a step, so the stopping test never builds one.  Each
+    linear solve is asked for a tenth of that stopping target, relative to
+    |F|_2, but never for less than GMRES_RTOL: inexact Newton, whose linear
+    error stays below what the test accepts.  u_init must lie inside the guarded annulus
+    (StepFailureError otherwise) and its record is rec (built when not
+    given); returns (u, stats, rec), rec the record of the final u.
     """
     u = u_init
+    guard = spec.guard_frac * (spec.r2 - spec.r1)
+    lo, hi = spec.r1 - guard, spec.r2 + guard
+    if u.values.min() < lo or u.values.max() > hi:
+        raise StepFailureError(f"Newton start at t={t} leaves the guarded annulus")
     rec = geometry.fundamental_forms(u, spec.warping) if rec is None else rec
     F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
     stats = NewtonStats(residual_norms=[float(np.abs(F).max())])
-    guard = spec.guard_frac * (spec.r2 - spec.r1)
-    lo, hi = spec.r1 - guard, spec.r2 + guard
     norm2 = float(F @ F)
     floor = 0.0  # no J yet
 
@@ -177,7 +185,8 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * spla.norm(J, np.inf)
         if norm <= floor:  # a start already at the floor, where no step can decrease |F|
             return u, stats, rec
-        delta, iters, fell_back = _solve_linear(J, -F, spec.grid)
+        rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / np.sqrt(norm2))
+        delta, iters, fell_back = _solve_linear(J, -F, spec.grid, rtol)
         stats.linear_iters += iters
         stats.lu_fallbacks += fell_back
         s = 1.0
@@ -216,8 +225,9 @@ def _record(steps, log_stream, spec, t, u, stats, rec):
     diag = diagnostics(u, spec, rec)
     entry = {"t": t, "grid": list(spec.grid.shape), "newton_iters": stats.iterations,
              "linear_iters": stats.linear_iters,
-             "lu_fallbacks": stats.lu_fallbacks,
+             "lu_fallbacks": stats.lu_fallbacks, "backtracks": stats.backtracks,
              "residual_norm": stats.residual_norms[-1],
+             "residual_history": stats.residual_norms,
              "u_min": diag.u_min, "u_max": diag.u_max,
              "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
     steps.append(entry)
@@ -230,22 +240,31 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
     """Follow the homotopy path from the constant solution at t = 0 on
     spec's own grid, appending a record per accepted step to steps.
 
-    Order-0 predictor (reuse u); the step halves on Newton failure and grows
-    by dt_grow after two consecutive easy successes.
+    Predictor-corrector: the first step starts Newton from the constant
+    solution, where the first Newton step is already the tangent (Euler)
+    step; every later step starts from the secant through the last two
+    accepted points, extrapolated to the new t.  The step halves on any
+    Newton failure, a predicted start off the cone or outside the annulus
+    included, which shrinks the prediction with it; it grows by dt_grow
+    after two consecutive easy successes.
     """
     steps = [] if steps is None else steps
-    # u's record goes to the next Newton solve, which frees it on moving on
-    # (holding it here too raised peak RSS); a failed step's retry rebuilds it
+    # a record goes to the next Newton solve or step record, which frees it
+    # on moving on (holding it here too raised peak RSS); a failed first
+    # step's retry rebuilds it, and a predicted start builds its own
     u, *handoff = initial_solution(spec)
     t = 0.0
+    u_prev = t_prev = None
     dt = spec.dt_init
     easy_run = 0
     diag = _record(steps, log_stream, spec, 0.0, u, NewtonStats(residual_norms=[0.0]), handoff[0])
 
     while t < t_final:
         t_next = min(t_final, t + dt)
+        start = u if u_prev is None else u.with_values(
+            u.values + (t_next - t) / (t - t_prev) * (u.values - u_prev.values))
         try:
-            u_next, stats, *handoff = newton_solve(u, t_next, spec,
+            u_next, stats, *handoff = newton_solve(start, t_next, spec,
                                                    rec=handoff.pop() if handoff else None)
         except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
             dt *= 0.5
@@ -258,8 +277,8 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
             log.info("step to t=%.4f failed (%s); retrying with dt=%.2e",
                      t_next, type(exc).__name__, dt)
             continue
-        u, t = u_next, t_next
-        diag = _record(steps, log_stream, spec, t, u, stats, handoff[0])
+        u_prev, t_prev, u, t = u, t, u_next, t_next
+        diag = _record(steps, log_stream, spec, t, u, stats, handoff.pop())
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow

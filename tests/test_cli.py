@@ -137,7 +137,8 @@ def test_solve_radial_config(tmp_path, capsys):
     # run totals are the sums over the step log
     steps = [json.loads(line) for line in (tmp_path / "out" / "log.jsonl").read_text().splitlines()]
     assert meta["totals"] == {key: sum(rec[key] for rec in steps)
-                              for key in ("newton_iters", "linear_iters", "lu_fallbacks")}
+                              for key in ("newton_iters", "linear_iters", "lu_fallbacks",
+                                          "backtracks")}
     assert meta["totals"]["newton_iters"] > 0 and meta["totals"]["linear_iters"] > 0
     assert meta["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
     assert meta["blas_threads"] == {var: os.environ.get(var) for var in (

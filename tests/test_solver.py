@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from warpcurve import geometry, problem, solver
-from warpcurve.errors import (ConfigError, ContinuationError, NonConvergenceError,
-                              StepFailureError)
+from warpcurve.errors import (ConeExitError, ConfigError, ContinuationError,
+                              NonConvergenceError, StepFailureError)
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from warpcurve.oracle import RadialProblem, radial_root
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
@@ -72,9 +72,12 @@ def test_continuation_radial_reaches_oracle_root():
     assert len(lines) == len(state.steps)
     for rec in lines:
         assert set(rec) == {"t", "grid", "newton_iters", "linear_iters", "lu_fallbacks",
-                            "residual_norm", "u_min", "u_max", "tau_min",
-                            "lambda_abs_max"}
+                            "backtracks", "residual_norm", "residual_history",
+                            "u_min", "u_max", "tau_min", "lambda_abs_max"}
         assert rec["grid"] == [8, 8, 8]
+        # the |F| of every Newton iterate, the start first
+        assert len(rec["residual_history"]) == rec["newton_iters"] + 1
+        assert rec["residual_history"][-1] == rec["residual_norm"]
     assert lines[0]["t"] == 0.0 and lines[-1]["t"] == 1.0
     assert lines[0]["linear_iters"] == 0
     # constant iterates have constant-coefficient Jacobians, which the FFT
@@ -347,9 +350,12 @@ def test_averaged_stencil_inverse_matches_dense_average(spec_fn):
 
 
 @pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32),
-                                     lambda: perturbed_spec((16, 16), 2)],
-                         ids=["sphere-16x32", "torus2-16"])
+                                     lambda: perturbed_spec((16, 16), 2),
+                                     lambda: perturbed_sphere_spec(256, 512)],
+                         ids=["sphere-16x32", "torus2-16", "sphere-256x512"])
 def test_continuation_never_falls_back_to_splu(spec_fn, monkeypatch):
+    # on Sphere2(256, 512) a GMRES asked for 1e-10 stalls just above it, in
+    # the finest level's one Newton step; Newton needs far less
     def no_lu(*args, **kwargs):
         raise AssertionError("sparse LU fallback used")
     monkeypatch.setattr(solver.spla, "splu", no_lu)
@@ -374,10 +380,11 @@ def test_continuation_logs_every_lu_fallback(monkeypatch):
                          ids=["sphere-16x32", "torus2-16"])
 def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypatch):
     # each point Newton evaluates gets one record, which its residual, its
-    # Jacobian, its step record's diagnostics and the next step's Newton
-    # start share; the t = 0 record serves the start check, the t = 0 step
-    # record and the first step
-    calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0, "newton_solve": 0}
+    # Jacobian and its step record's diagnostics share; the t = 0 record
+    # serves the start check, the t = 0 step record and the first step, the
+    # one Newton start handed a record: every later step starts from a
+    # secant prediction, a new point that builds its own
+    calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -389,12 +396,10 @@ def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypa
     counted(geometry, "fundamental_forms")
     counted(problem, "residual")
     counted(problem, "jacobian")
-    counted(solver, "newton_solve")
     state = solver.continuation(spec_fn())
-    assert state.t == 1.0
+    assert state.t == 1.0 and len(state.steps) > 2
     assert calls["jacobian"] == sum(rec["newton_iters"] for rec in state.steps) > 0
-    # a Newton start evaluates its residual on the record it was handed
-    assert calls["fundamental_forms"] == calls["residual"] - calls["newton_solve"]
+    assert calls["fundamental_forms"] == calls["residual"] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +440,112 @@ def test_sphere_96x192_converges_above_default_tolerance(monkeypatch):
     F = residual(state.u, 1.0, spec).values
     assert np.abs(F).max() <= 1e-8
     assert len(calls) == sum(rec["newton_iters"] for rec in state.steps) > 0
+    assert all(rec["lu_fallbacks"] == 0 for rec in state.steps)
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(32, 64),
+                                     lambda: perturbed_spec((32, 32), 2)],
+                         ids=["sphere-32x64", "torus2-32"])
+def test_linear_solves_ask_only_what_the_stopping_test_needs(spec_fn, monkeypatch):
+    # each solve's tolerance lies in [GMRES_RTOL, 0.1), GMRES meets it in the
+    # true residual, and every Newton solve still ends at its stopping target
+    solves, floors, finals = [], [], []
+    original_solve, original_jacobian, original_newton = (
+        solver._solve_linear, problem.jacobian, solver.newton_solve)
+
+    def solve_linear(J, rhs, grid, rtol=solver.GMRES_RTOL):
+        x, iters, fell_back = original_solve(J, rhs, grid, rtol)
+        solves.append((rtol, np.linalg.norm(J @ x - rhs) / np.linalg.norm(rhs), fell_back))
+        return x, iters, fell_back
+
+    def jacobian(u, t, spec, rec=None):
+        J = original_jacobian(u, t, spec, rec)
+        floors[-1] = 4.0 * np.finfo(float).eps * np.abs(u.values).max() * spla.norm(J, np.inf)
+        return J
+
+    def newton_solve(u, t, spec, rec=None):
+        floors.append(0.0)  # no J yet
+        out = original_newton(u, t, spec, rec=rec)
+        finals.append((out[1].residual_norms[-1], max(spec.newton_tol, floors[-1])))
+        return out
+    monkeypatch.setattr(solver, "_solve_linear", solve_linear)
+    monkeypatch.setattr(problem, "jacobian", jacobian)
+    monkeypatch.setattr(solver, "newton_solve", newton_solve)
+    state = solver.continuation(spec_fn())
+    assert state.t == 1.0 and len(solves) > 0
+    for rtol, relres, fell_back in solves:
+        assert solver.GMRES_RTOL <= rtol < 0.1
+        assert not fell_back and relres <= rtol
+    assert len(finals) == len(state.steps) - 1
+    assert all(norm <= target for norm, target in finals)
+    # tolerances above the floor: the Newton tail is not solved to 1e-10
+    assert max(rtol for rtol, _, _ in solves) > 1e3 * solver.GMRES_RTOL
+
+
+# ---------------------------------------------------------------------------
+# the secant predictor
+# ---------------------------------------------------------------------------
+
+def record_newton_solves(monkeypatch, fail_calls=()):
+    """Record each newton_solve call as [start, t, solution or None]; the
+    calls whose 0-based index is in fail_calls raise ConeExitError instead."""
+    original = solver.newton_solve
+    calls = []
+
+    def newton_solve(u, t, spec, rec=None):
+        calls.append([u, t, None])
+        if len(calls) - 1 in fail_calls:
+            raise ConeExitError("forced")
+        out = original(u, t, spec, rec=rec)
+        calls[-1][2] = out[0]
+        return out
+    monkeypatch.setattr(solver, "newton_solve", newton_solve)
+    return calls
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_spec((16, 16), 2),
+                                     lambda: perturbed_sphere_spec(16, 32)],
+                         ids=["torus2-16", "sphere-16x32"])
+def test_secant_prediction_cuts_the_start_residual(spec_fn, monkeypatch):
+    # every step after the first starts from the secant prediction, whose
+    # residual at the new t is well below that of the last accepted u
+    spec = spec_fn()
+    calls = record_newton_solves(monkeypatch)
+    state = solver.continuation(spec)
+    assert state.t == 1.0
+    assert np.all(calls[0][0].values == spec.phi.pivot)  # the first step: order 0
+    accepted, ratios = [], []
+    for start, t, u in calls:
+        if len(accepted) >= 2:
+            ratios.append(np.abs(residual(start, t, spec).values).max()
+                          / np.abs(residual(accepted[-1], t, spec).values).max())
+        if u is not None:
+            accepted.append(u)
+    assert len(ratios) >= 5 and max(ratios) <= 0.25
+
+
+def test_failed_predicted_start_halves_the_step(monkeypatch):
+    # the first predicted start fails as a start off the cone would: the
+    # step halves, the retry is predicted along the same secant with half
+    # the offset, and the path still reaches t = 1
+    spec = perturbed_spec((16, 16), 2)
+    unforced = solver.continuation(spec)
+    calls = record_newton_solves(monkeypatch, fail_calls={1})
+    state = solver.continuation(spec)
+    assert state.t == 1.0
+    (_, t1, u1), (failed, t2, none), (retry, t3, _) = calls[:3]
+    assert none is None
+    assert t3 - t1 == pytest.approx(0.5 * (t2 - t1), rel=1e-12)
+    offset = failed.values - u1.values
+    assert np.abs(offset).max() > 0.0
+    assert np.abs(retry.values - u1.values - 0.5 * offset).max() <= 1e-14
+    assert np.abs(state.u.values - unforced.u.values).max() <= 1e-9
+
+
+def test_newton_start_outside_the_guarded_annulus_fails():
+    spec = hyperbolic_spec()
+    with pytest.raises(StepFailureError, match="guarded annulus"):
+        solver.newton_solve(GridFunction.constant(spec.r2 + 0.5, spec.grid), 1.0, spec)
 
 
 # ---------------------------------------------------------------------------
