@@ -253,7 +253,7 @@ def write_archive(out_dir, cfg, spec, state, status):
                     np.column_stack([spec.grid.coords, state.u.values]))
     meta = {"version": __version__, "config": cfg, "status": status,
             "t_final": state.t, "diagnostics": state.diagnostics.as_dict(),
-            "totals": {key: sum(rec[key] for rec in state.steps)
+            "totals": {key: sum(rec[key] for rec in state.steps if rec["accepted"])
                        for key in ("newton_iters", "linear_iters", "lu_fallbacks",
                                    "backtracks")},
             "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},

@@ -471,10 +471,12 @@ class GridFunction:
 class CurvatureRecord:
     """Per-node geometry of the graph of u, batched over nodes and in the
     base's orthonormal frame: f, f', f'' at u, the covariant gradient and
-    Hessian of u, second fundamental form, principal curvatures (ascending)
-    with eigenvector columns V[:, :, a] orthonormal for the induced metric,
+    Hessian of u, second fundamental form h, the lower triangles of
+    P = L^-1 (induced metric gtilde = L L^T) and of A = P h P^T, whose
+    eigenvalues are the principal curvatures, sigma_0 .. sigma_n of those,
     support function tau, v = sqrt(f^2 + |Du|^2).  One record per iterate
-    serves its residual, Jacobian and diagnostics."""
+    serves its residual, Jacobian and diagnostics; no eigensolve is made
+    unless lam is read."""
 
     f: np.ndarray       # (N,)
     fp: np.ndarray      # (N,)
@@ -482,10 +484,20 @@ class CurvatureRecord:
     du: np.ndarray      # (N, n)
     d2u: np.ndarray     # (N, n, n)
     h: np.ndarray       # (N, n, n)
-    lam: np.ndarray     # (N, n)
-    V: np.ndarray       # (N, n, n)
+    P: dict             # (i, j) -> (N,), j <= i
+    A: dict             # (i, j) -> (N,), j <= i
+    sig: np.ndarray     # (N, n + 1)
     tau: np.ndarray     # (N,)
     v: np.ndarray       # (N,)
+
+    @cached_property
+    def lam(self):
+        """Principal curvatures, ascending (N, n), computed on first use: for
+        diagnostics and export, never for a Newton iterate."""
+        A, n = self.A, self.sig.shape[-1] - 1
+        if n == 2:
+            return _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])[0]
+        return np.linalg.eigvalsh(_lower_matrix(A, n))  # reads the lower triangle
 
 
 def _dot(pairs):
@@ -545,6 +557,42 @@ def _eigh_2x2(a00, a10, a11):
     return np.stack([m - rad, m + rad], axis=-1), {(0, 0): -s, (1, 0): c, (0, 1): c, (1, 1): s}
 
 
+def _lower_matrix(A, n):
+    """The (..., n, n) array holding the entries A[i, j], j <= i, in its
+    lower triangle; the upper triangle is left unset."""
+    out = np.empty(np.shape(A[0, 0]) + (n, n))
+    for (i, j), a in A.items():
+        out[..., i, j] = a
+    return out
+
+
+def _principal_minor_sums(A, n):
+    """sigma_0 .. sigma_n of the eigenvalues of the symmetric matrices whose
+    lower triangle is A, stacked along a last axis: sigma_j is the sum of
+    the j x j principal minors."""
+    a00 = A[0, 0]
+    sig = np.empty(a00.shape + (n + 1,))
+    sig[..., 0] = 1.0
+    sig[..., 1] = sum(A[i, i] for i in range(n))
+    minors = {(i, j): A[i, i] * A[j, j] - A[i, j] ** 2 for i in range(n) for j in range(i)}
+    sig[..., 2] = sum(minors.values())
+    if n == 3:  # det A by its first column
+        sig[..., 3] = (a00 * minors[2, 1] - A[1, 0] * (A[1, 0] * A[2, 2] - A[2, 1] * A[2, 0])
+                       + A[2, 0] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+    return sig
+
+
+def pencil_invariants(gtilde, h):
+    """(P, A, sig) of the pencil h w = lam gtilde w, batched, with no
+    eigensolve: the lower triangles of P = L^-1, gtilde = L L^T, and of
+    A = P h P^T, whose eigenvalues are the lam, and sigma_0 .. sigma_n of
+    the lam as the sums of principal minors of A, stacked (..., n + 1).
+    Only the lower triangles of the symmetric gtilde and h are read."""
+    P = _inverse_cholesky_factor(gtilde)
+    A = _congruence(P, h)
+    return P, A, _principal_minor_sums(A, gtilde.shape[-1])
+
+
 def pencil_eigensystem(gtilde, h):
     """(lam, V): eigenvalues of the pencil h w = lam gtilde w, ascending, and
     gtilde-orthonormal eigenvector columns V[..., :, a], batched; only the
@@ -563,10 +611,7 @@ def pencil_eigensystem(gtilde, h):
     if n == 2:
         lam, W = _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])
     else:
-        lower = np.empty(gtilde.shape)
-        for (i, j), a in A.items():
-            lower[..., i, j] = a
-        lam, W = np.linalg.eigh(lower)  # reads the lower triangle only
+        lam, W = np.linalg.eigh(_lower_matrix(A, n))  # reads the lower triangle only
         W = {(k, a): W[..., k, a] for k in range(n) for a in range(n)}
     V = np.empty(gtilde.shape)
     for i in range(n):
@@ -586,7 +631,8 @@ def fundamental_forms(u: GridFunction, w: WarpingFunction):
     In the orthonormal frame of the base that the grid's operators use:
         gtilde = f^2 I + Du Du^T,
         h = (-f D^2u + 2 f' Du Du^T + f^2 f' I) / v,
-        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v.
+        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v,
+    and of the pencil (h, gtilde) only its pencil_invariants are formed.
     """
     f, fp, fpp = warp_eval(w, u.values)
     du, d2u = u.grid.gradient_hessian(u.values)
@@ -595,6 +641,6 @@ def fundamental_forms(u: GridFunction, w: WarpingFunction):
     eye = np.eye(du.shape[1])
     h = (-f[:, None, None] * d2u + 2.0 * fp[:, None, None] * uu
          + (f ** 2 * fp)[:, None, None] * eye) / v[:, None, None]
-    lam, V = pencil_eigensystem(f[:, None, None] ** 2 * eye + uu, h)
-    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, h=h,
-                           lam=lam, V=V, tau=f ** 2 / v, v=v)
+    P, A, sig = pencil_invariants(f[:, None, None] ** 2 * eye + uu, h)
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, h=h, P=P, A=A, sig=sig,
+                           tau=f ** 2 / v, v=v)

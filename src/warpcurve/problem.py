@@ -8,9 +8,9 @@ from math import comb
 
 import numpy as np
 
-from . import geometry, symfunc
+from . import geometry
 from .errors import ConeExitError, ConfigError, HypothesisError
-from .geometry import BaseGrid, GridFunction, WarpingFunction, warp_eval
+from .geometry import BaseGrid, GridFunction, WarpingFunction, _dot, warp_eval
 
 CHECK_SAMPLES = 64  # u-samples per range in check_hypotheses
 CHECK_CHUNK = 1 << 16  # entries of a coefficient product formed at a time
@@ -313,14 +313,15 @@ def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
 # Residual and Jacobian
 # ---------------------------------------------------------------------------
 
-def _check_cone(lam, k):
-    """Require every node's lam in Gamma_{k-1}; name the worst offender."""
-    margins = symfunc.cone_margins(lam, k - 1)
+def _check_cone(rec, k):
+    """Require every node's curvatures in Gamma_{k-1}, read from sigma_1 ..
+    sigma_{k-1}; name the worst offender and its curvatures."""
+    margins = rec.sig[:, 1:k].min(axis=1)
     worst = int(np.argmin(margins))
     if margins[worst] <= 0.0:
         raise ConeExitError(
             f"node {worst} left Gamma_{k-1} (margin {margins[worst]:.3e})",
-            node=worst, lam=lam[worst])
+            node=worst, lam=rec.lam[worst])
 
 
 def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
@@ -329,8 +330,8 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     if rec is None:
         rec = geometry.fundamental_forms(u, spec.warping)
     k = spec.k
-    _check_cone(rec.lam, k)
-    sig = symfunc.sigma_all(rec.lam)
+    _check_cone(rec, k)
+    sig = rec.sig
     den = sig[:, k - 1]
     F = sig[:, k] / den
     for l in range(k - 1):
@@ -340,56 +341,104 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     return u.with_values(F)
 
 
-def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
-    """Sparse Jacobian of the residual, by the chain rule through the
-    eigenvalue map of the pencil (h, gtilde), in the base's orthonormal
-    frame.  rec is the curvature record of u; it is built here when not given.
+def _sym(X, i, j):
+    """Entry (i, j) of a symmetric matrix given by its lower-triangle entries X."""
+    return X[max(i, j), min(i, j)]
 
-    For a symmetric pencil with gtilde-orthonormal eigenvectors v_a, the
-    first-order change of the operator value is
+
+def _sigma_derivatives(sig, k, t_alpha):
+    """{j: dF/dsigma_j} of F = (sigma_k - sum_l t_alpha[l] sigma_l) / sigma_{k-1},
+    the sum over l < k - 1 (none when t_alpha is empty); sigma_0 = 1 has none."""
+    den = sig[:, k - 1]
+    num = sig[:, k]
+    dF = {k: 1.0 / den}
+    for l, ta in enumerate(t_alpha):
+        num = num - ta * sig[:, l]
+        if l > 0:
+            dF[l] = -ta / den
+    dF[k - 1] = -num / den ** 2
+    return dF
+
+
+def _newton_tensor_forms(P, A, sig, dF):
+    """(M1, M2, Tr(M1 h)) of the Jacobian from the Newton tensors of A, for
+    an operator whose derivative in sigma_j is dF[j] (j >= 1), batched over
+    the nodes; M1 and M2 as lower-triangle entries like P and A.
+
+    G = dF/dA = sum_j dF[j] T_{j-1} and G A = sum_j dF[j] (sigma_j I - T_j),
+    with the Newton tensors T_j = sum_m (-1)^m sigma_{j-m} A^m, T_n = 0
+    (Reilly, J. Diff. Geom. 8, 1973).  Then M1 = P^T G P, M2 = P^T G A P,
+    and Tr(M1 h) = Tr(G A) = sum_j j dF[j] sigma_j.  Both M are combinations
+    of B_m = P^T A^m P, m < n, formed entry by entry like A itself:
+    B_0 = P^T P, B_1 = P^T Q and B_2 = Q^T Q with Q = A P.
+    """
+    n = sig.shape[1] - 1
+    g, q = {}, {}  # M1 = sum_m g[m] B_m and M2 = sum_m q[m] B_m
+    for j, d in dF.items():
+        for m in range(j):
+            g[m] = g.get(m, 0.0) + (-1) ** m * d * sig[:, j - 1 - m]
+        if j == n:
+            q[0] = q.get(0, 0.0) + d * sig[:, n]
+        else:
+            for m in range(1, j + 1):
+                q[m] = q.get(m, 0.0) + (-1) ** (m + 1) * d * sig[:, j - m]
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    Q = {(i, j): _dot((_sym(A, i, l), P[l, j]) for l in range(j, n))
+         for i in range(n) for j in range(n)}
+    B = [{(i, j): _dot((P[l, i], P[l, j]) for l in range(i, n)) for i, j in lower},
+         {(i, j): _dot((P[l, i], Q[l, j]) for l in range(i, n)) for i, j in lower}]
+    if n == 3:
+        B.append({(i, j): _dot((Q[l, i], Q[l, j]) for l in range(n)) for i, j in lower})
+    M1 = {e: _dot((c, B[m][e]) for m, c in g.items()) for e in lower}
+    M2 = {e: _dot((c, B[m][e]) for m, c in q.items()) for e in lower}
+    return M1, M2, _dot((j * d, sig[:, j]) for j, d in dF.items())
+
+
+def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
+    """Sparse Jacobian of the residual, by the chain rule through sigma_j of
+    the pencil (h, gtilde), in the base's orthonormal frame.  rec is the
+    curvature record of u; it is built here when not given.
+
+    The first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
-    M1 = sum_a G^a v_a v_a^T, M2 = sum_a G^a lam_a v_a v_a^T, both well
-    defined across eigenvalue crossings; Tr(M1 h) = sum_a G^a lam_a.  J is
-    filled on the grid's pattern.
+    with M1 = P^T G P, M2 = P^T G A P, G = dF/dA (see _newton_tensor_forms);
+    on an eigenbasis these are sum_a G^a v_a v_a^T and sum_a G^a lam_a v_a v_a^T,
+    G^a = dF/dlam_a, and they need no eigenvectors, so they are defined
+    across eigenvalue crossings.  J is filled on the grid's pattern.
     """
     grid, k = spec.grid, spec.k
     pattern = grid.pattern  # a first call builds it here, before the arrays below exist
     if rec is None:
         rec = geometry.fundamental_forms(u, spec.warping)
-    _check_cone(rec.lam, k)
-    lam, V = rec.lam, rec.V
-    quot, dquot = symfunc.quotient_and_grads(lam, k)
-    Glam = dquot[:, k, :].copy()
+    _check_cone(rec, k)
+    sig = rec.sig
+    t_alpha = [t * spec.alpha(l, u.values) for l in range(k - 1)] if t != 0.0 else []
+    M1, M2, tr_M1h = _newton_tensor_forms(rec.P, rec.A, sig, _sigma_derivatives(sig, k, t_alpha))
     Fu = np.zeros(grid.num_nodes)
-    for l in range(k - 1):
-        if t != 0.0:
-            al = spec.alpha(l, u.values)
-            Glam -= t * al[:, None] * dquot[:, l, :]
-            Fu -= t * spec.alpha_du(l, u.values) * quot[:, l]
+    for l in range(len(t_alpha)):
+        Fu -= t * spec.alpha_du(l, u.values) * (sig[:, l] / sig[:, k - 1])
     Fu -= _alpha_k1_homotopy_du(u.values, t, spec, rec)
 
     f, fp, fpp = rec.f, rec.fp, rec.fpp
     du, d2u, v = rec.du, rec.d2u, rec.v
-    Vt = np.swapaxes(V, 1, 2)
-    M1 = (V * Glam[:, None, :]) @ Vt
-    M2 = (V * (Glam * lam)[:, None, :]) @ Vt
-    M1du, M2du = (M1 @ du[:, :, None])[:, :, 0], (M2 @ du[:, :, None])[:, :, 0]
-    tr_M1h = np.sum(Glam * lam, axis=1)  # V^T h V = diag(lam)
+    n = grid.n
+    M1du = [_dot((_sym(M1, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    M2du = [_dot((_sym(M2, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    M1d2u = _dot(((1.0 if i == j else 2.0) * M1[i, j], d2u[:, i, j])
+                 for i in range(n) for j in range(i + 1))
 
     # c0 = Tr(M1 dh/du) - Tr(M2 dgtilde/du) + dF/du with dgtilde/du = 2 f f' I,
     # dh/du = K0 / v - h f f' / v^2, K0 = -f' D^2u + 2 f'' Du Du^T + (2 f f'^2 + f^2 f'') I
-    c0 = ((-fp * np.sum(M1 * d2u, axis=(1, 2)) + 2.0 * fpp * np.sum(du * M1du, axis=1)
-           + (2.0 * f * fp ** 2 + f ** 2 * fpp) * np.trace(M1, axis1=1, axis2=2)) / v
+    c0 = ((-fp * M1d2u + 2.0 * fpp * _dot(zip(du.T, M1du))
+           + (2.0 * f * fp ** 2 + f ** 2 * fpp) * sum(M1[i, i] for i in range(n))) / v
           - tr_M1h * f * fp / v ** 2
-          - 2.0 * f * fp * np.trace(M2, axis1=1, axis2=2)
+          - 2.0 * f * fp * sum(M2[i, i] for i in range(n))
           + Fu)
-    c1 = (4.0 * fp[:, None] * M1du / v[:, None]
-          - tr_M1h[:, None] * du / v[:, None] ** 2
-          - 2.0 * M2du)
-    c2 = -f[:, None, None] * M1 / v[:, None, None]
-
+    c1 = [4.0 * fp * M1du[i] / v - tr_M1h * du[:, i] / v ** 2 - 2.0 * M2du[i]
+          for i in range(n)]
+    c2 = {(i, j): -f * M1[j, i] / v for i, j in grid.hess_ops}  # hess_ops keys have i <= j
     return pattern.matrix(
-        [c0, *c1.T, *(c2[:, i, j] if i == j else 2.0 * c2[:, i, j] for i, j in grid.hess_ops)])
+        [c0, *c1, *(c2[i, j] if i == j else 2.0 * c2[i, j] for i, j in grid.hess_ops)])
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,14 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
     if rec is None:
         rec = geometry.fundamental_forms(u, spec.warping)
     k = spec.k
-    sig = symfunc.sigma_all(rec.lam)
+    sig = rec.sig
     cone_margin = float(sig[:, 1:k].min())
 
     # Newton-Maclaurin certificate wherever lam in Gamma_k
     in_gk = sig[:, 1:k + 1].min(axis=1) > 0.0
     nm_min = np.inf
     if np.any(in_gk):
-        lam_gk = rec.lam[in_gk]
-        m1, m2 = symfunc.newton_maclaurin_margins(lam_gk, k, k - 1, 1, 0)
+        m1, m2 = symfunc.newton_maclaurin_margins(rec.lam[in_gk], k, k - 1, 1, 0)
         nm_min = float(min(m1.min(), m2.min()))
 
     flags = []
@@ -92,7 +91,8 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
 
 
 def initial_solution(spec: ProblemSpec):
-    """Constant field at the root of phi = 1 (the t = 0 solution), and its record."""
+    """Constant field at the root of phi = 1 (the t = 0 solution), its record,
+    and its residual |F(u0, 0)|_inf, rounding only."""
     u0 = spec.phi.root
     if not spec.r1 < u0 < spec.r2:
         raise ConfigError(f"phi has no root in (r1, r2): u0={u0}")
@@ -101,7 +101,7 @@ def initial_solution(spec: ProblemSpec):
     norm = float(np.abs(problem.residual(u, 0.0, spec, rec).values).max())
     if norm > 1e-10:
         raise ConfigError(f"constant start fails the t=0 equation (|F|={norm:.3e})")
-    return u, rec
+    return u, rec, norm
 
 
 # GMRES settings for Newton systems: the floor of the relative tolerance on
@@ -219,26 +219,32 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         stats.residual_norms.append(float(np.abs(F).max()))
 
 
+def _log(steps, log_stream, entry):
+    """Append entry to steps and write it to log_stream as one JSON line."""
+    steps.append(entry)
+    if log_stream is not None:
+        log_stream.write(json.dumps(entry) + "\n")
+
+
 def _record(steps, log_stream, spec, t, u, stats, rec):
     """Append the step record of u, solved at t on spec's grid, to steps and
     write it to log_stream; returns u's diagnostics."""
     diag = diagnostics(u, spec, rec)
-    entry = {"t": t, "grid": list(spec.grid.shape), "newton_iters": stats.iterations,
-             "linear_iters": stats.linear_iters,
-             "lu_fallbacks": stats.lu_fallbacks, "backtracks": stats.backtracks,
-             "residual_norm": stats.residual_norms[-1],
-             "residual_history": stats.residual_norms,
-             "u_min": diag.u_min, "u_max": diag.u_max,
-             "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max}
-    steps.append(entry)
-    if log_stream is not None:
-        log_stream.write(json.dumps(entry) + "\n")
+    _log(steps, log_stream, {
+        "t": t, "grid": list(spec.grid.shape), "accepted": True,
+        "newton_iters": stats.iterations, "linear_iters": stats.linear_iters,
+        "lu_fallbacks": stats.lu_fallbacks, "backtracks": stats.backtracks,
+        "residual_norm": stats.residual_norms[-1],
+        "residual_history": stats.residual_norms,
+        "u_min": diag.u_min, "u_max": diag.u_max,
+        "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max})
     return diag
 
 
 def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> ContinuationState:
     """Follow the homotopy path from the constant solution at t = 0 on
-    spec's own grid, appending a record per accepted step to steps.
+    spec's own grid, appending a record per attempted step to steps: a
+    rejected one names its error and the dt it tried.
 
     Predictor-corrector: the first step starts Newton from the constant
     solution, where the first Newton step is already the tangent (Euler)
@@ -252,12 +258,12 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
     # a record goes to the next Newton solve or step record, which frees it
     # on moving on (holding it here too raised peak RSS); a failed first
     # step's retry rebuilds it, and a predicted start builds its own
-    u, *handoff = initial_solution(spec)
+    u, *handoff, norm = initial_solution(spec)
     t = 0.0
     u_prev = t_prev = None
     dt = spec.dt_init
     easy_run = 0
-    diag = _record(steps, log_stream, spec, 0.0, u, NewtonStats(residual_norms=[0.0]), handoff[0])
+    diag = _record(steps, log_stream, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
 
     while t < t_final:
         t_next = min(t_final, t + dt)
@@ -267,6 +273,9 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
             u_next, stats, *handoff = newton_solve(start, t_next, spec,
                                                    rec=handoff.pop() if handoff else None)
         except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
+            _log(steps, log_stream, {"t": t_next, "grid": list(spec.grid.shape),
+                                     "accepted": False, "dt": t_next - t,
+                                     "error": type(exc).__name__})
             dt *= 0.5
             easy_run = 0
             if dt < spec.dt_min:

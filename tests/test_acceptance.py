@@ -98,7 +98,7 @@ def test_criterion_03_homotopy_start():
     spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
                        k=2, coeffs=coeffs, phi=PhiFunction(1.3),
                        r1=1.0, r2=1.6)
-    u0, _ = solver.initial_solution(spec)
+    u0, _, _ = solver.initial_solution(spec)
     res0 = float(np.abs(residual(u0, 0.0, spec).values).max())
     u_pert = u0.with_values(u0.values + 0.05 * np.sin(grid.coords[:, 0]))
     u_back, _, _ = solver.newton_solve(u_pert, 0.0, spec)
@@ -168,7 +168,7 @@ def test_criterion_08_ellipticity_along_path():
     spec = torus2d_spec((10, 10), eps=(0.05, 0.05),
                         profiles=({"kind": "cos", "axis": 0},
                                   {"kind": "sin", "axis": 1}))
-    u, _ = solver.initial_solution(spec)
+    u, _, _ = solver.initial_solution(spec)
     min_grad = np.inf
     for t in np.linspace(0.0, 1.0, 11):
         u, _, _ = solver.newton_solve(u, float(t), spec)

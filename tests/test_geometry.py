@@ -6,6 +6,8 @@ from warpcurve.errors import ConfigError, DomainError, GeometryError
 from warpcurve.geometry import (FlatTorus, GridFunction, Sphere2,
                                 WarpingFunction, fundamental_forms,
                                 principal_curvatures, warp_eval)
+from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
+                               ProblemSpec, jacobian, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +395,24 @@ def test_pencil_eigensystem_matches_scipy_eigh(n, cond):
 @pytest.mark.parametrize("grid", [FlatTorus((8, 6)), Sphere2(8, 16), FlatTorus((6, 5, 4))],
                          ids=["torus2", "sphere2", "torus3"])
 def test_fundamental_forms_needs_no_lapack_cholesky_or_inv(grid, monkeypatch):
+    # no batched factorization, inverse or eigensolve in a Newton iterate:
+    # the record, its residual and its Jacobian (k = n, so the 3-torus runs
+    # the A^2 Newton tensor); the curvatures are read only as sigma_j
     def no_lapack(*args, **kwargs):
-        raise AssertionError("batched LAPACK cholesky or inv used")
-    monkeypatch.setattr(np.linalg, "cholesky", no_lapack)
-    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+        raise AssertionError("batched LAPACK cholesky, inv or eigensolve used")
+    for name in ("cholesky", "inv", "eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
     x = grid.coords
     u = GridFunction(1.3 + 0.05 * np.cos(x[:, 0]) + 0.03 * np.sin(x[:, -1]), grid)
-    rec = fundamental_forms(u, WarpingFunction("hyperbolic", 1.0))
-    assert np.all(np.isfinite(rec.lam)) and np.all(np.isfinite(rec.V))
+    w = WarpingFunction("hyperbolic", 1.0)
+    rec = fundamental_forms(u, w)
+    assert np.all(np.isfinite(rec.sig))
+    k = grid.n
+    spec = ProblemSpec(grid=grid, warping=w, k=k, phi=PhiFunction(1.3), r1=1.0, r2=1.6,
+                       coeffs=CoefficientFamily([CoefficientTerm(1.0)] * k, k))
+    for t in (0.0, 0.5):
+        assert np.all(np.isfinite(residual(u, t, spec, rec).values))
+        assert np.all(np.isfinite(jacobian(u, t, spec, rec).data))
 
 
 def test_small_perturbation_matches_directional_difference():

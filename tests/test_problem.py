@@ -236,21 +236,30 @@ def test_jacobian_both_paths_match_oracle():
 @pytest.mark.parametrize("grid, profiles", [
     (FlatTorus((16, 16)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 1})),
     (Sphere2(12, 24), ({"kind": "sphere_z"}, {"kind": "sphere_x"})),
-], ids=["torus2-16", "sphere-12x24"])
+    (FlatTorus((10, 10, 10)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 2})),
+    (FlatTorus((10, 10, 10)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 2},
+                               {"kind": "cos", "axis": 1})),
+], ids=["torus2-16", "sphere-12x24", "torus3-10-k2", "torus3-10-k3"])
 def test_jacobian_matches_extrapolated_directional_difference(grid, profiles):
-    # the n = 2 closed-form eigensystem feeds this Jacobian.  A plain central
-    # difference missed it by 1.6e-5 on the sphere, O(h^2) in the pole rows;
-    # the Richardson-extrapolated oracle misses by 8.1e-11 there and by
-    # 5.2e-11 on the torus, rounding in the difference quotients
-    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
-                                CoefficientTerm(0.5, 0.05, profiles[1])], 2)
+    # the Newton-tensor Jacobian against an independent difference.  A plain
+    # central difference missed it by 1.6e-5 on the sphere, O(h^2) in the
+    # pole rows; the Richardson-extrapolated oracle misses by 8.1e-11 there
+    # and by 5.2e-11 on the 2-torus, rounding in the difference quotients.
+    # On the 3-torus (k = 3 is the only case whose dF/dA has an A^2 term) it
+    # misses by 7.5e-11 (k = 2) and 5.7e-11 (k = 3), the eigenvector formula
+    # it replaced by 1.0e-10 and 7.5e-11
+    k = len(profiles)
+    coeffs = CoefficientFamily([CoefficientTerm(a, 0.05, p)
+                                for a, p in zip((3.0, 0.5, 0.5), profiles)], k)
     spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
-                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+                       k=k, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
     x = grid.coords
     if isinstance(grid, Sphere2):  # smooth across the poles
         bump = 0.03 * np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.02 * np.cos(x[:, 0])
     else:
         bump = 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])
+        if grid.n == 3:
+            bump += 0.01 * np.sin(x[:, 2])
     u = GridFunction(1.45 + bump, grid)
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -261,6 +270,60 @@ def test_jacobian_matches_extrapolated_directional_difference(grid, profiles):
             ref = fd_directional(u, d, t, spec).values
             worst = max(worst, np.abs(J @ d.values - ref).max() / max(1.0, np.abs(ref).max()))
     assert worst <= 1e-9
+
+
+def random_pencils(n, kind, N=400, seed=0):
+    """N pencils (gtilde, h): gtilde SPD, h = s gtilde + amp (B + B^T) with
+    s = +-(1..2) per pencil, so about half have every lam < 0, and amp 0.5
+    (random), 1e-7 (near-degenerate) or 0 (exactly umbilic)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, n, n)) / np.sqrt(n)
+    gtilde = np.eye(n) + 0.5 * X @ np.swapaxes(X, 1, 2)
+    s = rng.choice([-1.0, 1.0], N) * rng.uniform(1.0, 2.0, N)
+    B = rng.standard_normal((N, n, n))
+    amp = {"random": 0.5, "near-degenerate": 1e-7, "umbilic": 0.0}[kind]
+    return gtilde, s[:, None, None] * gtilde + amp * (B + np.swapaxes(B, 1, 2))
+
+
+@pytest.mark.parametrize("kind", ["random", "near-degenerate", "umbilic"])
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
+def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
+    # sigma from principal minors and M1, M2, Tr(M1 h) from Newton tensors,
+    # against sigma_all of the pencil eigenvalues and the eigenvector formula
+    # M1 = V diag(G) V^T, M2 = V diag(G lam) V^T, G = dF/dlam; measured
+    # at most 2.8e-15 (sigma) and 9.4e-15 (M)
+    gtilde, h = random_pencils(n, kind)
+    P, A, sig = geometry.pencil_invariants(gtilde, h)
+    lam, V = geometry.pencil_eigensystem(gtilde, h)
+    scale = np.abs(lam).max(axis=1, keepdims=True)
+    ref = symfunc.sigma_all(lam)
+    assert np.all(np.abs(sig - ref) <= 1e-14 * scale ** np.arange(n + 1))
+
+    inside = sig[:, 1:k].min(axis=1) > 0.0
+    assert 0 < inside.sum() < inside.size
+    rng = np.random.default_rng(1)
+    t_alpha = [rng.uniform(0.5, 2.0, lam.shape[0]) for _ in range(k - 1)]
+    M1, M2, tr_M1h = problem._newton_tensor_forms(
+        P, A, sig, problem._sigma_derivatives(sig, k, t_alpha))
+    _, dquot = symfunc.quotient_and_grads(lam[inside], k)
+    G = dquot[:, k] - sum(ta[inside, None] * dquot[:, l] for l, ta in enumerate(t_alpha))
+    Vi, Vt = V[inside], np.swapaxes(V[inside], 1, 2)
+    for M, D in ((M1, G), (M2, G * lam[inside])):
+        want = (Vi * D[:, None, :]) @ Vt
+        size = np.abs(want).max(axis=(1, 2))
+        for (i, j), got in M.items():
+            assert np.all(np.abs(got[inside] - want[:, i, j]) <= 1e-12 * size)
+    want = np.sum(G * lam[inside], axis=1)
+    assert np.all(np.abs(tr_M1h[inside] - want) <= 1e-12 * np.abs(G * lam[inside]).sum(axis=1))
+
+    # the cone check names the worst node by sigma and its pencil eigenvalues
+    rec = geometry.CurvatureRecord(f=None, fp=None, fpp=None, du=None, d2u=None, h=h,
+                                   P=P, A=A, sig=sig, tau=None, v=None)
+    with pytest.raises(ConeExitError) as err:
+        problem._check_cone(rec, k)
+    node = err.value.node
+    assert node == int(np.argmin(sig[:, 1:k].min(axis=1)))
+    assert np.all(np.abs(np.array(err.value.lam) - lam[node]) <= 1e-14 * scale[node])
 
 
 def test_jacobian_constant_mode_positive_at_start():

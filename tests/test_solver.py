@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from warpcurve import geometry, problem, solver
+from warpcurve import cli, geometry, problem, solver
 from warpcurve.errors import (ConeExitError, ConfigError, ContinuationError,
                               NonConvergenceError, StepFailureError)
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
@@ -26,9 +26,9 @@ def hyperbolic_spec(resolution=(6, 6, 6), **kwargs):
 
 def test_initial_solution_is_constant_pivot():
     spec = hyperbolic_spec()
-    u0, rec = solver.initial_solution(spec)
+    u0, rec, norm = solver.initial_solution(spec)
     assert np.all(u0.values == spec.phi.pivot)
-    assert np.abs(residual(u0, 0.0, spec).values).max() <= 1e-12
+    assert norm == np.abs(residual(u0, 0.0, spec).values).max() <= 1e-12
     assert np.array_equal(rec.lam, geometry.fundamental_forms(u0, spec.warping).lam)
 
 
@@ -71,10 +71,10 @@ def test_continuation_radial_reaches_oracle_root():
     lines = [json.loads(s) for s in stream.getvalue().splitlines()]
     assert len(lines) == len(state.steps)
     for rec in lines:
-        assert set(rec) == {"t", "grid", "newton_iters", "linear_iters", "lu_fallbacks",
-                            "backtracks", "residual_norm", "residual_history",
+        assert set(rec) == {"t", "grid", "accepted", "newton_iters", "linear_iters",
+                            "lu_fallbacks", "backtracks", "residual_norm", "residual_history",
                             "u_min", "u_max", "tau_min", "lambda_abs_max"}
-        assert rec["grid"] == [8, 8, 8]
+        assert rec["grid"] == [8, 8, 8] and rec["accepted"] is True
         # the |F| of every Newton iterate, the start first
         assert len(rec["residual_history"]) == rec["newton_iters"] + 1
         assert rec["residual_history"][-1] == rec["residual_norm"]
@@ -84,6 +84,19 @@ def test_continuation_radial_reaches_oracle_root():
     # preconditioner inverts exactly: one GMRES iteration per Newton step
     assert all(rec["linear_iters"] == rec["newton_iters"] for rec in lines)
     assert lines[-1]["linear_iters"] > 0
+
+
+def test_first_log_record_carries_the_start_residual():
+    # the t = 0 record logs the constant start's measured |F(u0, 0)|, which
+    # is rounding, not an exact zero
+    spec = hyperbolic_spec()
+    _, _, norm = solver.initial_solution(spec)
+    assert norm > 0.0
+    stream = io.StringIO()
+    solver.continuation(spec, log_stream=stream)
+    first = json.loads(stream.getvalue().splitlines()[0])
+    assert first["t"] == 0.0 and first["newton_iters"] == 0
+    assert first["residual_norm"] == norm and first["residual_history"] == [norm]
 
 
 def test_continuation_frozen_at_zero():
@@ -540,6 +553,33 @@ def test_failed_predicted_start_halves_the_step(monkeypatch):
     assert np.abs(offset).max() > 0.0
     assert np.abs(retry.values - u1.values - 0.5 * offset).max() <= 1e-14
     assert np.abs(state.u.values - unforced.u.values).max() <= 1e-9
+
+
+def test_rejected_attempt_gets_its_own_record(monkeypatch, tmp_path):
+    # the forced failure of test_failed_predicted_start_halves_the_step is
+    # logged as its own record; the archive's totals count accepted ones only
+    spec = perturbed_spec((16, 16), 2)
+    calls = record_newton_solves(monkeypatch, fail_calls={1})
+    stream = io.StringIO()
+    state = solver.continuation(spec, log_stream=stream)
+    lines = [json.loads(s) for s in stream.getvalue().splitlines()]
+    assert lines == state.steps
+    (_, t1, _), (_, t2, _) = calls[:2]
+    rejected = [rec for rec in lines if not rec["accepted"]]
+    assert rejected == [{"t": t2, "grid": [16, 16], "accepted": False,
+                         "dt": t2 - t1, "error": "ConeExitError"}]
+    assert lines.index(rejected[0]) == 2  # after the t = 0 and t1 records
+    accepted = [rec for rec in lines if rec["accepted"]]
+    # the t = 0 record and one per solve but the failed one
+    assert len(accepted) == len(calls)
+
+    cli.write_archive(tmp_path, {}, spec, state, "converged")
+    with open(tmp_path / "metadata.json") as fh:
+        totals = json.load(fh)["totals"]
+    assert totals == {key: sum(rec[key] for rec in accepted) for key in totals}
+    assert totals["newton_iters"] > 0
+    with open(tmp_path / "log.jsonl") as fh:
+        assert [json.loads(line) for line in fh] == lines
 
 
 def test_newton_start_outside_the_guarded_annulus_fails():
