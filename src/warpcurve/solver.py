@@ -67,11 +67,12 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
     sig = rec.sig
     cone_margin = float(sig[:, 1:k].min())
 
-    # Newton-Maclaurin certificate wherever lam in Gamma_k
+    # Newton-Maclaurin certificate wherever lam in Gamma_k, from the record's
+    # sigma; lam is read only for lambda_abs_max
     in_gk = sig[:, 1:k + 1].min(axis=1) > 0.0
     nm_min = np.inf
     if np.any(in_gk):
-        m1, m2 = symfunc.newton_maclaurin_margins(rec.lam[in_gk], k, k - 1, 1, 0)
+        m1, m2 = symfunc._newton_maclaurin_from_sigma(sig[in_gk], k, k - 1, 1, 0)
         nm_min = float(min(m1.min(), m2.min()))
 
     flags = []
@@ -182,7 +183,10 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
                 f"Newton did not reach {spec.newton_tol:.1e} in {spec.max_newton} iterations "
                 f"(last |F| = {norm:.3e}, rounding floor {floor:.3e})")
         J = problem.jacobian(u, t, spec, rec)
-        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * spla.norm(J, np.inf)
+        # |J|_inf by row sums of |data|: every pattern row holds its identity
+        # entry, so no row is empty
+        J_inf = np.add.reduceat(np.abs(J.data), J.indptr[:-1]).max()
+        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * J_inf
         if norm <= floor:  # a start already at the floor, where no step can decrease |F|
             return u, stats, rec
         rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / np.sqrt(norm2))
@@ -297,20 +301,22 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
 
 
 # A coarse level halves every axis of its grid and keeps at least this many
-# nodes on each.  On a perturbed Sphere2(64, 128) and 64^2 torus, coarsest
-# levels of 4 to 32 nodes per axis all let every finer level finish in one
-# or two Newton iterations; 16 leaves a margin for steeper coefficient
-# profiles, which a coarser grid would resolve worse.
-COARSEST_AXIS = 16
+# nodes in all (16^2), so 3-D grids sequence too: 16^3 -> 8^3, and
+# Sphere2(96, 192) goes down to 12 x 24.  On a perturbed Sphere2(64, 128) and 64^2
+# torus, coarsest levels of 4 to 32 nodes per axis all let every finer level
+# finish in one or two Newton iterations, and on a perturbed 16^3 torus the
+# 8^3 level lets 16^3 finish in two; the budget leaves a margin for steeper
+# coefficient profiles, which a coarser grid would resolve worse.
+COARSEST_NODES = 256
 
 
 def _coarse_spec(spec: ProblemSpec):
     """spec on its grid with every axis halved, or None when that grid would
-    have fewer than COARSEST_AXIS nodes on an axis or cannot be built, or
-    the coefficients are given per node and cannot be sampled there."""
+    have fewer than COARSEST_NODES nodes or cannot be built, or the
+    coefficients are given per node and cannot be sampled there."""
     grid = spec.grid
     half = [size // 2 for size in grid.shape]
-    if min(half) < COARSEST_AXIS:
+    if np.prod(half) < COARSEST_NODES:
         return None
     coarse = copy.copy(spec)
     coarse.coeffs = copy.copy(spec.coeffs)  # bind samples the profiles in place
@@ -328,15 +334,19 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     """Solve spec at t_final by grid sequencing.
 
     The homotopy path from the constant solution at t = 0 is followed on the
-    coarsest level of spec's grid (see _coarse_spec); each finer level, up to
-    spec's own grid, prolongs the level below (grid.prolong_from) and
-    finishes with Newton at t_final.  A grid with no coarse level, or a
-    ladder in which anything fails, is solved by the homotopy on spec's own
-    grid, so a ContinuationError is always that path's and its last_state
-    is on spec's grid.  Every step record names the grid it ran on; the
-    records of a failed ladder stay in front of the fallback's.  With
-    check=True the structural hypotheses are verified first and a violation
-    raises HypothesisError; callers that have already checked them pass False.
+    coarsest level of spec's grid: the last grid of halved axes that keeps
+    COARSEST_NODES nodes (see _coarse_spec), so 8^3 for 16^3 and 16 x 32 for
+    Sphere2(64, 128).  Each finer level, up to spec's own grid, prolongs the
+    level below (grid.prolong_from) and finishes with Newton at t_final.  A
+    grid with no coarse level, or a ladder in which anything fails, is
+    solved by the homotopy on spec's own grid, so a ContinuationError is
+    always that path's and its last_state is on spec's grid.  Every step
+    record names the grid it ran on.  A failed ladder's records stay in
+    front of the fallback's and end in one record of the level that failed:
+    its grid, t_final, the error's type and "accepted": false, with no dt.
+    With check=True the structural hypotheses are verified first and a
+    violation raises HypothesisError; callers that have already checked them
+    pass False.
     """
     if check:
         problem.check_hypotheses(spec).raise_if_failed()
@@ -346,8 +356,9 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
         levels.insert(0, coarse)
     steps = []
     if len(levels) > 1:
+        level = levels[0]
         try:
-            state = _homotopy(levels[0], t_final, log_stream, steps)
+            state = _homotopy(level, t_final, log_stream, steps)
             for level in levels[1:]:
                 u = GridFunction(level.grid.prolong_from(state.u.values, state.u.grid),
                                  level.grid)
@@ -356,6 +367,9 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
                 state = ContinuationState(t=t_final, u=u, diagnostics=diag, steps=steps)
             return state
         except WarpcurveError as exc:
-            log.info("grid sequencing failed (%s: %s); following the path on the %s grid",
+            _log(steps, log_stream, {"t": t_final, "grid": list(level.grid.shape),
+                                     "accepted": False, "error": type(exc).__name__})
+            log.info("grid sequencing failed on the %s level (%s: %s); following the "
+                     "path on the %s grid", "x".join(map(str, level.grid.shape)),
                      type(exc).__name__, exc, "x".join(map(str, spec.grid.shape)))
     return _homotopy(spec, t_final, log_stream, steps)

@@ -79,7 +79,14 @@ def newton_maclaurin_margins(lam, k, l, r, s):
     if np.any(sig[..., 1:k + 1].min(axis=-1) <= 0.0):
         raise ConeExitError(f"newton_maclaurin_margins requires lam in Gamma_{k}", lam=np.atleast_2d(lam)[0])
 
-    sig_lm1 = sig[..., l - 1] if l >= 1 else np.zeros(lam.shape[:-1])
+    return _newton_maclaurin_from_sigma(sig, k, l, r, s)
+
+
+def _newton_maclaurin_from_sigma(sig, k, l, r, s):
+    """newton_maclaurin_margins from sig = sigma_all(lam) at lam in Gamma_k,
+    indices unchecked."""
+    n = sig.shape[-1] - 1
+    sig_lm1 = sig[..., l - 1] if l >= 1 else np.zeros(sig.shape[:-1])
     lhs = k * (n - l + 1) * sig_lm1 * sig[..., k]
     rhs = l * (n - k + 1) * sig[..., l] * sig[..., k - 1]
     product_margin = rhs - lhs

@@ -447,7 +447,7 @@ def test_sphere_96x192_converges_above_default_tolerance(monkeypatch):
     monkeypatch.setattr(problem, "jacobian", counted)
     spec = perturbed_sphere_spec(96, 192)
     state = solver.continuation(spec)
-    assert state.t == 1.0 and state.steps[0]["grid"] == [24, 48]  # sequenced
+    assert state.t == 1.0 and state.steps[0]["grid"] == [12, 24]  # sequenced
     assert state.steps[-1]["grid"] == [96, 192]
     assert state.steps[-1]["residual_norm"] > spec.newton_tol
     F = residual(state.u, 1.0, spec).values
@@ -592,7 +592,7 @@ def test_newton_start_outside_the_guarded_annulus_fails():
 # grid sequencing
 # ---------------------------------------------------------------------------
 
-def test_coarse_levels_halve_every_axis_down_to_16():
+def test_coarse_levels_halve_every_axis_down_to_256_nodes():
     def shapes(spec):
         out = [spec.grid.shape]
         while (spec := solver._coarse_spec(spec)) is not None:
@@ -600,16 +600,20 @@ def test_coarse_levels_halve_every_axis_down_to_16():
         return out
     assert shapes(perturbed_sphere_spec(64, 128)) == [(64, 128), (32, 64), (16, 32)]
     assert shapes(perturbed_spec((64, 64), 2)) == [(64, 64), (32, 32), (16, 16)]
-    assert shapes(perturbed_spec((16, 16, 16), 3)) == [(16, 16, 16)]
+    assert shapes(perturbed_spec((16, 16, 16), 3)) == [(16, 16, 16), (8, 8, 8)]
+    assert shapes(perturbed_spec((32, 32, 32), 3)) == [(32, 32, 32), (16, 16, 16), (8, 8, 8)]
+    assert shapes(perturbed_sphere_spec(96, 192))[-1] == (12, 24)
     assert shapes(perturbed_spec((33, 40), 2)) == [(33, 40), (16, 20)]
     # (16, 33) would have an odd longitude count
     assert shapes(perturbed_sphere_spec(64, 132)) == [(64, 132), (32, 66)]
 
 
-@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(64, 128),
-                                     lambda: perturbed_spec((64, 64), 2)],
-                         ids=["sphere-64x128", "torus2-64"])
-def test_sequenced_solution_matches_the_direct_homotopy(spec_fn):
+@pytest.mark.parametrize("spec_fn,ladder", [
+    (lambda: perturbed_sphere_spec(64, 128), [[16, 32], [32, 64], [64, 128]]),
+    (lambda: perturbed_spec((64, 64), 2), [[16, 16], [32, 32], [64, 64]]),
+    (lambda: perturbed_spec((16, 16, 16), 3), [[8, 8, 8], [16, 16, 16]])],
+                         ids=["sphere-64x128", "torus2-64", "torus3-16-k3"])
+def test_sequenced_solution_matches_the_direct_homotopy(spec_fn, ladder):
     spec = spec_fn()
     # the coarse levels bind copies of the coefficients, never spec's own
     before = [spec.alpha(l, 1.3) for l in range(spec.k)]
@@ -618,10 +622,11 @@ def test_sequenced_solution_matches_the_direct_homotopy(spec_fn):
     direct = solver._homotopy(spec, 1.0, None)
     assert np.abs(state.u.values - direct.u.values).max() <= 1e-9
     # the path on the coarsest grid, then one Newton record per finer grid
-    grids, shape = [rec["grid"] for rec in state.steps], list(spec.grid.shape)
-    assert grids[0] == [s // 4 for s in shape]
-    assert grids[-2:] == [[s // 2 for s in shape], shape]
-    assert [rec["t"] for rec in state.steps[-2:]] == [1.0, 1.0]
+    grids = [rec["grid"] for rec in state.steps]
+    path = len(state.steps) - len(ladder) + 1
+    assert all(grid == ladder[0] for grid in grids[:path])
+    assert grids[path:] == ladder[1:]
+    assert all(rec["t"] == 1.0 and rec["accepted"] for rec in state.steps[path - 1:])
     assert state.u.grid is spec.grid and state.t == 1.0
 
 
@@ -646,10 +651,13 @@ def test_failed_fine_newton_falls_back_to_the_direct_homotopy(monkeypatch):
     state = solver.continuation(spec)
     assert failures == [1.0]  # the fine level's Newton, not a homotopy step
     assert np.array_equal(state.u.values, direct.u.values)
-    # the ladder's records stay in front of the fallback's, which restart at t = 0
+    # the ladder's records stay in front of the fallback's, which restart at
+    # t = 0, and end in one record of the level that failed
     start = [rec["grid"] for rec in state.steps].index([32, 32])
     assert {tuple(rec["grid"]) for rec in state.steps[:start]} == {(16, 16)}
-    assert state.steps[start:] == direct.steps
+    assert state.steps[start] == {"t": 1.0, "grid": [32, 32], "accepted": False,
+                                  "error": "StepFailureError"}
+    assert state.steps[start + 1:] == direct.steps
 
 
 def test_failed_sequencing_raises_the_direct_paths_error(monkeypatch):
@@ -670,7 +678,13 @@ def test_coarse_failure_raises_the_direct_paths_error():
     with pytest.raises(ContinuationError) as err:
         solver.continuation(spec)
     assert err.value.last_state.u.grid is spec.grid
-    assert {tuple(rec["grid"]) for rec in err.value.last_state.steps} == {(16, 16), (32, 32)}
+    steps = err.value.last_state.steps
+    assert {tuple(rec["grid"]) for rec in steps} == {(16, 16), (32, 32)}
+    # the coarse path's records end in the failed level's, before the fine t = 0
+    start = [rec["grid"] for rec in steps].index([32, 32])
+    assert steps[start - 1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
+                                "error": "ContinuationError"}
+    assert steps[start]["t"] == 0.0 and steps[start]["accepted"]
 
 
 def test_tabulated_coefficients_take_the_direct_path():
