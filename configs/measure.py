@@ -1,0 +1,42 @@
+"""Solve one configuration and report its solve time, peak RSS and the
+Newton and GMRES iterations summed per grid level.
+
+    PYTHONPATH=src python configs/measure.py configs/torus2-512.json
+
+Set-up (config, spec, hypothesis check) is not timed; the solve is the
+continuation alone, with BLAS on one thread.  Peak RSS is the process's,
+set-up included, so run one config per process.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+
+import json
+import resource
+import sys
+from time import perf_counter
+
+from warpcurve import cli, problem, solver
+
+
+def main(path):
+    with open(path) as fh:
+        spec = cli.build_spec(cli.normalize_config(json.load(fh)))
+    problem.check_hypotheses(spec).raise_if_failed()
+    start = perf_counter()
+    state = solver.continuation(spec, check=False)
+    solve_s = perf_counter() - start
+    levels = {}
+    for rec in state.steps:
+        if rec["accepted"]:
+            counts = levels.setdefault("x".join(map(str, rec["grid"])), [0, 0])
+            counts[0] += rec["newton_iters"]
+            counts[1] += rec["linear_iters"]
+    print(json.dumps({"config": path, "solve_s": round(solve_s, 3),
+                      "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
+                      "newton_gmres_per_level": levels}))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

@@ -254,8 +254,7 @@ def write_archive(out_dir, cfg, spec, state, status):
     meta = {"version": __version__, "config": cfg, "status": status,
             "t_final": state.t, "diagnostics": state.diagnostics.as_dict(),
             "totals": {key: sum(rec[key] for rec in state.steps if rec["accepted"])
-                       for key in ("newton_iters", "linear_iters", "lu_fallbacks",
-                                   "backtracks")},
+                       for key in ("newton_iters", "linear_iters", "backtracks")},
             "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
             # BLAS thread counts as set in the environment, None when unset
             "blas_threads": {var: os.environ.get(var) for var in (
@@ -411,7 +410,8 @@ def _jacobian_fd_cases():
 def _jacobian_fd_misses(rng, directions, t=0.7):
     """Worst relative miss of the colored-FD and the analytic Jacobian
     against oracle.fd_directional, along random directions, per case of
-    _jacobian_fd_cases: {case: {"fd": miss, "analytic": miss}}."""
+    _jacobian_fd_cases: {case: {"fd": miss, "analytic": miss}}.  The
+    analytic one is applied matrix-free, as Newton applies it."""
     out = {}
     for name, (spec, values) in _jacobian_fd_cases().items():
         u = GridFunction(values, spec.grid)
@@ -422,7 +422,7 @@ def _jacobian_fd_misses(rng, directions, t=0.7):
             method: max(float(np.abs(J @ d - ref).max() / max(1.0, np.abs(ref).max()))
                         for d, ref in zip(dirs, refs))
             for method, J in (("fd", oracle.colored_fd_jacobian(u, t, spec)),
-                              ("analytic", problem.jacobian(u, t, spec)))}
+                              ("analytic", spec.grid.operator_sum(problem.jacobian(u, t, spec))))}
     return out
 
 

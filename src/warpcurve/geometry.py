@@ -4,8 +4,8 @@ data of graphic hypersurfaces.
 Grids expose their covariant derivative stencils as sparse matrices, in
 components along an orthonormal frame of the base, so a gradient/Hessian
 evaluation is a handful of matvecs, the base metric is the identity in
-everything downstream, and the residual Jacobian inherits the exact stencil
-sparsity.
+everything downstream, and the residual Jacobian is a weighted sum of the
+same operators.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, DomainError, GeometryError
 
@@ -102,37 +103,23 @@ def warp_eval(w: WarpingFunction, t):
 # Grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StencilPattern:
-    """Boolean CSR template of a grid's identity, diff_ops and hess_ops
-    together; scatter maps the operators' stacked row weights [w_0; w_1; ...]
-    to its data, and slots[e] is entry e's averaged_stencil_inverse slot."""
-
-    template: sp.csr_matrix
-    scatter: sp.csr_matrix
-    slots: np.ndarray
-
-    def matrix(self, weights):
-        """sum_o diags(weights[o]) @ operator o, on the template's own indices
-        and indptr (zeros kept), added in operator order as sparse sums are."""
-        tmpl = self.template
-        return sp.csr_matrix((self.scatter @ np.concatenate(weights), tmpl.indices, tmpl.indptr),
-                             tmpl.shape)
-
-
 class BaseGrid:
     """Common interface: node coordinates, sparse covariant derivative
-    operators with their StencilPattern, and averaged_stencil_inverse(J),
-    each subclass's Newton preconditioner.
+    operators, and what a Newton Jacobian J = sum_o diag(weights[o]) @
+    operators[o] needs: operator_sum(weights), norm_inf_bound(weights) and
+    averaged_stencil_inverse(weights), each subclass's preconditioner.
 
     diff_ops[a] and hess_ops[(a, b)] give components along an orthonormal
     frame e_a of the base, so the base metric never appears in the per-node
-    algebra: |Du|^2 = sum_a (D_a u)^2."""
+    algebra: |Du|^2 = sum_a (D_a u)^2.  Every operator commutes with the
+    grid's symmetries (torus translations, sphere phi rotations), whose
+    orbits are _orbits blocks of consecutive nodes."""
 
     n: int
     num_nodes: int
     shape: tuple
     coords: np.ndarray  # (N, n)
+    _orbits: int
 
     def gradient_hessian(self, values):
         """Frame components of the covariant gradient (N, n) and Hessian
@@ -149,27 +136,39 @@ class BaseGrid:
         return du, d2u
 
     @cached_property
-    def pattern(self):
-        """This grid's StencilPattern, built on first use, in int32 where it
-        can; the operators are only read, never sorted or rewritten in place."""
-        N = self.num_nodes
-        ops = [sp.identity(N, format="csr"), *self.diff_ops, *self.hess_ops.values()]
-        def rows(indptr, dtype=np.int32):
-            return np.repeat(np.arange(N, dtype=dtype), np.diff(indptr))
-        def keys(op):  # row-major keys r N + c of its entries, in stored order
-            return rows(op.indptr, np.int64) * N + op.indices
+    def operators(self):
+        """The identity, diff_ops, then hess_ops, as a Jacobian's weights."""
+        return [sp.identity(self.num_nodes, format="csr"), *self.diff_ops,
+                *self.hess_ops.values()]
 
-        union = np.sort(np.concatenate([keys(op) for op in ops]))
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
-        # an entry of operator o in row r adds its value times w_o[r] to its pattern entry
-        scatter = sp.csr_matrix(
-            (np.concatenate([op.data for op in ops]),
-             (np.concatenate([np.searchsorted(union, keys(op)).astype(np.int32) for op in ops]),
-              np.concatenate([rows(op.indptr) + np.int32(o * N) for o, op in enumerate(ops)]))),
-            shape=(union.size, len(ops) * N))
-        tmpl = sp.csr_matrix((np.ones(union.size, bool), (union % N).astype(np.int32),
-                              np.searchsorted(union, np.arange(N + 1) * N).astype(np.int32)), (N, N))
-        return StencilPattern(tmpl, scatter, self._kernel_slots(rows(tmpl.indptr), tmpl.indices))
+    def operator_sum(self, weights):
+        """sum_o diag(weights[o]) @ operators[o] as a LinearOperator, applied
+        operator by operator, so no matrix is assembled; a weight is a node
+        field or a constant."""
+        ops = self.operators[1:]  # weights[0] weighs the identity
+
+        def matvec(x):
+            x = np.ravel(x)
+            y = weights[0] * x
+            for w, op in zip(weights[1:], ops):
+                y += w * (op @ x)
+            return y
+        return spla.LinearOperator((self.num_nodes,) * 2, matvec=matvec, dtype=float)
+
+    @cached_property
+    def _abs_row_sums(self):
+        """rowsum|op| of each operator at each orbit's first node, which
+        holds for its whole orbit: (operator, orbit)."""
+        first = np.arange(self._orbits) * (self.num_nodes // self._orbits)
+        return np.array([np.add.reduceat(np.abs(op.data), op.indptr[:-1])[first]
+                         for op in self.operators])  # no operator has an empty row
+
+    def norm_inf_bound(self, weights):
+        """max over rows r of sum_o |weights[o][r]| rowsum|operators[o]|[r],
+        an upper bound on the max-norm of operator_sum(weights)."""
+        total = sum(np.abs(np.reshape(w, (self._orbits, -1))) * a[:, None]
+                    for w, a in zip(weights, self._abs_row_sums))
+        return float(total.max())
 
 
 def _central_differences(up, dn, h):
@@ -246,6 +245,7 @@ class FlatTorus(BaseGrid):
         self.periods = tuple(float(p) for p in periods)
         self.spacing = tuple(L / N for L, N in zip(self.periods, self.shape))
         self.num_nodes = int(np.prod(self.shape))
+        self._orbits = 1  # translations reach every node
 
         axes = [np.arange(N) * h for N, h in zip(self.shape, self.spacing)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -267,27 +267,19 @@ class FlatTorus(BaseGrid):
                 else:
                     self.hess_ops[(i, j)] = (self.diff_ops[i] @ self.diff_ops[j]).tocsr()
 
-    def _kernel_slots(self, rows, cols):
-        """Kernel slot of entry (r, c): its periodic offset (c - r) mod shape."""
-        slots, stride = np.zeros_like(rows), self.num_nodes
-        for size in self.shape:
-            stride //= size
-            slots += (cols // stride - rows // stride) % size * stride
-        return slots
+    def averaged_stencil_inverse(self, weights):
+        """Inverse of sum_o mean(weights[o]) operators[o], the average of
+        J = operator_sum(weights) over all translations, applied by FFT.
 
-    def averaged_stencil_inverse(self, J):
-        """Inverse of the constant-coefficient periodic operator whose
-        stencil is the row average of J, a matrix on this grid's pattern,
-        applied by FFT.
-
-        Entry J[r, c] joins the kernel at the periodic offset (c - r) mod
-        shape; the averaged operator is diagonal in Fourier modes with
-        symbol conj(rfftn(kernel)).  Returns None when that symbol has a
+        That operator has constant coefficients and is periodic, so it is
+        diagonal in Fourier modes, and its symbol is the DFT of its response
+        to a unit impulse at node 0.  Returns None when that symbol has a
         (near-)zero entry, since the inverse does not exist there.
         """
-        kernel = np.bincount(self.pattern.slots, weights=J.data, minlength=self.num_nodes)
+        means = [np.mean(w) for w in weights]
+        response = self.operator_sum(means) @ np.eye(1, self.num_nodes)[0]  # impulse at node 0
         axes = tuple(range(self.n))
-        symbol = np.conj(np.fft.rfftn(kernel.reshape(self.shape) / self.num_nodes))
+        symbol = np.fft.rfftn(response.reshape(self.shape))
         size = np.abs(symbol)
         if size.min() <= _SYMBOL_FLOOR * size.max():
             return None
@@ -340,6 +332,7 @@ class Sphere2(BaseGrid):
         self.n = 2
         self.shape = (n_theta, n_phi)
         self.num_nodes = n_theta * n_phi
+        self._orbits = n_theta  # phi rotations keep each theta row
         self.h_theta = np.pi / n_theta
         self.h_phi = 2.0 * np.pi / n_phi
         self.spacing = (self.h_theta, self.h_phi)
@@ -381,26 +374,29 @@ class Sphere2(BaseGrid):
             op.data /= np.repeat(st ** power, np.diff(op.indptr))
         self.diff_ops = [D_theta, D_phi]
 
-    def _kernel_slots(self, rows, cols):
-        """Kernel slot of entry (r, c): theta row i(r), theta offset i(c) - i(r)
-        and phi offset (c - r) mod n_phi; a pole ghost lands at theta offset 0."""
-        n_phi = self.shape[1]
-        return (2 * (rows // n_phi) + cols // n_phi + 1) * n_phi + (cols - rows) % n_phi
+    def averaged_stencil_inverse(self, weights):
+        """Inverse of sum_o diag(m_o) operators[o], m_o the phi-mean of
+        weights[o] per theta row: the average of J = operator_sum(weights)
+        over all phi rotations.
 
-    def averaged_stencil_inverse(self, J):
-        """Inverse of the operator whose stencil is the phi-average of J, a
-        matrix on this grid's pattern, row of theta by row of theta.
-
-        The averaged operator commutes with phi shifts, so each phi Fourier
-        mode is one tridiagonal system in theta, all factored at once by a
-        Thomas sweep.  Returns None when a pivot is (near-)zero, since the
-        sweep cannot invert the operator then.
+        It commutes with phi rotations, so each phi Fourier mode is one
+        tridiagonal system in theta, all factored at once by a Thomas sweep.
+        Its entries are read from its responses to unit impulses at phi = 0
+        in every third theta row: in theta row i, each set's response comes
+        from just one of the rows i - 1, i, i + 1 (a pole ghost lies in row i
+        itself), and its DFT in phi is that coupling per mode.  Returns None
+        when a pivot is (near-)zero, since the sweep cannot invert it.
         """
         n_theta, n_phi = self.shape
-        kernel = np.bincount(self.pattern.slots, weights=J.data, minlength=3 * self.num_nodes)
+        averaged = self.operator_sum(
+            [np.repeat(np.reshape(w, self.shape).mean(axis=1), n_phi) for w in weights])
+        rows = np.arange(n_theta)
+        impulses = np.zeros((3, *self.shape))
+        impulses[rows % 3, rows, 0] = 1.0
+        responses = np.fft.rfft(np.stack(
+            [(averaged @ x.ravel()).reshape(self.shape) for x in impulses]), axis=-1)
         # (lower, diagonal, upper) coefficients, each (n_theta, mode)
-        lower, diag, upper = np.conj(np.fft.rfft(
-            kernel.reshape(n_theta, 3, n_phi) / n_phi, axis=-1)).transpose(1, 0, 2)
+        lower, diag, upper = (responses[(rows + d) % 3, rows] for d in (-1, 0, 1))
         # LU without pivoting; lower becomes the elimination multipliers
         pivot = diag.copy()
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError, HypothesisError
 from .geometry import BaseGrid, GridFunction, WarpingFunction, warp_eval
-from .problem import ProblemSpec, residual
+from .problem import ProblemSpec, jacobian, residual
 
 
 def brute_sigma(lam, k):
@@ -99,9 +99,21 @@ def fd_directional(u: GridFunction, direction: GridFunction, t, spec: ProblemSpe
     return u.with_values(out)
 
 
+def operator_matrix(grid: BaseGrid, weights):
+    """sum_o diags(weights[o]) @ grid.operators[o], assembled as CSR."""
+    return sum(sp.diags(w) @ op for w, op in zip(weights, grid.operators)).tocsr()
+
+
+def jacobian_matrix(u: GridFunction, t, spec: ProblemSpec):
+    """The Jacobian the solver applies operator by operator, as CSR."""
+    return operator_matrix(spec.grid, jacobian(u, t, spec))
+
+
 def stencil_pattern(grid: BaseGrid):
-    """The grid's Jacobian pattern (couplings plus diagonal) as CSR of ones."""
-    return grid.pattern.template.astype(float)
+    """Every Jacobian's sparsity, the union of its operators', as CSR of ones."""
+    pattern = sum(abs(op) for op in grid.operators).tocsr()  # no entry cancels
+    pattern.data[:] = 1.0
+    return pattern
 
 
 def _fd_coloring(grid: BaseGrid):

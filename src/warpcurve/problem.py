@@ -1,5 +1,5 @@
 """Coefficient families, the homotopy deformation, hypothesis checking, and
-assembly of the discrete residual field and its Jacobian."""
+the discrete residual field and its Jacobian's coefficients."""
 from __future__ import annotations
 
 import csv
@@ -395,19 +395,21 @@ def _newton_tensor_forms(P, A, sig, dF):
 
 
 def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
-    """Sparse Jacobian of the residual, by the chain rule through sigma_j of
-    the pencil (h, gtilde), in the base's orthonormal frame.  rec is the
-    curvature record of u; it is built here when not given.
+    """Jacobian of the residual as the weights w_o, node fields, of
+    J = sum_o diag(w_o) @ grid.operators[o] = c0 + c1 . D + c2 : D^2, by the
+    chain rule through sigma_j of the pencil (h, gtilde), in the base's
+    orthonormal frame.  rec is the curvature record of u; it is built here
+    when not given.
 
     The first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
     with M1 = P^T G P, M2 = P^T G A P, G = dF/dA (see _newton_tensor_forms);
     on an eigenbasis these are sum_a G^a v_a v_a^T and sum_a G^a lam_a v_a v_a^T,
     G^a = dF/dlam_a, and they need no eigenvectors, so they are defined
-    across eigenvalue crossings.  J is filled on the grid's pattern.
+    across eigenvalue crossings.  No matrix is assembled: grid.operator_sum
+    applies J, and oracle.jacobian_matrix assembles it.
     """
     grid, k = spec.grid, spec.k
-    pattern = grid.pattern  # a first call builds it here, before the arrays below exist
     if rec is None:
         rec = geometry.fundamental_forms(u, spec.warping)
     _check_cone(rec, k)
@@ -436,9 +438,8 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
           + Fu)
     c1 = [4.0 * fp * M1du[i] / v - tr_M1h * du[:, i] / v ** 2 - 2.0 * M2du[i]
           for i in range(n)]
-    c2 = {(i, j): -f * M1[j, i] / v for i, j in grid.hess_ops}  # hess_ops keys have i <= j
-    return pattern.matrix(
-        [c0, *c1, *(c2[i, j] if i == j else 2.0 * c2[i, j] for i, j in grid.hess_ops)])
+    # c2 : D^2 over hess_ops, whose keys have i <= j: (i, j) and (j, i) share a weight
+    return [c0, *c1, *((1.0 if i == j else 2.0) * (-f * M1[j, i] / v) for i, j in grid.hess_ops)]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class NewtonStats:
     residual_norms: list = field(default_factory=list)
     backtracks: int = 0
     linear_iters: int = 0  # GMRES iterations summed over the linear solves
-    lu_fallbacks: int = 0  # linear solves that ended in sparse LU
 
 
 @dataclass
@@ -116,36 +115,29 @@ GMRES_RESTART = 30
 GMRES_MAXITER = 5
 
 
-def _solve_linear(J, rhs, grid, rtol=GMRES_RTOL):
-    """Solve J x = rhs to a 2-norm residual of rtol |rhs|; returns (x, GMRES
-    iterations, whether it used LU).
+def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
+    """Solve J x = rhs to a 2-norm residual of rtol |rhs|, for the Jacobian
+    J = grid.operator_sum(weights); returns (x, GMRES iterations).
 
-    GMRES preconditioned by the grid's averaged_stencil_inverse of J (the
-    FFT inverse of the row-averaged stencil on the torus, FFT in phi plus a
-    tridiagonal solve in theta per mode on the sphere).  When that inverse
-    does not exist or GMRES misses its tolerance: sparse LU with one round
-    of iterative refinement.
+    Matrix-free GMRES, preconditioned by the grid's averaged_stencil_inverse
+    of the weights (the FFT inverse of the translation-averaged operator on
+    the torus, FFT in phi plus a tridiagonal solve in theta per mode on the
+    sphere).  Raises NonConvergenceError when that inverse does not exist or
+    GMRES misses rtol, so the Newton solve fails like any other.
     """
-    iters = 0
-    apply = grid.averaged_stencil_inverse(J)
-    if apply is not None:
-        def count(_):
-            nonlocal iters
-            iters += 1
-        M = spla.LinearOperator(J.shape, matvec=apply, dtype=float)
-        x, info = spla.gmres(J, rhs, rtol=rtol, atol=0.0,
-                             restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                             M=M, callback=count, callback_type="pr_norm")
-        if info == 0:
-            return x, iters, False
-        log.info("GMRES missed %.0e after %d iterations; using sparse LU",
-                 rtol, iters)
-    lu = spla.splu(J.tocsc())
-    x = lu.solve(rhs)
-    # one round of iterative refinement
-    r = rhs - J @ x
-    x = x + lu.solve(r)
-    return x, iters, True
+    apply = grid.averaged_stencil_inverse(weights)
+    if apply is None:
+        raise NonConvergenceError(
+            "the averaged Jacobian has a (near-)zero symbol or pivot: no preconditioner")
+    M = spla.LinearOperator((grid.num_nodes,) * 2, matvec=apply, dtype=float)
+    residuals = []  # one per GMRES iteration
+    x, info = spla.gmres(grid.operator_sum(weights), rhs, rtol=rtol, atol=0.0,
+                         restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+                         M=M, callback=residuals.append, callback_type="pr_norm")
+    if info != 0:
+        raise NonConvergenceError(
+            f"GMRES missed rtol {rtol:.1e} after {len(residuals)} iterations")
+    return x, len(residuals)
 
 
 def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
@@ -155,13 +147,14 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     inside the guarded annulus; damping is backtracking with an Armijo
     decrease condition on |F|^2.  The iteration stops when |F|_inf is at most
     spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
-    that rounding u alone can cause, taken from the last J assembled: a J is
-    assembled only for a step, so the stopping test never builds one.  Each
-    linear solve is asked for a tenth of that stopping target, relative to
-    |F|_2, but never for less than GMRES_RTOL: inexact Newton, whose linear
-    error stays below what the test accepts.  u_init must lie inside the guarded annulus
-    (StepFailureError otherwise) and its record is rec (built when not
-    given); returns (u, stats, rec), rec the record of the final u.
+    that rounding u alone can cause, with the grid's norm_inf_bound of the
+    last J for |J|_inf: a J is computed only for a step, so the stopping test
+    never computes one.  Each linear solve is asked for a tenth of that
+    stopping target, relative to |F|_2, but never for less than GMRES_RTOL:
+    inexact Newton, whose linear error stays below what the test accepts.
+    u_init must lie inside the guarded annulus (StepFailureError otherwise)
+    and its record is rec (built when not given); returns (u, stats, rec),
+    rec the record of the final u.
     """
     u = u_init
     guard = spec.guard_frac * (spec.r2 - spec.r1)
@@ -183,16 +176,13 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
                 f"Newton did not reach {spec.newton_tol:.1e} in {spec.max_newton} iterations "
                 f"(last |F| = {norm:.3e}, rounding floor {floor:.3e})")
         J = problem.jacobian(u, t, spec, rec)
-        # |J|_inf by row sums of |data|: every pattern row holds its identity
-        # entry, so no row is empty
-        J_inf = np.add.reduceat(np.abs(J.data), J.indptr[:-1]).max()
-        floor = 4.0 * np.finfo(float).eps * float(np.abs(u.values).max()) * J_inf
+        floor = (4.0 * np.finfo(float).eps * float(np.abs(u.values).max())
+                 * spec.grid.norm_inf_bound(J))
         if norm <= floor:  # a start already at the floor, where no step can decrease |F|
             return u, stats, rec
         rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / np.sqrt(norm2))
-        delta, iters, fell_back = _solve_linear(J, -F, spec.grid, rtol)
+        delta, iters = _solve_linear(J, -F, spec.grid, rtol)
         stats.linear_iters += iters
-        stats.lu_fallbacks += fell_back
         s = 1.0
         accepted = False
         for _ in range(spec.max_backtracks):
@@ -237,7 +227,7 @@ def _record(steps, log_stream, spec, t, u, stats, rec):
     _log(steps, log_stream, {
         "t": t, "grid": list(spec.grid.shape), "accepted": True,
         "newton_iters": stats.iterations, "linear_iters": stats.linear_iters,
-        "lu_fallbacks": stats.lu_fallbacks, "backtracks": stats.backtracks,
+        "backtracks": stats.backtracks,
         "residual_norm": stats.residual_norms[-1],
         "residual_history": stats.residual_norms,
         "u_min": diag.u_min, "u_max": diag.u_max,
