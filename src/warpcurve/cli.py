@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__, geometry, oracle, problem, solver, symfunc
-from .errors import ContinuationError, WarpcurveError
+from .errors import ConfigError, ContinuationError, WarpcurveError
 from .geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
 from .problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                       ProblemSpec, TabulatedCoefficients,
@@ -174,8 +174,10 @@ def build_spec(cfg, base_dir="."):
     if man["type"] == "flat_torus":
         grid = FlatTorus(man["resolution"], periods=man["periods"])
     else:
-        nt, nphi = man["resolution"]
-        grid = Sphere2(nt, nphi)
+        if len(man["resolution"]) != 2:
+            raise ConfigError(f"sphere2 resolution needs 2 entries (n_theta, n_phi), "
+                              f"got {len(man['resolution'])}")
+        grid = Sphere2(*man["resolution"])
     wc = cfg["warping"]
     warping = WarpingFunction(
         kind=wc["kind"], param=wc["param"], t_min=wc["t_min"], t_max=wc["t_max"],

@@ -1,11 +1,12 @@
 """Discretized base manifolds, warping functions, and per-node curvature
 data of graphic hypersurfaces.
 
-Grids expose their covariant derivative stencils as sparse matrices, in
-components along an orthonormal frame of the base, so a gradient/Hessian
-evaluation is a handful of matvecs, the base metric is the identity in
-everything downstream, and the residual Jacobian is a weighted sum of the
-same operators.
+Each grid holds its covariant derivative operators as one stacked sparse
+matrix, in components along an orthonormal frame of the base, so a
+gradient/Hessian evaluation is one product, the base metric is the identity
+in everything downstream, and the residual Jacobian is a weighted sum of
+the same operators.  Symmetric per-node fields are kept as their lower
+triangles, dicts {(i, j): (N,)} over j <= i.
 """
 from __future__ import annotations
 
@@ -104,88 +105,91 @@ def warp_eval(w: WarpingFunction, t):
 # ---------------------------------------------------------------------------
 
 class BaseGrid:
-    """Common interface: node coordinates, sparse covariant derivative
-    operators, and what a Newton Jacobian J = sum_o diag(weights[o]) @
-    operators[o] needs: operator_sum(weights), norm_inf_bound(weights) and
+    """Common interface: node coordinates, the covariant derivative
+    operators, and what a Newton Jacobian J = sum_o diag(weights[o]) @ op_o
+    needs: operator_sum(weights), norm_inf_bound(weights) and
     averaged_stencil_inverse(weights), each subclass's preconditioner.
 
-    diff_ops[a] and hess_ops[(a, b)] give components along an orthonormal
-    frame e_a of the base, so the base metric never appears in the per-node
-    algebra: |Du|^2 = sum_a (D_a u)^2.  Every operator commutes with the
-    grid's symmetries (torus translations, sphere phi rotations), whose
-    orbits are _orbits blocks of consecutive nodes."""
+    stack holds every operator op_o as one CSR, a row block of num_nodes rows
+    each: the identity, the gradient components D_a, then one Hessian block
+    H_ab per key (a, b) of hess_keys, b <= a.  They give components along an
+    orthonormal frame e_a of the base, so the base metric never appears in
+    the per-node algebra: |Du|^2 = sum_a (D_a u)^2.  Every operator commutes
+    with the grid's symmetries (torus translations, sphere phi rotations),
+    whose orbits are _orbits blocks of consecutive nodes."""
 
     n: int
     num_nodes: int
     shape: tuple
     coords: np.ndarray  # (N, n)
+    stack: sp.csr_matrix  # ((1 + n + n (n + 1) / 2) N, N)
+    hess_keys: list  # (a, b), b <= a, in row-block order
     _orbits: int
 
     def gradient_hessian(self, values):
-        """Frame components of the covariant gradient (N, n) and Hessian
-        (N, n, n) of a node field."""
-        values = np.asarray(values, dtype=float)
-        du = np.stack([D @ values for D in self.diff_ops], axis=-1)
-        n = self.n
-        d2u = np.empty((self.num_nodes, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                hij = self.hess_ops[(i, j)] @ values
-                d2u[:, i, j] = hij
-                d2u[:, j, i] = hij
-        return du, d2u
-
-    @cached_property
-    def operators(self):
-        """The identity, diff_ops, then hess_ops, as a Jacobian's weights."""
-        return [sp.identity(self.num_nodes, format="csr"), *self.diff_ops,
-                *self.hess_ops.values()]
+        """Frame components of the covariant gradient (N, n) and the lower
+        triangle of the Hessian, {(a, b): (N,)} for b <= a, of a node field."""
+        z = (self.stack @ np.asarray(values, dtype=float)).reshape(-1, self.num_nodes)
+        return z[1:self.n + 1].T, dict(zip(self.hess_keys, z[self.n + 1:]))
 
     def operator_sum(self, weights):
-        """sum_o diag(weights[o]) @ operators[o] as a LinearOperator, applied
-        operator by operator, so no matrix is assembled; a weight is a node
-        field or a constant."""
-        ops = self.operators[1:]  # weights[0] weighs the identity
-
+        """sum_o diag(weights[o]) @ op_o as a LinearOperator: one product with
+        the stack, then the weighted sum of its row blocks, so no matrix is
+        assembled; a weight is a node field or a constant."""
         def matvec(x):
-            x = np.ravel(x)
-            y = weights[0] * x
-            for w, op in zip(weights[1:], ops):
-                y += w * (op @ x)
+            z = (self.stack @ np.ravel(x)).reshape(-1, self.num_nodes)  # row o: op_o x
+            y = weights[0] * z[0]
+            for w, zo in zip(weights[1:], z[1:]):
+                y += w * zo
             return y
         return spla.LinearOperator((self.num_nodes,) * 2, matvec=matvec, dtype=float)
 
     @cached_property
     def _abs_row_sums(self):
-        """rowsum|op| of each operator at each orbit's first node, which
-        holds for its whole orbit: (operator, orbit)."""
+        """rowsum|op_o| at each orbit's first node, which holds for its whole
+        orbit: (operator, orbit)."""
         first = np.arange(self._orbits) * (self.num_nodes // self._orbits)
-        return np.array([np.add.reduceat(np.abs(op.data), op.indptr[:-1])[first]
-                         for op in self.operators])  # no operator has an empty row
+        sums = np.add.reduceat(np.abs(self.stack.data), self.stack.indptr[:-1])
+        return sums.reshape(-1, self.num_nodes)[:, first]  # no row of the stack is empty
 
     def norm_inf_bound(self, weights):
-        """max over rows r of sum_o |weights[o][r]| rowsum|operators[o]|[r],
-        an upper bound on the max-norm of operator_sum(weights)."""
+        """max over rows r of sum_o |weights[o][r]| rowsum|op_o|[r], an upper
+        bound on the max-norm of operator_sum(weights)."""
         total = sum(np.abs(np.reshape(w, (self._orbits, -1))) * a[:, None]
                     for w, a in zip(weights, self._abs_row_sums))
         return float(total.max())
 
 
-def _central_differences(up, dn, h):
-    """First and second central differences (D, D2) as CSR matrices, for
-    nodes whose neighbours at spacing h are up[r] and dn[r]."""
-    N = up.size
-    rows = np.arange(N)
-    D = sp.csr_matrix(
-        (np.concatenate([np.full(N, 0.5 / h), np.full(N, -0.5 / h)]),
-         (np.concatenate([rows, rows]), np.concatenate([up, dn]))),
-        shape=(N, N))
-    D2 = sp.csr_matrix(
-        (np.concatenate([np.full(N, 1.0 / h**2), np.full(N, -2.0 / h**2),
-                         np.full(N, 1.0 / h**2)]),
-         (np.concatenate([rows] * 3), np.concatenate([up, rows, dn]))),
-        shape=(N, N))
-    return D, D2
+# A stencil is a list of (neighbour map, coefficient) terms: row r of its
+# operator holds the coefficient (a constant, or c[r] for a node field) at
+# column map[r].  Terms that cancel on constants come in consecutive runs,
+# so a constant field's derivatives sum to exactly 0 in term order.
+
+def _central_stencils(up, dn, h):
+    """First and second central differences at spacing h, for nodes whose
+    neighbours are up[r] and dn[r]."""
+    return ([(up, 0.5 / h), (dn, -0.5 / h)],
+            [(up, 1.0 / h**2), (np.arange(up.size), -2.0 / h**2), (dn, 1.0 / h**2)])
+
+
+def _compose(outer, inner):
+    """The stencil of outer @ inner, for constant coefficients."""
+    return [(m_in[m_out], c_out * c_in) for m_out, c_out in outer for m_in, c_in in inner]
+
+
+def _stack(stencils):
+    """One CSR whose row block o is the operator of stencils[o], built in one
+    step from the maps and coefficients.  Each row keeps its terms in stencil
+    order, a repeated column as two entries."""
+    N = stencils[0][0][0].size
+    indptr = np.concatenate([[0], np.cumsum(np.repeat([len(s) for s in stencils], N))])
+    cols, vals = np.empty(indptr[-1], dtype=np.intp), np.empty(indptr[-1])
+    for s, start in zip(stencils, indptr[::N]):
+        block = slice(start, start + len(s) * N)
+        c, v = cols[block].reshape(N, len(s)), vals[block].reshape(N, len(s))
+        for t, (m, coef) in enumerate(s):
+            c[:, t], v[:, t] = m, coef
+    return sp.csr_matrix((vals, cols, indptr), shape=(len(stencils) * N, N))
 
 
 def _trig_interpolate(a, axis, size, shift=0.0):
@@ -243,6 +247,9 @@ class FlatTorus(BaseGrid):
         if periods is None:
             periods = (2.0 * np.pi,) * self.n
         self.periods = tuple(float(p) for p in periods)
+        if len(self.periods) != self.n:
+            raise ConfigError(f"periods has {len(self.periods)} entries for a "
+                              f"{self.n}-axis resolution")
         self.spacing = tuple(L / N for L, N in zip(self.periods, self.shape))
         self.num_nodes = int(np.prod(self.shape))
         self._orbits = 1  # translations reach every node
@@ -252,23 +259,16 @@ class FlatTorus(BaseGrid):
         self.coords = np.stack([m.ravel() for m in mesh], axis=-1)
 
         idx = np.arange(self.num_nodes).reshape(self.shape)
-        self.diff_ops = []
-        d2_diag = []
-        for a in range(self.n):
-            D, D2 = _central_differences(np.roll(idx, -1, axis=a).ravel(),
-                                         np.roll(idx, 1, axis=a).ravel(), self.spacing[a])
-            self.diff_ops.append(D)
-            d2_diag.append(D2)
-        self.hess_ops = {}
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if i == j:
-                    self.hess_ops[(i, j)] = d2_diag[i]
-                else:
-                    self.hess_ops[(i, j)] = (self.diff_ops[i] @ self.diff_ops[j]).tocsr()
+        D, D2 = zip(*(_central_stencils(np.roll(idx, -1, axis=a).ravel(),
+                                        np.roll(idx, 1, axis=a).ravel(), self.spacing[a])
+                      for a in range(self.n)))
+        self.hess_keys = [(a, b) for b in range(self.n) for a in range(b, self.n)]
+        self.stack = _stack([[(idx.ravel(), 1.0)], *D]
+                            + [D2[a] if a == b else _compose(D[b], D[a])
+                               for a, b in self.hess_keys])
 
     def averaged_stencil_inverse(self, weights):
-        """Inverse of sum_o mean(weights[o]) operators[o], the average of
+        """Inverse of sum_o mean(weights[o]) op_o, the average of
         J = operator_sum(weights) over all translations, applied by FFT.
 
         That operator has constant coefficients and is periodic, so it is
@@ -343,39 +343,30 @@ class Sphere2(BaseGrid):
         self.coords = np.stack([T.ravel(), P.ravel()], axis=-1)
         st = np.sin(self.coords[:, 0])
         ct = np.cos(self.coords[:, 0])
-        N = self.num_nodes
 
-        idx = np.arange(N).reshape(self.shape)
-        half = n_phi // 2
-        anti = np.roll(idx, -half, axis=1)
+        idx = np.arange(self.num_nodes).reshape(self.shape)
+        anti = np.roll(idx, -(n_phi // 2), axis=1)  # the antipodal longitude
+        # theta neighbours u(theta_{i+1}) and u(theta_{i-1}), with ghosts
+        # across the theta = pi and theta = 0 poles
+        up = np.concatenate([idx[1:], anti[-1:]]).ravel()
+        dn = np.concatenate([anti[:1], idx[:-1]]).ravel()
 
-        # theta neighbors with pole-crossing ghosts
-        up = np.empty_like(idx)     # index holding u(theta_{i+1})
-        up[:-1] = idx[1:]
-        up[-1] = anti[-1]           # ghost across the theta = pi pole
-        dn = np.empty_like(idx)     # index holding u(theta_{i-1})
-        dn[1:] = idx[:-1]
-        dn[0] = anti[0]             # ghost across the theta = 0 pole
-
-        D_theta, D2_theta = _central_differences(up.ravel(), dn.ravel(), self.h_theta)
-        D_phi, D2_phi = _central_differences(np.roll(idx, -1, axis=1).ravel(),
-                                             np.roll(idx, +1, axis=1).ravel(), self.h_phi)
-        cot = sp.diags(ct / st)
-        sc = sp.diags(st * ct)
+        D_theta, D2_theta = _central_stencils(up, dn, self.h_theta)
+        D_phi, D2_phi = _central_stencils(np.roll(idx, -1, axis=1).ravel(),
+                                          np.roll(idx, +1, axis=1).ravel(), self.h_phi)
         # covariant Hessian: u_;tt = dtt u, u_;tp = dtp u - cot(t) dp u,
         # u_;pp = dpp u + sin(t)cos(t) dt u
-        self.hess_ops = {
-            (0, 0): D2_theta.tocsr(),
-            (0, 1): (D_theta @ D_phi - cot @ D_phi).tocsr(),
-            (1, 1): (D2_phi + sc @ D_theta).tocsr(),
-        }
-        # coordinate to frame components: each phi index divides by sin(t)
-        for op, power in ((D_phi, 1), (self.hess_ops[(0, 1)], 1), (self.hess_ops[(1, 1)], 2)):
-            op.data /= np.repeat(st ** power, np.diff(op.indptr))
-        self.diff_ops = [D_theta, D_phi]
+        H_tp = _compose(D_theta, D_phi) + [(m, -(ct / st * c)) for m, c in D_phi]
+        H_pp = D2_phi + [(m, st * ct * c) for m, c in D_theta]
+
+        def frame(stencil, power):  # to frame components: each phi index divides by sin(t)
+            return [(m, c / st ** power) for m, c in stencil]
+        self.hess_keys = [(0, 0), (1, 0), (1, 1)]
+        self.stack = _stack([[(idx.ravel(), 1.0)], D_theta, frame(D_phi, 1),
+                             D2_theta, frame(H_tp, 1), frame(H_pp, 2)])
 
     def averaged_stencil_inverse(self, weights):
-        """Inverse of sum_o diag(m_o) operators[o], m_o the phi-mean of
+        """Inverse of sum_o diag(m_o) op_o, m_o the phi-mean of
         weights[o] per theta row: the average of J = operator_sum(weights)
         over all phi rotations.
 
@@ -466,20 +457,20 @@ class GridFunction:
 @dataclass(frozen=True)
 class CurvatureRecord:
     """Per-node geometry of the graph of u, batched over nodes and in the
-    base's orthonormal frame: f, f', f'' at u, the covariant gradient and
-    Hessian of u, second fundamental form h, the lower triangles of
-    P = L^-1 (induced metric gtilde = L L^T) and of A = P h P^T, whose
-    eigenvalues are the principal curvatures, sigma_0 .. sigma_n of those,
-    support function tau, v = sqrt(f^2 + |Du|^2).  One record per iterate
-    serves its residual, Jacobian and diagnostics; no eigensolve is made
-    unless lam is read."""
+    base's orthonormal frame: f, f', f'' at u, the covariant gradient of u,
+    and the lower triangles of its Hessian, of P = L^-1 (induced metric
+    gtilde = L L^T) and of A = P h P^T (h the second fundamental form),
+    whose eigenvalues are the principal curvatures; sigma_0 .. sigma_n of
+    those, support function tau, v = sqrt(f^2 + |Du|^2).  A lower triangle
+    is a dict {(i, j): (N,)} over j <= i, read through _sym.  One record per
+    iterate serves its residual, Jacobian and diagnostics; no eigensolve is
+    made unless lam is read."""
 
     f: np.ndarray       # (N,)
     fp: np.ndarray      # (N,)
     fpp: np.ndarray     # (N,)
     du: np.ndarray      # (N, n)
-    d2u: np.ndarray     # (N, n, n)
-    h: np.ndarray       # (N, n, n)
+    d2u: dict           # (i, j) -> (N,), j <= i
     P: dict             # (i, j) -> (N,), j <= i
     A: dict             # (i, j) -> (N,), j <= i
     sig: np.ndarray     # (N, n + 1)
@@ -493,7 +484,17 @@ class CurvatureRecord:
         A, n = self.A, self.sig.shape[-1] - 1
         if n == 2:
             return _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])[0]
-        return np.linalg.eigvalsh(_lower_matrix(A, n))  # reads the lower triangle
+        return np.linalg.eigvalsh(_dense(A, n))
+
+
+def _sym(X, i, j):
+    """Entry (i, j) of a symmetric matrix given by its lower-triangle entries X."""
+    return X[max(i, j), min(i, j)]
+
+
+def _lower(X):
+    """The lower-triangle entries {(i, j): X[..., i, j]}, j <= i, of (..., n, n)."""
+    return {(i, j): X[..., i, j] for i in range(X.shape[-1]) for j in range(i + 1)}
 
 
 def _dot(pairs):
@@ -505,21 +506,20 @@ def _dot(pairs):
     return acc
 
 
-def _inverse_cholesky_factor(gtilde):
+def _inverse_cholesky_factor(gtilde, n):
     """Entries P[i, j], j <= i, of P = L^-1 for gtilde = L L^T, from the
-    lower triangle of gtilde: n x n scalar recurrences, each vectorised over
-    the batch, so no LAPACK call is made per small matrix."""
-    n = gtilde.shape[-1]
+    lower triangle of the n x n gtilde: scalar recurrences, each vectorised
+    over the batch, so no LAPACK call is made per small matrix."""
     L = {}
     for j in range(n):
-        d = gtilde[..., j, j]
+        d = gtilde[j, j]
         for k in range(j):
             d = d - L[j, k] ** 2
         if not np.all(d > 0.0):  # before its sqrt; a NaN pivot fails too
             raise GeometryError("induced metric not positive definite")
         L[j, j] = np.sqrt(d)
         for i in range(j + 1, n):
-            s = gtilde[..., i, j]
+            s = gtilde[i, j]
             for k in range(j):
                 s = s - L[i, k] * L[j, k]
             L[i, j] = s / L[j, j]
@@ -531,11 +531,10 @@ def _inverse_cholesky_factor(gtilde):
     return P
 
 
-def _congruence(P, h):
+def _congruence(P, h, n):
     """Entries A[i, j], j <= i, of A = (P h) P^T for P lower triangular,
-    from the lower triangle of h."""
-    n = h.shape[-1]
-    Ph = {(i, l): _dot((P[i, k], h[..., max(k, l), min(k, l)]) for k in range(i + 1))
+    from the lower triangle of the n x n h."""
+    Ph = {(i, l): _dot((P[i, k], _sym(h, k, l)) for k in range(i + 1))
           for i in range(n) for l in range(i + 1)}  # A needs l <= i only
     return {(i, j): _dot((Ph[i, l], P[j, l]) for l in range(j + 1))
             for i in range(n) for j in range(i + 1)}
@@ -553,13 +552,10 @@ def _eigh_2x2(a00, a10, a11):
     return np.stack([m - rad, m + rad], axis=-1), {(0, 0): -s, (1, 0): c, (0, 1): c, (1, 1): s}
 
 
-def _lower_matrix(A, n):
-    """The (..., n, n) array holding the entries A[i, j], j <= i, in its
-    lower triangle; the upper triangle is left unset."""
-    out = np.empty(np.shape(A[0, 0]) + (n, n))
-    for (i, j), a in A.items():
-        out[..., i, j] = a
-    return out
+def _dense(X, n):
+    """The symmetric (..., n, n) array whose lower triangle is X."""
+    rows = [[_sym(X, i, j) for j in range(n)] for i in range(n)]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def _principal_minor_sums(A, n):
@@ -578,21 +574,21 @@ def _principal_minor_sums(A, n):
     return sig
 
 
-def pencil_invariants(gtilde, h):
-    """(P, A, sig) of the pencil h w = lam gtilde w, batched, with no
-    eigensolve: the lower triangles of P = L^-1, gtilde = L L^T, and of
-    A = P h P^T, whose eigenvalues are the lam, and sigma_0 .. sigma_n of
-    the lam as the sums of principal minors of A, stacked (..., n + 1).
-    Only the lower triangles of the symmetric gtilde and h are read."""
-    P = _inverse_cholesky_factor(gtilde)
-    A = _congruence(P, h)
-    return P, A, _principal_minor_sums(A, gtilde.shape[-1])
+def pencil_invariants(gtilde, h, n):
+    """(P, A, sig) of the n x n pencil h w = lam gtilde w, batched, with no
+    eigensolve, from the lower triangles of the symmetric gtilde and h: the
+    lower triangles of P = L^-1, gtilde = L L^T, and of A = P h P^T, whose
+    eigenvalues are the lam, and sigma_0 .. sigma_n of the lam as the sums
+    of principal minors of A, stacked (..., n + 1)."""
+    P = _inverse_cholesky_factor(gtilde, n)
+    A = _congruence(P, h, n)
+    return P, A, _principal_minor_sums(A, n)
 
 
 def pencil_eigensystem(gtilde, h):
     """(lam, V): eigenvalues of the pencil h w = lam gtilde w, ascending, and
-    gtilde-orthonormal eigenvector columns V[..., :, a], batched; only the
-    lower triangles of the symmetric gtilde and h are read.
+    gtilde-orthonormal eigenvector columns V[..., :, a], batched, for
+    (..., n, n) gtilde and h; only their lower triangles are read.
 
     One closed-form Cholesky congruence for every n: P = L^-1 with
     gtilde = L L^T, entry by entry, then A = P h P^T, whose symmetric
@@ -602,12 +598,11 @@ def pencil_eigensystem(gtilde, h):
     det(h - lam gtilde) = 0 would cancel.
     """
     n = gtilde.shape[-1]
-    P = _inverse_cholesky_factor(gtilde)
-    A = _congruence(P, h)
+    P, A, _ = pencil_invariants(_lower(gtilde), _lower(h), n)
     if n == 2:
         lam, W = _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])
     else:
-        lam, W = np.linalg.eigh(_lower_matrix(A, n))  # reads the lower triangle only
+        lam, W = np.linalg.eigh(_dense(A, n))
         W = {(k, a): W[..., k, a] for k in range(n) for a in range(n)}
     V = np.empty(gtilde.shape)
     for i in range(n):
@@ -628,15 +623,18 @@ def fundamental_forms(u: GridFunction, w: WarpingFunction):
         gtilde = f^2 I + Du Du^T,
         h = (-f D^2u + 2 f' Du Du^T + f^2 f' I) / v,
         v = sqrt(f^2 + |Du|^2),  tau = f^2 / v,
-    and of the pencil (h, gtilde) only its pencil_invariants are formed.
+    each symmetric field as its lower triangle, and of the pencil
+    (h, gtilde) only its pencil_invariants are formed.
     """
     f, fp, fpp = warp_eval(w, u.values)
     du, d2u = u.grid.gradient_hessian(u.values)
-    uu = du[:, :, None] * du[:, None, :]
-    v = np.sqrt(f ** 2 + np.sum(du * du, axis=1))
-    eye = np.eye(du.shape[1])
-    h = (-f[:, None, None] * d2u + 2.0 * fp[:, None, None] * uu
-         + (f ** 2 * fp)[:, None, None] * eye) / v[:, None, None]
-    P, A, sig = pencil_invariants(f[:, None, None] ** 2 * eye + uu, h)
-    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, h=h, P=P, A=A, sig=sig,
-                           tau=f ** 2 / v, v=v)
+    n = du.shape[1]
+    f2 = f ** 2
+    uu = {(i, j): du[:, i] * du[:, j] for i, j in d2u}
+    v = np.sqrt(f2 + sum(uu[i, i] for i in range(n)))
+    gtilde = {(i, j): f2 + x if i == j else x for (i, j), x in uu.items()}
+    # 2 f' Du Du^T + f^2 f' I = f' (Du Du^T + gtilde)
+    h = {e: (fp * (x + gtilde[e]) - f * d2u[e]) / v for e, x in uu.items()}
+    P, A, sig = pencil_invariants(gtilde, h, n)
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, P=P, A=A, sig=sig,
+                           tau=f2 / v, v=v)

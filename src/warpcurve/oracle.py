@@ -99,20 +99,29 @@ def fd_directional(u: GridFunction, direction: GridFunction, t, spec: ProblemSpe
     return u.with_values(out)
 
 
+def _block_sum(stack, weights):
+    """sum_o diags(weights[o]) @ (row block o of stack) as CSR: one product
+    of the row [diags(weights[0]) .. diags(weights[-1])] with the stack."""
+    N = stack.shape[1]
+    data = np.concatenate([np.broadcast_to(np.asarray(w, dtype=float), N) for w in weights])
+    return (sp.csc_matrix((data, np.tile(np.arange(N), len(weights)), np.arange(data.size + 1)),
+                          shape=(N, data.size)) @ stack).tocsr()
+
+
 def operator_matrix(grid: BaseGrid, weights):
-    """sum_o diags(weights[o]) @ grid.operators[o], assembled as CSR."""
-    return sum(sp.diags(w) @ op for w, op in zip(weights, grid.operators)).tocsr()
+    """sum_o diags(weights[o]) @ op_o over the operators of grid.stack."""
+    return _block_sum(grid.stack, weights)
 
 
 def jacobian_matrix(u: GridFunction, t, spec: ProblemSpec):
-    """The Jacobian the solver applies operator by operator, as CSR."""
+    """The Jacobian the solver applies from its weights, as CSR."""
     return operator_matrix(spec.grid, jacobian(u, t, spec))
 
 
 def stencil_pattern(grid: BaseGrid):
     """Every Jacobian's sparsity, the union of its operators', as CSR of ones."""
-    pattern = sum(abs(op) for op in grid.operators).tocsr()  # no entry cancels
-    pattern.data[:] = 1.0
+    pattern = _block_sum(abs(grid.stack), np.ones(grid.stack.shape[0] // grid.num_nodes))
+    pattern.data[:] = 1.0  # no entry cancels: every term is positive
     return pattern
 
 
@@ -121,8 +130,8 @@ def _fd_coloring(grid: BaseGrid):
 
     Same-colored columns never share a residual row, so one perturbed
     evaluation recovers one Jacobian entry per affected row.  Returns the
-    node colors and, per color, the (rows, cols) pattern entries it owns."""
-    pat = stencil_pattern(grid).tocsc()
+    node colors and the pattern's entries as COO."""
+    pat = stencil_pattern(grid)
     conflict = (pat.T @ pat).tocsr()
     N = grid.num_nodes
     colors = np.full(N, -1, dtype=int)
@@ -133,15 +142,7 @@ def _fd_coloring(grid: BaseGrid):
         while c in used:
             c += 1
         colors[q] = c
-    groups = []
-    for c in range(colors.max() + 1):
-        rows, cols = [], []
-        for q in np.flatnonzero(colors == c):
-            rr = pat.indices[pat.indptr[q]:pat.indptr[q + 1]]
-            rows.append(rr)
-            cols.append(np.full(rr.size, q))
-        groups.append((np.concatenate(rows), np.concatenate(cols)))
-    return colors, groups
+    return colors, pat.tocoo()
 
 
 def colored_fd_jacobian(u: GridFunction, t, spec: ProblemSpec):
@@ -149,18 +150,13 @@ def colored_fd_jacobian(u: GridFunction, t, spec: ProblemSpec):
     (Curtis, Powell & Reid): two residual evaluations per color of the
     stencil pattern.  The reference the analytic Jacobian is checked
     against entry by entry."""
-    colors, groups = _fd_coloring(spec.grid)
-    N = spec.grid.num_nodes
+    colors, pat = _fd_coloring(spec.grid)
     h = 1e-6 * (1.0 + np.max(np.abs(u.values)))
-    rows_all, cols_all, vals_all = [], [], []
-    for c, (rows, cols) in enumerate(groups):
+    values = np.empty(pat.nnz)
+    for c in range(colors.max() + 1):
         e = (colors == c).astype(float)
         Fp = residual(u.with_values(u.values + h * e), t, spec).values
         Fm = residual(u.with_values(u.values - h * e), t, spec).values
-        d = (Fp - Fm) / (2.0 * h)
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(d[rows])
-    return sp.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(N, N))
+        own = colors[pat.col] == c  # the entries in this color's columns
+        values[own] = ((Fp - Fm) / (2.0 * h))[pat.row[own]]
+    return sp.csr_matrix((values, (pat.row, pat.col)), shape=pat.shape)

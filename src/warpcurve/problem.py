@@ -10,7 +10,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConeExitError, ConfigError, HypothesisError
-from .geometry import BaseGrid, GridFunction, WarpingFunction, _dot, warp_eval
+from .geometry import BaseGrid, GridFunction, WarpingFunction, _dot, _sym, warp_eval
 
 CHECK_SAMPLES = 64  # u-samples per range in check_hypotheses
 CHECK_CHUNK = 1 << 16  # entries of a coefficient product formed at a time
@@ -179,7 +179,7 @@ def load_coefficient_table(path, grid: BaseGrid):
     Returns (u_samples, table) with table shape (n_u, num_nodes).  Validation
     errors reference the offending CSV row number (1-based, header included).
     """
-    entries = {}
+    entries = {}  # u -> {node: (CSV row number, value)}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -192,14 +192,18 @@ def load_coefficient_table(path, grid: BaseGrid):
                 raise ConfigError(f"{path}: row {rownum}: {exc}") from exc
             if not 0 <= node < grid.num_nodes:
                 raise ConfigError(f"{path}: row {rownum}: node {node} out of range")
-            entries.setdefault(u, {})[node] = value
+            cols = entries.setdefault(u, {})
+            if node in cols:
+                raise ConfigError(f"{path}: row {rownum}: u={u}, node {node} "
+                                  f"repeats row {cols[node][0]}")
+            cols[node] = rownum, value
     u_samples = np.array(sorted(entries))
     table = np.empty((u_samples.size, grid.num_nodes))
     for i, u in enumerate(u_samples):
         cols = entries[u]
         if len(cols) != grid.num_nodes:
             raise ConfigError(f"{path}: u={u}: {len(cols)} of {grid.num_nodes} nodes present")
-        for node, value in cols.items():
+        for node, (_, value) in cols.items():
             table[i, node] = value
     return u_samples, table
 
@@ -341,11 +345,6 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     return u.with_values(F)
 
 
-def _sym(X, i, j):
-    """Entry (i, j) of a symmetric matrix given by its lower-triangle entries X."""
-    return X[max(i, j), min(i, j)]
-
-
 def _sigma_derivatives(sig, k, t_alpha):
     """{j: dF/dsigma_j} of F = (sigma_k - sum_l t_alpha[l] sigma_l) / sigma_{k-1},
     the sum over l < k - 1 (none when t_alpha is empty); sigma_0 = 1 has none."""
@@ -396,7 +395,8 @@ def _newton_tensor_forms(P, A, sig, dF):
 
 def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     """Jacobian of the residual as the weights w_o, node fields, of
-    J = sum_o diag(w_o) @ grid.operators[o] = c0 + c1 . D + c2 : D^2, by the
+    J = sum_o diag(w_o) @ op_o = c0 + c1 . D + c2 : D^2 over the operators of
+    grid.stack (identity, D_a, then H_ab in grid.hess_keys order), by the
     chain rule through sigma_j of the pencil (h, gtilde), in the base's
     orthonormal frame.  rec is the curvature record of u; it is built here
     when not given.
@@ -426,7 +426,7 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     n = grid.n
     M1du = [_dot((_sym(M1, i, j), du[:, j]) for j in range(n)) for i in range(n)]
     M2du = [_dot((_sym(M2, i, j), du[:, j]) for j in range(n)) for i in range(n)]
-    M1d2u = _dot(((1.0 if i == j else 2.0) * M1[i, j], d2u[:, i, j])
+    M1d2u = _dot(((1.0 if i == j else 2.0) * M1[i, j], d2u[i, j])
                  for i in range(n) for j in range(i + 1))
 
     # c0 = Tr(M1 dh/du) - Tr(M2 dgtilde/du) + dF/du with dgtilde/du = 2 f f' I,
@@ -438,8 +438,8 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
           + Fu)
     c1 = [4.0 * fp * M1du[i] / v - tr_M1h * du[:, i] / v ** 2 - 2.0 * M2du[i]
           for i in range(n)]
-    # c2 : D^2 over hess_ops, whose keys have i <= j: (i, j) and (j, i) share a weight
-    return [c0, *c1, *((1.0 if i == j else 2.0) * (-f * M1[j, i] / v) for i, j in grid.hess_ops)]
+    # c2 : D^2 over the grid's hess_keys, j <= i: (i, j) and (j, i) share a weight
+    return [c0, *c1, *((1.0 if i == j else 2.0) * (-f * M1[i, j] / v) for i, j in grid.hess_keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_solve_invalid_config(tmp_path):
     assert cli.main(["solve", str(write_config(tmp_path, cfg))]) == 1
 
 
+@pytest.mark.parametrize("manifold, key", [
+    ({"type": "flat_torus", "resolution": [6, 6, 6], "periods": [6.0, 6.0]}, "periods"),
+    ({"type": "flat_torus", "resolution": [6, 6], "periods": [6.0, 6.0, 6.0]}, "periods"),
+    ({"type": "sphere2", "resolution": [8, 16, 16]}, "resolution")],
+    ids=["torus-short-periods", "torus-long-periods", "sphere-3-axes"])
+def test_solve_names_a_mismatched_manifold_key(tmp_path, capsys, manifold, key):
+    # the schema accepts 2 or 3 entries for each; the grid names the misfit
+    cfg = base_config(manifold=manifold)
+    assert cli.main(["solve", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "invalid configuration" not in err
+
+
 def write_constant_tables(tmp_path, nodes, amps):
     # u-independent tabulated coefficients: with f increasing these always
     # violate the coefficient monotonicity hypothesis

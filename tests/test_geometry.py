@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from warpcurve import geometry
 from warpcurve.errors import ConfigError, DomainError, GeometryError
@@ -77,6 +80,10 @@ def test_flat_torus_validation():
         FlatTorus(8)  # scalar resolution needs explicit n
     grid = FlatTorus(8, n=2)
     assert grid.shape == (8, 8) and grid.num_nodes == 64
+    with pytest.raises(ConfigError, match="periods"):
+        FlatTorus((6, 6, 6), periods=(6.0, 6.0))
+    with pytest.raises(ConfigError, match="periods"):
+        FlatTorus((6, 6), periods=(6.0, 6.0, 6.0))
 
 
 def test_sphere2_validation():
@@ -87,18 +94,85 @@ def test_sphere2_validation():
     assert grid.coords[:, 0].min() > 0.0 and grid.coords[:, 0].max() < np.pi
 
 
+def reference_differences(up, dn, h):
+    """Central differences (D, D2) as CSR, from the neighbour maps up, dn."""
+    N = up.size
+
+    def shift(cols):
+        return sp.csr_matrix((np.ones(N), (np.arange(N), cols)), shape=(N, N))
+    return (shift(up) - shift(dn)) / (2 * h), (shift(up) - 2 * sp.identity(N) + shift(dn)) / h ** 2
+
+
+def reference_operators(grid):
+    """The identity, D_a and H_ab in hess_keys order, each built as its own
+    sparse matrix: D_b @ D_a for a != b on the torus; on the sphere, with
+    pole ghosts at the antipodal longitude, D_theta, D_phi / sin,
+    D2_theta, (D_theta @ D_phi - cot D_phi) / sin and
+    (D2_phi + sin cos D_theta) / sin^2."""
+    idx = np.arange(grid.num_nodes).reshape(grid.shape)
+    eye = sp.identity(grid.num_nodes)
+    if isinstance(grid, FlatTorus):
+        D, D2 = zip(*(reference_differences(np.roll(idx, -1, axis=a).ravel(),
+                                            np.roll(idx, 1, axis=a).ravel(), h)
+                      for a, h in enumerate(grid.spacing)))
+        return [eye, *D] + [D2[a] if a == b else D[b] @ D[a] for a, b in grid.hess_keys]
+    n_theta, n_phi = grid.shape
+    anti = np.roll(idx, -n_phi // 2, axis=1)
+    Dt, D2t = reference_differences(np.vstack([idx[1:], anti[-1:]]).ravel(),
+                                    np.vstack([anti[:1], idx[:-1]]).ravel(), np.pi / n_theta)
+    Dp, D2p = reference_differences(np.roll(idx, -1, axis=1).ravel(),
+                                    np.roll(idx, 1, axis=1).ravel(), 2 * np.pi / n_phi)
+    th = grid.coords[:, 0]
+    inv_sin, cot, sc = (sp.diags(a) for a in (1 / np.sin(th), 1 / np.tan(th),
+                                               np.sin(th) * np.cos(th)))
+    return [eye, Dt, inv_sin @ Dp, D2t, inv_sin @ (Dt @ Dp - cot @ Dp),
+            inv_sin @ inv_sin @ (D2p + sc @ Dt)]
+
+
+@pytest.mark.parametrize("grid, keys", [
+    (FlatTorus((4, 5)), [(0, 0), (1, 0), (1, 1)]),
+    (FlatTorus((4, 4, 6)), [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]),
+    (Sphere2(6, 12), [(0, 0), (1, 0), (1, 1)])], ids=["torus-4x5", "torus-4x4x6", "sphere-6x12"])
+def test_stacked_operators_match_the_per_operator_construction(grid, keys):
+    # every row block of the one stacked CSR, pole rows included, against its
+    # operator built on its own from sparse products
+    assert grid.hess_keys == keys
+    N = grid.num_nodes
+    ref = reference_operators(grid)
+    assert grid.stack.shape == (len(ref) * N, N)
+    for o, op in enumerate(ref):
+        want = op.toarray()
+        got = grid.stack[o * N:(o + 1) * N].toarray()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", [FlatTorus((6, 6, 6)), Sphere2(8, 16)], ids=["torus3", "sphere"])
+def test_curvature_record_fields_are_at_most_two_dimensional(grid):
+    # symmetric fields are kept as lower triangles, never as (N, n, n)
+    u = GridFunction(1.3 + 0.05 * np.sin(grid.coords[:, 0]), grid)
+    rec = fundamental_forms(u, WarpingFunction("hyperbolic", 1.0))
+    lower = {(i, j) for i in range(grid.n) for j in range(i + 1)}
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
+        if isinstance(value, dict):
+            assert set(value) == lower, field.name
+        arrays = value.values() if isinstance(value, dict) else [value]
+        assert all(np.ndim(a) <= 2 for a in arrays), field.name
+
+
 def test_constant_field_has_zero_derivatives():
     for grid in (FlatTorus((6, 6, 6)), Sphere2(8, 16)):
         du, d2u = grid.gradient_hessian(np.full(grid.num_nodes, 1.7))
         assert np.abs(du).max() == 0.0
-        assert np.abs(d2u).max() == 0.0
+        assert list(d2u) == grid.hess_keys
+        assert all(np.abs(h).max() == 0.0 for h in d2u.values())
 
 
 def test_torus_second_derivative_of_sine():
     grid = FlatTorus((64, 4), periods=(2 * np.pi, 2 * np.pi))
     x = grid.coords[:, 0]
     _, d2u = grid.gradient_hessian(np.sin(x))
-    err = np.abs(d2u[:, 0, 0] + np.sin(x)).max()
+    err = np.abs(d2u[0, 0] + np.sin(x)).max()
     assert err < 5e-3  # O(h^2) at h = 2 pi / 64
 
 
@@ -110,9 +184,9 @@ def test_sphere_covariant_derivatives_of_cos_theta():
     du, d2u = grid.gradient_hessian(u)
     assert np.abs(np.sum(du ** 2, axis=1) - np.sin(th) ** 2).max() < 5e-3
     # covariant Hessian of cos(theta) in the frame: u_;tt = u_;pp = -cos
-    assert np.abs(d2u[:, 0, 0] + np.cos(th)).max() < 5e-3
-    assert np.abs(d2u[:, 1, 1] + np.cos(th)).max() < 5e-3
-    assert np.abs(d2u[:, 0, 1]).max() < 5e-3
+    assert np.abs(d2u[0, 0] + np.cos(th)).max() < 5e-3
+    assert np.abs(d2u[1, 1] + np.cos(th)).max() < 5e-3
+    assert np.abs(d2u[1, 0]).max() < 5e-3
 
 
 def test_sphere_frame_derivatives_of_ambient_x():
@@ -124,7 +198,7 @@ def test_sphere_frame_derivatives_of_ambient_x():
     x = np.sin(th) * np.cos(ph)
     du, d2u = grid.gradient_hessian(x)
     assert np.abs(np.sum(du ** 2, axis=1) - (1.0 - x ** 2)).max() < 3e-3
-    err = np.abs(d2u + x[:, None, None] * np.eye(2))
+    err = np.stack([np.abs(h + x * (i == j)) for (i, j), h in d2u.items()], axis=-1)
     assert err.max() < 4e-2  # first order in the pole rows (ROADMAP item 4)
     away = (th > 0.2) & (th < np.pi - 0.2)
     assert err[away].max() < 5e-3
@@ -247,8 +321,9 @@ def test_leaf_identity_constant_graphs():
                 rec = fundamental_forms(GridFunction.constant(c, grid), w)
                 assert np.abs(rec.lam - fp / f).max() <= 1e-12
                 assert np.abs(rec.tau - f).max() <= 1e-12
-                eye = np.broadcast_to(np.eye(grid.n), rec.h.shape)
-                np.testing.assert_allclose(rec.h, (f * fp) * eye, atol=1e-13)
+                # gtilde = f^2 I and h = f f' I, so A = P h P^T = (f'/f) I
+                for (i, j), a in rec.A.items():
+                    np.testing.assert_allclose(a, fp / f if i == j else 0.0, atol=1e-13)
 
 
 def test_constant_hyperbolic_leaf_value():
@@ -423,14 +498,15 @@ def test_small_perturbation_matches_directional_difference():
     bump = np.sin(grid.coords[:, 0])
     rec_p = fundamental_forms(GridFunction(c + eps * bump, grid), w)
     rec_m = fundamental_forms(GridFunction(c - eps * bump, grid), w)
-    dh_fd = (rec_p.h - rec_m.h) / (2 * eps)
-    # first variation of h at a constant leaf along the bump b:
-    # dh_ij = -b_;ij + (f'^2 + f f'') b g_ij
+    # first variation at a constant leaf along the bump b of
+    # dh_ij = -b_;ij + (f'^2 + f f'') b g_ij, and of A = P h P^T with
+    # gtilde = f^2 I + O(eps^2): dA = dh / f^2 - 2 f' b h / f^3
     f, fp, fpp = warp_eval(w, c)
     _, d2b = grid.gradient_hessian(bump)
-    eye = np.broadcast_to(np.eye(3), dh_fd.shape)
-    dh_exact = -d2b + (fp ** 2 + f * fpp) * bump[:, None, None] * eye
-    np.testing.assert_allclose(dh_fd, dh_exact, atol=1e-5)
+    for (i, j), a_p in rec_p.A.items():
+        dA_fd = (a_p - rec_m.A[i, j]) / (2 * eps)
+        dA_exact = (-d2b[i, j] + (i == j) * (f * fpp - fp ** 2) * bump) / f ** 2
+        np.testing.assert_allclose(dA_fd, dA_exact, atol=1e-6)
 
 
 def test_curvature_convergence_order_on_torus():

@@ -125,6 +125,10 @@ def test_load_coefficient_table(tmp_path):
     bad.write_text("u,node,value\n1.0,999,3.0\n")
     with pytest.raises(ConfigError, match="row 2"):
         load_coefficient_table(bad, grid)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join(lines + ["1.0,3,99.0"]) + "\n")  # node 3 of u = 1 is row 5
+    with pytest.raises(ConfigError, match="row 34: u=1.0, node 3 repeats row 5"):
+        load_coefficient_table(repeated, grid)
     nohdr = tmp_path / "nohdr.csv"
     nohdr.write_text("1.0,0,3.0\n")
     with pytest.raises(ConfigError, match="header"):
@@ -294,7 +298,7 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     # M1 = V diag(G) V^T, M2 = V diag(G lam) V^T, G = dF/dlam; measured
     # at most 2.8e-15 (sigma) and 9.4e-15 (M)
     gtilde, h = random_pencils(n, kind)
-    P, A, sig = geometry.pencil_invariants(gtilde, h)
+    P, A, sig = geometry.pencil_invariants(geometry._lower(gtilde), geometry._lower(h), n)
     lam, V = geometry.pencil_eigensystem(gtilde, h)
     scale = np.abs(lam).max(axis=1, keepdims=True)
     ref = symfunc.sigma_all(lam)
@@ -318,7 +322,7 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     assert np.all(np.abs(tr_M1h[inside] - want) <= 1e-12 * np.abs(G * lam[inside]).sum(axis=1))
 
     # the cone check names the worst node by sigma and its pencil eigenvalues
-    rec = geometry.CurvatureRecord(f=None, fp=None, fpp=None, du=None, d2u=None, h=h,
+    rec = geometry.CurvatureRecord(f=None, fp=None, fpp=None, du=None, d2u=None,
                                    P=P, A=A, sig=sig, tau=None, v=None)
     with pytest.raises(ConeExitError) as err:
         problem._check_cone(rec, k)

@@ -193,14 +193,15 @@ def test_solve_linear_torus_matches_splu(resolution, k, t):
 
 def operator_weights(grid, identity, diff=None, hess=None):
     """Weights of sum_o diags(w_o) @ op_o over the grid's operators, the
-    identity, diff_ops and hess_ops, as jacobian returns them; an operator
+    identity, the D_a and the H_ab in hess_keys order, as jacobian returns
+    them; an operator
     left out gets weight 0, and a scalar weight is constant."""
     diff, hess = diff or {}, hess or {}
 
     def full(w):
         return np.broadcast_to(np.asarray(w, dtype=float), grid.num_nodes)
     return ([full(identity)] + [full(diff.get(a, 0.0)) for a in range(grid.n)]
-            + [full(hess.get(key, 0.0)) for key in grid.hess_ops])
+            + [full(hess.get(key, 0.0)) for key in grid.hess_keys])
 
 
 def test_solve_linear_without_averaged_inverse_raises():
@@ -225,7 +226,7 @@ def test_solve_linear_gmres_miss_raises():
 
 
 def constant_weights(grid):
-    return operator_weights(grid, 2.0, diff={1: 0.3}, hess={(0, 0): -1.0, (0, 2): 0.1})
+    return operator_weights(grid, 2.0, diff={1: 0.3}, hess={(0, 0): -1.0, (2, 0): 0.1})
 
 
 def theta_only_weights(grid):
@@ -233,7 +234,7 @@ def theta_only_weights(grid):
     # sin^2 and sin^2, reaching across the poles
     th = grid.coords[:, 0]
     return operator_weights(grid, 2.0 + np.cos(th), diff={0: np.cos(th)},
-                            hess={(0, 0): -1.0, (0, 1): -0.5 * np.sin(th) ** 2, (1, 1): -1.0})
+                            hess={(0, 0): -1.0, (1, 0): -0.5 * np.sin(th) ** 2, (1, 1): -1.0})
 
 
 def test_averaged_stencil_inverse_is_exact_for_constant_coefficients():
@@ -270,7 +271,7 @@ def test_solve_linear_sphere_matches_splu(shape, t):
 def test_sphere_averaged_stencil_inverse_is_exact_for_phi_invariant_operators():
     # operators whose coefficients depend on theta only are their own phi
     # average, so the FFT-in-phi, tridiagonal-in-theta inverse is exact;
-    # both reach across the poles, and the second weights the (0, 1) Hessian
+    # both reach across the poles, and the second weights the (1, 0) Hessian
     spec = perturbed_sphere_spec(16, 32)
     grid = spec.grid
     ops = [jacobian(GridFunction.constant(1.45, grid), 0.0, spec), theta_only_weights(grid)]
@@ -314,7 +315,7 @@ def smooth_field(spec, amplitude=1.0):
 
 @SMALL_SPECS
 def test_operator_sum_is_the_assembled_jacobian(spec_fn):
-    # J x operator by operator, as GMRES applies it, against the CSR matrix
+    # J x from the stack's row blocks, as GMRES applies it, against the CSR matrix
     spec = spec_fn()
     u = smooth_field(spec)
     weights = jacobian(u, 0.7, spec)
@@ -325,19 +326,21 @@ def test_operator_sum_is_the_assembled_jacobian(spec_fn):
 
 
 @SMALL_SPECS
-def test_jacobian_fills_one_pattern_and_leaves_the_operators(spec_fn):
-    # computing, applying and preconditioning a Jacobian never rewrites the
-    # grid's operators
+def test_applying_a_jacobian_leaves_the_operators(spec_fn):
+    # computing, applying, bounding and preconditioning a Jacobian never
+    # rewrites the grid's operators
     spec = spec_fn()
     grid = spec.grid
     u = smooth_field(spec)
-    before = grid.gradient_hessian(u.values)
+    du, d2u = grid.gradient_hessian(u.values)
+    du, d2u = du.copy(), {key: h.copy() for key, h in d2u.items()}
     weights = jacobian(u, 0.5, spec)
     grid.operator_sum(weights) @ u.values
     grid.averaged_stencil_inverse(weights)(u.values)
     grid.norm_inf_bound(weights)
-    after = grid.gradient_hessian(u.values)
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    du_after, d2u_after = grid.gradient_hessian(u.values)
+    assert np.array_equal(du, du_after)
+    assert all(np.array_equal(d2u[key], d2u_after[key]) for key in grid.hess_keys)
 
 
 @SMALL_SPECS
@@ -405,10 +408,10 @@ def perturbed_jacobian(spec):
     (lambda: perturbed_spec((8, 6, 4), 3), lambda spec: constant_weights(spec.grid)),
     (lambda: perturbed_sphere_spec(16, 32), lambda spec: theta_only_weights(spec.grid))],
     ids=["torus2-16", "torus3-8", "sphere-16x32", "torus3-constant", "sphere-theta-only"])
-def test_averaged_stencil_inverse_inverts_the_slot_bincount_average(spec_fn, weights_fn):
+def test_averaged_stencil_inverse_inverts_the_symmetry_average(spec_fn, weights_fn):
     # the preconditioner built from the weights' orbit means inverts the
-    # average that a slot bincount over the assembled J's entries gives, at
-    # perturbed Jacobians and at the weight lists of the exactness tests
+    # symmetry average of the assembled J (slot_average), at perturbed
+    # Jacobians and at the weight lists of the exactness tests
     spec = spec_fn()
     grid = spec.grid
     weights = weights_fn(spec)
