@@ -108,19 +108,13 @@ CONFIG_SCHEMA = {
                 "max_newton": {"type": "integer", "minimum": 1},
                 "max_backtracks": {"type": "integer", "minimum": 1},
                 "guard_frac": {"type": "number", "minimum": 0},
-                # still accepted so existing configs validate; the solver
-                # has only the analytic Jacobian
+                # nothing reads it, since the solver has only the analytic
+                # Jacobian; still accepted because existing configs, the
+                # benchmark's sphere workload among them, set it
                 "jacobian_method": {"enum": ["analytic"]},
             },
         },
         "output_dir": {"type": "string"},
-        # accepted so existing configs and archived config echoes validate;
-        # nothing reads it, `export --format` chooses the output
-        "export": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"slices": {"type": "boolean"}, "mesh": {"type": "boolean"}},
-        },
     },
 }
 
@@ -491,13 +485,6 @@ def cmd_verify(args):
 # export
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % c for c in row) + "\n")
-
-
 def cmd_export(args):
     try:
         meta, values = read_archive(args.archive)
@@ -516,26 +503,22 @@ def cmd_export(args):
     lam_max = rec.lam[:, -1]
 
     if args.format == "csv":
+        names = _coord_names(grid) + ["u", "lambda_max"]
+        table = np.column_stack([grid.coords, values, lam_max])
         if isinstance(grid, Sphere2):
-            rows = np.column_stack([grid.coords, values, lam_max])
-            _write_csv(out / "field_latlong.csv", ["theta", "phi", "u", "lambda_max"], rows)
-            print(f"wrote {out / 'field_latlong.csv'}")
-        else:
-            shape = grid.shape
-            arr = values.reshape(shape)
-            lam_arr = lam_max.reshape(shape)
-            for axis in range(grid.n):
-                mid = shape[axis] // 2
-                sl = tuple(mid if a == axis else slice(None) for a in range(grid.n))
-                sub_coords = grid.coords.reshape(shape + (grid.n,))[sl]
-                names = [n for i, n in enumerate(_coord_names(grid)) if i != axis]
-                keep = [i for i in range(grid.n) if i != axis]
-                rows = np.column_stack(
-                    [sub_coords[..., i].ravel() for i in keep]
-                    + [arr[sl].ravel(), lam_arr[sl].ravel()])
-                fname = out / f"slice_axis{axis + 1}.csv"
-                _write_csv(fname, names + ["u", "lambda_max"], rows)
-                print(f"wrote {fname}")
+            files = [("field_latlong.csv", names, table)]
+        else:  # the mid-plane across each axis, without that axis's column
+            cells = table.reshape(grid.shape + (len(names),))
+            files = []
+            for axis, size in enumerate(grid.shape):
+                keep = [c for c in range(len(names)) if c != axis]
+                files.append((f"slice_axis{axis + 1}.csv", [names[c] for c in keep],
+                              np.take(cells, size // 2, axis=axis)[..., keep].reshape(-1, len(keep))))
+        for fname, header, rows in files:
+            with open(out / fname, "w") as fh:
+                fh.write(",".join(header) + "\n")
+                _write_rows(fh, ",".join([FLOAT_FMT] * len(header)) + "\n", rows)
+            print(f"wrote {out / fname}")
         return 0
 
     # wavefront mesh of the radius-graph embedding (generalized space form)
@@ -548,18 +531,16 @@ def cmd_export(args):
     xyz = np.column_stack([values * np.sin(th) * np.cos(ph),
                            values * np.sin(th) * np.sin(ph),
                            values * np.cos(th)])
+    # quad (i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j) per cell, 1-based
+    # vertex numbers, j + 1 wrapping around in phi
+    i, j = np.meshgrid(np.arange(nt - 1), np.arange(nphi), indexing="ij")
+    jn = (j + 1) % nphi
+    faces = np.stack([i * nphi + j, i * nphi + jn, (i + 1) * nphi + jn,
+                      (i + 1) * nphi + j], axis=-1).reshape(-1, 4) + 1
     path = out / "surface.obj"
     with open(path, "w") as fh:
-        for vx in xyz:
-            fh.write("v " + " ".join(FLOAT_FMT % c for c in vx) + "\n")
-        for i in range(nt - 1):
-            for j in range(nphi):
-                jn = (j + 1) % nphi
-                a = i * nphi + j + 1
-                b = i * nphi + jn + 1
-                c = (i + 1) * nphi + jn + 1
-                d = (i + 1) * nphi + j + 1
-                fh.write(f"f {a} {b} {c} {d}\n")
+        _write_rows(fh, f"v {FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n", xyz)
+        _write_rows(fh, "f %d %d %d %d\n", faces)
     print(f"wrote {path}")
     return 0
 

@@ -14,7 +14,9 @@ class ConfigError(WarpcurveError, ValueError):
 
 
 class GeometryError(WarpcurveError):
-    """Induced metric not positive definite or eigensolve failure."""
+    """Induced metric not finite or not positive definite, raised only by the
+    pencil oracle geometry.pencil_eigensystem: a graph's curvature record
+    factors nothing."""
 
 
 class ConeExitError(WarpcurveError):

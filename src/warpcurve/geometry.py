@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DomainError, GeometryError
 
@@ -458,20 +459,20 @@ class GridFunction:
 class CurvatureRecord:
     """Per-node geometry of the graph of u, batched over nodes and in the
     base's orthonormal frame: f, f', f'' at u, the covariant gradient of u,
-    and the lower triangles of its Hessian, of P = L^-1 (induced metric
-    gtilde = L L^T) and of A = P h P^T (h the second fundamental form),
-    whose eigenvalues are the principal curvatures; sigma_0 .. sigma_n of
-    those, support function tau, v = sqrt(f^2 + |Du|^2).  A lower triangle
-    is a dict {(i, j): (N,)} over j <= i, read through _sym.  One record per
-    iterate serves its residual, Jacobian and diagnostics; no eigensolve is
-    made unless lam is read."""
+    the lower triangles of its Hessian and of the Weingarten matrix
+    A = gamma h gamma (gamma = gtilde^(-1/2), the induced metric's symmetric
+    inverse square root, h the second fundamental form), whose eigenvalues
+    are the principal curvatures; sigma_0 .. sigma_n of those, support
+    function tau, v = sqrt(f^2 + |Du|^2).  A lower triangle is a dict
+    {(i, j): (N,)} over j <= i, read through _sym.  One record per iterate
+    serves its residual, Jacobian and diagnostics; no eigensolve is made
+    unless lam is read."""
 
     f: np.ndarray       # (N,)
     fp: np.ndarray      # (N,)
     fpp: np.ndarray     # (N,)
     du: np.ndarray      # (N, n)
     d2u: dict           # (i, j) -> (N,), j <= i
-    P: dict             # (i, j) -> (N,), j <= i
     A: dict             # (i, j) -> (N,), j <= i
     sig: np.ndarray     # (N, n + 1)
     tau: np.ndarray     # (N,)
@@ -483,18 +484,13 @@ class CurvatureRecord:
         diagnostics and export, never for a Newton iterate."""
         A, n = self.A, self.sig.shape[-1] - 1
         if n == 2:
-            return _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])[0]
+            return _eigvalsh_2x2(A[0, 0], A[1, 0], A[1, 1])
         return np.linalg.eigvalsh(_dense(A, n))
 
 
 def _sym(X, i, j):
     """Entry (i, j) of a symmetric matrix given by its lower-triangle entries X."""
     return X[max(i, j), min(i, j)]
-
-
-def _lower(X):
-    """The lower-triangle entries {(i, j): X[..., i, j]}, j <= i, of (..., n, n)."""
-    return {(i, j): X[..., i, j] for i in range(X.shape[-1]) for j in range(i + 1)}
 
 
 def _dot(pairs):
@@ -506,50 +502,12 @@ def _dot(pairs):
     return acc
 
 
-def _inverse_cholesky_factor(gtilde, n):
-    """Entries P[i, j], j <= i, of P = L^-1 for gtilde = L L^T, from the
-    lower triangle of the n x n gtilde: scalar recurrences, each vectorised
-    over the batch, so no LAPACK call is made per small matrix."""
-    L = {}
-    for j in range(n):
-        d = gtilde[j, j]
-        for k in range(j):
-            d = d - L[j, k] ** 2
-        if not np.all(d > 0.0):  # before its sqrt; a NaN pivot fails too
-            raise GeometryError("induced metric not positive definite")
-        L[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            s = gtilde[i, j]
-            for k in range(j):
-                s = s - L[i, k] * L[j, k]
-            L[i, j] = s / L[j, j]
-    P = {}
-    for i in range(n):
-        P[i, i] = 1.0 / L[i, i]
-        for j in range(i):
-            P[i, j] = -_dot((L[i, k], P[k, j]) for k in range(j, i)) / L[i, i]
-    return P
-
-
-def _congruence(P, h, n):
-    """Entries A[i, j], j <= i, of A = (P h) P^T for P lower triangular,
-    from the lower triangle of the n x n h."""
-    Ph = {(i, l): _dot((P[i, k], _sym(h, k, l)) for k in range(i + 1))
-          for i in range(n) for l in range(i + 1)}  # A needs l <= i only
-    return {(i, j): _dot((Ph[i, l], P[j, l]) for l in range(j + 1))
-            for i in range(n) for j in range(i + 1)}
-
-
-def _eigh_2x2(a00, a10, a11):
-    """Ascending eigenvalues and eigenvector entries W[k, a] of the
-    symmetric 2 x 2 matrices [[a00, a10], [a10, a11]], in closed form:
-    lam = m -+ hypot((a00 - a11)/2, a10), with m = (a00 + a11)/2, and the
-    axes turned by atan2(a10, (a00 - a11)/2) / 2."""
-    m, half = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
-    rad, angle = np.hypot(half, a10), 0.5 * np.arctan2(a10, half)
-    c, s = np.cos(angle), np.sin(angle)
-    # eigenvectors (-s, c) for m - rad and (c, s) for m + rad
-    return np.stack([m - rad, m + rad], axis=-1), {(0, 0): -s, (1, 0): c, (0, 1): c, (1, 1): s}
+def _eigvalsh_2x2(a00, a10, a11):
+    """Ascending eigenvalues of the symmetric 2 x 2 matrices
+    [[a00, a10], [a10, a11]], in closed form: m -+ hypot((a00 - a11)/2, a10),
+    with m = (a00 + a11)/2."""
+    m, rad = 0.5 * (a00 + a11), np.hypot(0.5 * (a00 - a11), a10)
+    return np.stack([m - rad, m + rad], axis=-1)
 
 
 def _dense(X, n):
@@ -574,41 +532,25 @@ def _principal_minor_sums(A, n):
     return sig
 
 
-def pencil_invariants(gtilde, h, n):
-    """(P, A, sig) of the n x n pencil h w = lam gtilde w, batched, with no
-    eigensolve, from the lower triangles of the symmetric gtilde and h: the
-    lower triangles of P = L^-1, gtilde = L L^T, and of A = P h P^T, whose
-    eigenvalues are the lam, and sigma_0 .. sigma_n of the lam as the sums
-    of principal minors of A, stacked (..., n + 1)."""
-    P = _inverse_cholesky_factor(gtilde, n)
-    A = _congruence(P, h, n)
-    return P, A, _principal_minor_sums(A, n)
-
-
 def pencil_eigensystem(gtilde, h):
     """(lam, V): eigenvalues of the pencil h w = lam gtilde w, ascending, and
     gtilde-orthonormal eigenvector columns V[..., :, a], batched, for
-    (..., n, n) gtilde and h; only their lower triangles are read.
+    symmetric (..., n, n) gtilde and h.
 
-    One closed-form Cholesky congruence for every n: P = L^-1 with
-    gtilde = L L^T, entry by entry, then A = P h P^T, whose symmetric
-    eigensystem A W = W diag(lam) keeps the spectrum real by construction,
-    and V = P^T W.  For n = 3 the eigensolve is np.linalg.eigh; for n = 2 it
-    is closed too, and exact at a leaf, where the discriminant of
-    det(h - lam gtilde) = 0 would cancel.
+    Plain batched LAPACK, sharing no code with the curvature record it is
+    the oracle for: gtilde = L L^T (Cholesky), A = L^-1 h L^-T by two
+    triangular solves, A W = W diag(lam) (eigh), V = L^-T W.  Raises
+    GeometryError when gtilde is not finite or not positive definite.
     """
-    n = gtilde.shape[-1]
-    P, A, _ = pencil_invariants(_lower(gtilde), _lower(h), n)
-    if n == 2:
-        lam, W = _eigh_2x2(A[0, 0], A[1, 0], A[1, 1])
-    else:
-        lam, W = np.linalg.eigh(_dense(A, n))
-        W = {(k, a): W[..., k, a] for k in range(n) for a in range(n)}
-    V = np.empty(gtilde.shape)
-    for i in range(n):
-        for a in range(n):
-            V[..., i, a] = _dot((P[k, i], W[k, a]) for k in range(i, n))
-    return lam, V
+    if not np.all(np.isfinite(gtilde)):
+        raise GeometryError("induced metric not finite")
+    try:
+        L = np.linalg.cholesky(gtilde)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("induced metric not positive definite") from exc
+    X = solve_triangular(L, h, lower=True)  # L^-1 h
+    lam, W = np.linalg.eigh(solve_triangular(L, np.swapaxes(X, -1, -2), lower=True))
+    return lam, solve_triangular(L, W, lower=True, trans="T")
 
 
 def principal_curvatures(gtilde, h):
@@ -616,25 +558,37 @@ def principal_curvatures(gtilde, h):
     return pencil_eigensystem(gtilde, h)[0]
 
 
-def fundamental_forms(u: GridFunction, w: WarpingFunction):
-    """Curvature record of the graph of u.
+def graph_record(f, fp, fpp, du, d2u):
+    """Curvature record of a graph from f, f', f'' at its height, the frame
+    components of its gradient Du (N, n) and its Hessian's lower triangle.
 
-    In the orthonormal frame of the base that the grid's operators use:
+    In the orthonormal frame of the base:
         gtilde = f^2 I + Du Du^T,
         h = (-f D^2u + 2 f' Du Du^T + f^2 f' I) / v,
-        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v,
-    each symmetric field as its lower triangle, and of the pencil
-    (h, gtilde) only its pencil_invariants are formed.
+        v = sqrt(f^2 + |Du|^2),  tau = f^2 / v.
+    gtilde has the closed-form symmetric inverse square root
+    gamma = (I - c Du Du^T) / f, c = 1 / (v (f + v)), so the Weingarten
+    matrix is formed entry by entry, with no factorization:
+        A = gamma h gamma = (f'/v) (I + Du Du^T / v^2)
+            - (D^2u - c (Du w^T + w Du^T) + c^2 (Du . w) Du Du^T) / (f v),
+    w = D^2u Du; sigma_j(A) are its principal minor sums.
     """
-    f, fp, fpp = warp_eval(w, u.values)
-    du, d2u = u.grid.gradient_hessian(u.values)
     n = du.shape[1]
     f2 = f ** 2
-    uu = {(i, j): du[:, i] * du[:, j] for i, j in d2u}
-    v = np.sqrt(f2 + sum(uu[i, i] for i in range(n)))
-    gtilde = {(i, j): f2 + x if i == j else x for (i, j), x in uu.items()}
-    # 2 f' Du Du^T + f^2 f' I = f' (Du Du^T + gtilde)
-    h = {e: (fp * (x + gtilde[e]) - f * d2u[e]) / v for e, x in uu.items()}
-    P, A, sig = pencil_invariants(gtilde, h, n)
-    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, P=P, A=A, sig=sig,
-                           tau=f2 / v, v=v)
+    v = np.sqrt(f2 + _dot(zip(du.T, du.T)))
+    c = 1.0 / (v * (f + v))
+    w = [_dot((_sym(d2u, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    a, b = fp / v, 1.0 / (f * v)
+    uu_coef = a / v ** 2 - b * c ** 2 * _dot(zip(du.T, w))  # the Du Du^T terms
+    A = {(i, j): (uu_coef * du[:, i] * du[:, j] + (a if i == j else 0.0)
+                  - b * (d2u[i, j] - c * (du[:, i] * w[j] + w[i] * du[:, j])))
+         for i, j in d2u}
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, A=A,
+                           sig=_principal_minor_sums(A, n), tau=f2 / v, v=v)
+
+
+def fundamental_forms(u: GridFunction, w: WarpingFunction):
+    """Curvature record of the graph of u: graph_record of f, f', f'' at u
+    and of u's frame derivatives on its grid."""
+    f, fp, fpp = warp_eval(w, u.values)
+    return graph_record(f, fp, fpp, *u.grid.gradient_hessian(u.values))

@@ -230,10 +230,6 @@ class PhiFunction:
     def deriv(self, u):
         return -self.steepness * self(u)
 
-    @property
-    def root(self):
-        return self.pivot
-
 
 # ---------------------------------------------------------------------------
 # Problem specification
@@ -359,18 +355,45 @@ def _sigma_derivatives(sig, k, t_alpha):
     return dF
 
 
-def _newton_tensor_forms(P, A, sig, dF):
-    """(M1, M2, Tr(M1 h)) of the Jacobian from the Newton tensors of A, for
-    an operator whose derivative in sigma_j is dF[j] (j >= 1), batched over
-    the nodes; M1 and M2 as lower-triangle entries like P and A.
+def _gamma_sandwiches(rec, n):
+    """B_m = gamma A^m gamma, m < n, as lower-triangle entries, for the
+    record's A = gamma h gamma with gamma = gtilde^(-1/2) = (I - c Du Du^T) / f,
+    c = 1 / (v (f + v)), each in rank-one form:
+        B_0 = gtilde^-1 = (I - Du Du^T / v^2) / f^2,
+        B_1 = (A - c (y Du^T + Du y^T) + c^2 (Du . y) Du Du^T) / f^2, y = A Du,
+        B_2 = Q^T Q, Q = A gamma = (A - c y Du^T) / f.
+    B_0 and B_1 are written as r I - s Du^T and r A - (p Du^T + Du p^T),
+    r = 1/f^2, with s = r Du / v^2 and p = r c y - (r c (Du . c y) / 2) Du."""
+    A, du, f, v = rec.A, rec.du, rec.f, rec.v
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    c, r = 1.0 / (v * (f + v)), 1.0 / f ** 2
+    cy = [c * _dot((_sym(A, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    t, rv2 = 0.5 * r * c * _dot(zip(du.T, cy)), r / v ** 2
+    s = [rv2 * du[:, i] for i in range(n)]
+    p = [r * cy[i] - t * du[:, i] for i in range(n)]
+    B = [{(i, j): (r if i == j else 0.0) - s[i] * du[:, j] for i, j in lower},
+         {(i, j): r * A[i, j] - (p[i] * du[:, j] + du[:, i] * p[j]) for i, j in lower}]
+    if n == 3:
+        Q = {(i, j): (_sym(A, i, j) - cy[i] * du[:, j]) / f
+             for i in range(n) for j in range(n)}
+        B.append({(i, j): _dot((Q[l, i], Q[l, j]) for l in range(n)) for i, j in lower})
+    return B
+
+
+def _newton_tensor_forms(rec, dF):
+    """(M1, M2, Tr(M1 h)) of the Jacobian from the Newton tensors of the
+    record's A, for an operator whose derivative in sigma_j is dF[j]
+    (j >= 1), batched over the nodes; M1 and M2 as lower-triangle entries
+    like A.
 
     G = dF/dA = sum_j dF[j] T_{j-1} and G A = sum_j dF[j] (sigma_j I - T_j),
     with the Newton tensors T_j = sum_m (-1)^m sigma_{j-m} A^m, T_n = 0
-    (Reilly, J. Diff. Geom. 8, 1973).  Then M1 = P^T G P, M2 = P^T G A P,
-    and Tr(M1 h) = Tr(G A) = sum_j j dF[j] sigma_j.  Both M are combinations
-    of B_m = P^T A^m P, m < n, formed entry by entry like A itself:
-    B_0 = P^T P, B_1 = P^T Q and B_2 = Q^T Q with Q = A P.
+    (Reilly, J. Diff. Geom. 8, 1973).  Then M1 = P^T G P, M2 = P^T G A P for
+    any P with P gtilde P^T = I and A = P h P^T, and Tr(M1 h) = Tr(G A) =
+    sum_j j dF[j] sigma_j.  The record's P is gamma = gtilde^(-1/2), so both
+    M are combinations of the _gamma_sandwiches B_m = gamma A^m gamma, m < n.
     """
+    sig = rec.sig
     n = sig.shape[1] - 1
     g, q = {}, {}  # M1 = sum_m g[m] B_m and M2 = sum_m q[m] B_m
     for j, d in dF.items():
@@ -381,15 +404,9 @@ def _newton_tensor_forms(P, A, sig, dF):
         else:
             for m in range(1, j + 1):
                 q[m] = q.get(m, 0.0) + (-1) ** (m + 1) * d * sig[:, j - m]
-    lower = [(i, j) for i in range(n) for j in range(i + 1)]
-    Q = {(i, j): _dot((_sym(A, i, l), P[l, j]) for l in range(j, n))
-         for i in range(n) for j in range(n)}
-    B = [{(i, j): _dot((P[l, i], P[l, j]) for l in range(i, n)) for i, j in lower},
-         {(i, j): _dot((P[l, i], Q[l, j]) for l in range(i, n)) for i, j in lower}]
-    if n == 3:
-        B.append({(i, j): _dot((Q[l, i], Q[l, j]) for l in range(n)) for i, j in lower})
-    M1 = {e: _dot((c, B[m][e]) for m, c in g.items()) for e in lower}
-    M2 = {e: _dot((c, B[m][e]) for m, c in q.items()) for e in lower}
+    B = _gamma_sandwiches(rec, n)
+    M1 = {e: _dot((a, B[m][e]) for m, a in g.items()) for e in B[0]}
+    M2 = {e: _dot((a, B[m][e]) for m, a in q.items()) for e in B[0]}
     return M1, M2, _dot((j * d, sig[:, j]) for j, d in dF.items())
 
 
@@ -403,7 +420,8 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
 
     The first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
-    with M1 = P^T G P, M2 = P^T G A P, G = dF/dA (see _newton_tensor_forms);
+    with M1 = gamma G gamma, M2 = gamma G A gamma, G = dF/dA and
+    gamma = gtilde^(-1/2), the record's closed form (see _newton_tensor_forms);
     on an eigenbasis these are sum_a G^a v_a v_a^T and sum_a G^a lam_a v_a v_a^T,
     G^a = dF/dlam_a, and they need no eigenvectors, so they are defined
     across eigenvalue crossings.  No matrix is assembled: grid.operator_sum
@@ -415,7 +433,7 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     _check_cone(rec, k)
     sig = rec.sig
     t_alpha = [t * spec.alpha(l, u.values) for l in range(k - 1)] if t != 0.0 else []
-    M1, M2, tr_M1h = _newton_tensor_forms(rec.P, rec.A, sig, _sigma_derivatives(sig, k, t_alpha))
+    M1, M2, tr_M1h = _newton_tensor_forms(rec, _sigma_derivatives(sig, k, t_alpha))
     Fu = np.zeros(grid.num_nodes)
     for l in range(len(t_alpha)):
         Fu -= t * spec.alpha_du(l, u.values) * (sig[:, l] / sig[:, k - 1])

@@ -91,12 +91,10 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
 
 
 def initial_solution(spec: ProblemSpec):
-    """Constant field at the root of phi = 1 (the t = 0 solution), its record,
-    and its residual |F(u0, 0)|_inf, rounding only."""
-    u0 = spec.phi.root
-    if not spec.r1 < u0 < spec.r2:
-        raise ConfigError(f"phi has no root in (r1, r2): u0={u0}")
-    u = GridFunction.constant(u0, spec.grid)
+    """Constant field at the pivot of phi, where phi = 1 (the t = 0 solution;
+    ProblemSpec keeps it inside (r1, r2)), its record, and its residual
+    |F(u0, 0)|_inf, rounding only."""
+    u = GridFunction.constant(spec.phi.pivot, spec.grid)
     rec = geometry.fundamental_forms(u, spec.warping)
     norm = float(np.abs(problem.residual(u, 0.0, spec, rec).values).max())
     if norm > 1e-10:

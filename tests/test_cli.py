@@ -12,7 +12,7 @@ import scipy
 import warpcurve
 from warpcurve import cli, solver
 from warpcurve.errors import WarpcurveError
-from warpcurve.geometry import GridFunction
+from warpcurve.geometry import GridFunction, Sphere2, fundamental_forms
 
 
 def base_config(**overrides):
@@ -51,10 +51,10 @@ def test_normalize_config_idempotent():
 
 def test_normalize_config_rejects_unknown_keys():
     import jsonschema
-    cfg = base_config()
-    cfg["tolerance"] = 1e-8
-    with pytest.raises(jsonschema.ValidationError):
-        cli.normalize_config(cfg)
+    # export was accepted and ignored; its key is now named as unexpected
+    for key, value in (("tolerance", 1e-8), ("export", {"slices": True})):
+        with pytest.raises(jsonschema.ValidationError, match=f"'{key}' was unexpected"):
+            cli.normalize_config(base_config(**{key: value}))
 
 
 def test_normalize_config_requires_k_terms():
@@ -424,3 +424,55 @@ def test_export_is_self_describing(sphere_archive, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["export", str(sphere_archive), "--format", "csv",
                      "--out", str(tmp_path / "exp")]) == 0
+
+
+@pytest.mark.parametrize("manifold", [
+    {"type": "flat_torus", "resolution": [17, 16, 5]},
+    {"type": "sphere2", "resolution": [16, 32]}], ids=["torus3", "sphere2"])
+def test_export_bytes_match_per_cell_formatting(tmp_path, manifold):
+    # a slice or table of more rows than one conversion block; the reference
+    # is the export's former cell-by-cell formatting and per-face loop
+    rng = np.random.default_rng(4)
+    cfg = cli.normalize_config(base_config(manifold=manifold))
+    spec = cli.build_spec(cfg)
+    grid = spec.grid
+    u = GridFunction(1.3 + 0.01 * rng.standard_normal(grid.num_nodes), grid)
+    archive = tmp_path / "archive"
+    cli.write_archive(archive, cfg, spec,
+                      solver.ContinuationState(1.0, u, solver.diagnostics(u, spec)), "converged")
+    out = tmp_path / "out"
+    assert cli.main(["export", str(archive), "--format", "csv", "--out", str(out)]) == 0
+    lam_max = fundamental_forms(u, spec.warping).lam[:, -1]
+    fmt = cli.FLOAT_FMT
+
+    def csv(header, rows):
+        return "".join([",".join(header) + "\n"]
+                       + [",".join(fmt % c for c in row) + "\n" for row in rows]).encode()
+
+    if isinstance(grid, Sphere2):
+        want = csv(["theta", "phi", "u", "lambda_max"],
+                   np.column_stack([grid.coords, u.values, lam_max]))
+        assert (out / "field_latlong.csv").read_bytes() == want
+        assert cli.main(["export", str(archive), "--format", "mesh", "--out", str(out)]) == 0
+        th, ph = grid.coords[:, 0], grid.coords[:, 1]
+        xyz = np.column_stack([u.values * np.sin(th) * np.cos(ph),
+                               u.values * np.sin(th) * np.sin(ph), u.values * np.cos(th)])
+        want = "".join("v " + " ".join(fmt % c for c in vx) + "\n" for vx in xyz)
+        nt, nphi = grid.shape
+        for i in range(nt - 1):
+            for j in range(nphi):
+                jn = (j + 1) % nphi
+                want += (f"f {i * nphi + j + 1} {i * nphi + jn + 1} "
+                         f"{(i + 1) * nphi + jn + 1} {(i + 1) * nphi + j + 1}\n")
+        assert (out / "surface.obj").read_bytes() == want.encode()
+        return
+    shape = grid.shape
+    coords = grid.coords.reshape(shape + (grid.n,))
+    for axis in range(grid.n):
+        sl = tuple(shape[a] // 2 if a == axis else slice(None) for a in range(grid.n))
+        keep = [i for i in range(grid.n) if i != axis]
+        rows = np.column_stack([coords[sl][..., i].ravel() for i in keep]
+                               + [u.values.reshape(shape)[sl].ravel(),
+                                  lam_max.reshape(shape)[sl].ravel()])
+        want = csv([f"x{i + 1}" for i in keep] + ["u", "lambda_max"], rows)
+        assert (out / f"slice_axis{axis + 1}.csv").read_bytes() == want

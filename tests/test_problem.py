@@ -140,7 +140,6 @@ def test_phi_function():
     assert phi(1.3) == 1.0
     assert phi(1.0) > 1.0 and phi(1.6) < 1.0
     assert phi.deriv(1.3) == -2.0
-    assert phi.root == 1.3
     with pytest.raises(ConfigError):
         PhiFunction(1.3, steepness=0.0)
 
@@ -277,28 +276,43 @@ def test_jacobian_matches_extrapolated_directional_difference(grid, profiles):
     assert worst <= 1e-9
 
 
-def random_pencils(n, kind, N=400, seed=0):
-    """N pencils (gtilde, h): gtilde SPD, h = s gtilde + amp (B + B^T) with
-    s = +-(1..2) per pencil, so about half have every lam < 0, and amp 0.5
-    (random), 1e-7 (near-degenerate) or 0 (exactly umbilic)."""
+def graph_pencils(n, kind, N=400, seed=0):
+    """N graph nodes: the record's inputs (f > 0, f', no f'', Du, the lower
+    triangle of D^2u) and the dense pencil (gtilde, h) they define, as in
+    fundamental_forms.  D^2u is chosen so that h = s gtilde + amp f^2 (B + B^T)
+    up to rounding, with s = +-(1..2) per node, so about half have every
+    lam < 0, and amp 0.5 (random), 1e-7 (near-degenerate) or 0 (umbilic)."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((N, n, n)) / np.sqrt(n)
-    gtilde = np.eye(n) + 0.5 * X @ np.swapaxes(X, 1, 2)
+    f, fp = rng.uniform(0.5, 2.0, N), rng.uniform(0.2, 2.0, N)
+    du = 0.5 * f[:, None] * rng.standard_normal((N, n))  # |Du| / f up to about 2
+    uu = du[:, :, None] * du[:, None, :]
+    f3, fp3 = f[:, None, None], fp[:, None, None]
+    v3 = np.sqrt(f3 ** 2 + uu.trace(axis1=1, axis2=2)[:, None, None])
+    gtilde = f3 ** 2 * np.eye(n) + uu
     s = rng.choice([-1.0, 1.0], N) * rng.uniform(1.0, 2.0, N)
     B = rng.standard_normal((N, n, n))
     amp = {"random": 0.5, "near-degenerate": 1e-7, "umbilic": 0.0}[kind]
-    return gtilde, s[:, None, None] * gtilde + amp * (B + np.swapaxes(B, 1, 2))
+    target = s[:, None, None] * gtilde + amp * f3 ** 2 * (B + np.swapaxes(B, 1, 2))
+    # h = (f' (gtilde + Du Du^T) - f D^2u) / v, solved for D^2u
+    d2u = (fp3 * (gtilde + uu) - v3 * target) / f3
+    h = (fp3 * (gtilde + uu) - f3 * d2u) / v3
+    lower = {(i, j): d2u[:, i, j] for i in range(n) for j in range(i + 1)}
+    return (f, fp, None, du, lower), gtilde, h
 
 
 @pytest.mark.parametrize("kind", ["random", "near-degenerate", "umbilic"])
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
 def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
-    # sigma from principal minors and M1, M2, Tr(M1 h) from Newton tensors,
-    # against sigma_all of the pencil eigenvalues and the eigenvector formula
-    # M1 = V diag(G) V^T, M2 = V diag(G lam) V^T, G = dF/dlam; measured
-    # at most 2.8e-15 (sigma) and 9.4e-15 (M)
-    gtilde, h = random_pencils(n, kind)
-    P, A, sig = geometry.pencil_invariants(geometry._lower(gtilde), geometry._lower(h), n)
+    # the closed-form record of graph nodes, its sigma from principal minors
+    # of A = gamma h gamma and M1, M2, Tr(M1 h) from Newton tensors with
+    # P = gamma, against sigma_all of the LAPACK pencil eigenvalues of the
+    # same (gtilde, h) and the eigenvector formula M1 = V diag(G) V^T,
+    # M2 = V diag(G lam) V^T, G = dF/dlam; measured at most 6.0e-15 (sigma)
+    # and 2.7e-13 (M, at a k = 3 node next to the cone's edge, where |G| is
+    # about 1e7)
+    fields, gtilde, h = graph_pencils(n, kind)
+    rec = geometry.graph_record(*fields)
+    sig = rec.sig
     lam, V = geometry.pencil_eigensystem(gtilde, h)
     scale = np.abs(lam).max(axis=1, keepdims=True)
     ref = symfunc.sigma_all(lam)
@@ -309,7 +323,7 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     rng = np.random.default_rng(1)
     t_alpha = [rng.uniform(0.5, 2.0, lam.shape[0]) for _ in range(k - 1)]
     M1, M2, tr_M1h = problem._newton_tensor_forms(
-        P, A, sig, problem._sigma_derivatives(sig, k, t_alpha))
+        rec, problem._sigma_derivatives(sig, k, t_alpha))
     _, dquot = symfunc.quotient_and_grads(lam[inside], k)
     G = dquot[:, k] - sum(ta[inside, None] * dquot[:, l] for l, ta in enumerate(t_alpha))
     Vi, Vt = V[inside], np.swapaxes(V[inside], 1, 2)
@@ -322,13 +336,39 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     assert np.all(np.abs(tr_M1h[inside] - want) <= 1e-12 * np.abs(G * lam[inside]).sum(axis=1))
 
     # the cone check names the worst node by sigma and its pencil eigenvalues
-    rec = geometry.CurvatureRecord(f=None, fp=None, fpp=None, du=None, d2u=None,
-                                   P=P, A=A, sig=sig, tau=None, v=None)
     with pytest.raises(ConeExitError) as err:
         problem._check_cone(rec, k)
     node = err.value.node
     assert node == int(np.argmin(sig[:, 1:k].min(axis=1)))
     assert np.all(np.abs(np.array(err.value.lam) - lam[node]) <= 1e-14 * scale[node])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("along", ["one-axis", "two-axes"])
+def test_record_matches_the_eigensystem_on_steep_graphs(n, along):
+    # |Du| / f from about 0.2 to 4e7 on ever shorter tori.  The record's
+    # closed form and the oracle's Cholesky both lose about eps cond(gtilde),
+    # cond(gtilde) = v^2 / f^2, in the worst case, but where differently: the
+    # record in the eigenvalue along Du, which dominates when u varies along
+    # one axis, the Cholesky when Du lies off the axes; measured at most
+    # 1.8 eps cond(gtilde) of the largest |lam| per node
+    w = WarpingFunction("hyperbolic", 1.0)
+    eye = np.eye(n)
+    for L in (1.0, 1e-3, 1e-6, 4.6e-9):
+        grid = FlatTorus((8,) * n, periods=(L,) * n)
+        x = 2.0 * np.pi * grid.coords / L
+        u = 1.3 + 0.05 * np.sin(x[:, 0]) + 0.03 * np.cos(x[:, 0 if along == "one-axis" else 1])
+        rec = geometry.fundamental_forms(GridFunction(u, grid), w)
+        assert np.all(np.isfinite(rec.sig)) and np.all(np.isfinite(rec.lam))
+        f3, fp3, v3 = (a[:, None, None] for a in (rec.f, rec.fp, rec.v))
+        uu = rec.du[:, :, None] * rec.du[:, None, :]
+        gtilde = f3 ** 2 * eye + uu
+        h = (fp3 * (gtilde + uu) - f3 * geometry._dense(rec.d2u, n)) / v3
+        lam = geometry.principal_curvatures(gtilde, h)
+        cond = (rec.v / rec.f) ** 2
+        tol = 4.0 * np.finfo(float).eps * cond * np.abs(lam).max(axis=1)
+        assert np.all(np.abs(rec.lam - lam) <= tol[:, None])
+    assert cond.max() > 1e15
 
 
 def test_jacobian_constant_mode_positive_at_start():
