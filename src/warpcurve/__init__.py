@@ -12,6 +12,6 @@ from .problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                       check_hypotheses, jacobian, residual)
 from .solver import (ContinuationState, DiagnosticsReport, continuation,
                      diagnostics, initial_solution, newton_solve)
-from .symfunc import elem_sym, elem_sym_grad, newton_maclaurin_margins
+from .symfunc import elem_sym, newton_maclaurin_margins
 
 __version__ = "0.1.0"

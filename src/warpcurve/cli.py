@@ -489,7 +489,9 @@ def cmd_export(args):
     try:
         meta, values = read_archive(args.archive)
         spec = build_spec(meta["config"], base_dir=args.archive)
-    except (OSError, json.JSONDecodeError, KeyError, WarpcurveError) as exc:
+        grid = spec.grid
+        rec = geometry.fundamental_forms(GridFunction(values, grid), spec.warping)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, WarpcurveError) as exc:
         print(f"error: cannot read archive: {exc}", file=sys.stderr)
         return 1
     if args.format not in ("csv", "mesh"):
@@ -497,9 +499,6 @@ def cmd_export(args):
         return 1
     out = Path(args.out or args.archive)
     out.mkdir(parents=True, exist_ok=True)
-    grid = spec.grid
-    u = GridFunction(values, grid)
-    rec = geometry.fundamental_forms(u, spec.warping)
     lam_max = rec.lam[:, -1]
 
     if args.format == "csv":

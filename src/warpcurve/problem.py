@@ -355,59 +355,47 @@ def _sigma_derivatives(sig, k, t_alpha):
     return dF
 
 
-def _gamma_sandwiches(rec, n):
-    """B_m = gamma A^m gamma, m < n, as lower-triangle entries, for the
-    record's A = gamma h gamma with gamma = gtilde^(-1/2) = (I - c Du Du^T) / f,
-    c = 1 / (v (f + v)), each in rank-one form:
-        B_0 = gtilde^-1 = (I - Du Du^T / v^2) / f^2,
-        B_1 = (A - c (y Du^T + Du y^T) + c^2 (Du . y) Du Du^T) / f^2, y = A Du,
-        B_2 = Q^T Q, Q = A gamma = (A - c y Du^T) / f.
-    B_0 and B_1 are written as r I - s Du^T and r A - (p Du^T + Du p^T),
-    r = 1/f^2, with s = r Du / v^2 and p = r c y - (r c (Du . c y) / 2) Du."""
-    A, du, f, v = rec.A, rec.du, rec.f, rec.v
-    lower = [(i, j) for i in range(n) for j in range(i + 1)]
-    c, r = 1.0 / (v * (f + v)), 1.0 / f ** 2
-    cy = [c * _dot((_sym(A, i, j), du[:, j]) for j in range(n)) for i in range(n)]
-    t, rv2 = 0.5 * r * c * _dot(zip(du.T, cy)), r / v ** 2
-    s = [rv2 * du[:, i] for i in range(n)]
-    p = [r * cy[i] - t * du[:, i] for i in range(n)]
-    B = [{(i, j): (r if i == j else 0.0) - s[i] * du[:, j] for i, j in lower},
-         {(i, j): r * A[i, j] - (p[i] * du[:, j] + du[:, i] * p[j]) for i, j in lower}]
-    if n == 3:
-        Q = {(i, j): (_sym(A, i, j) - cy[i] * du[:, j]) / f
-             for i in range(n) for j in range(n)}
-        B.append({(i, j): _dot((Q[l, i], Q[l, j]) for l in range(n)) for i, j in lower})
-    return B
+def _gamma_congruence(X, du, f, c):
+    """gamma X gamma, as lower-triangle entries, for a symmetric X given by
+    its lower-triangle entries and gamma = (I - c Du Du^T) / f:
+        (X - c (Du z^T + z Du^T) + c^2 (Du . z) Du Du^T) / f^2,  z = X Du."""
+    n = du.shape[1]
+    z = [_dot((_sym(X, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    cc, r = c ** 2 * _dot(zip(du.T, z)), 1.0 / f ** 2
+    return {(i, j): r * (X[i, j] - c * (du[:, i] * z[j] + z[i] * du[:, j])
+                         + cc * du[:, i] * du[:, j]) for i, j in X}
 
 
 def _newton_tensor_forms(rec, dF):
-    """(M1, M2, Tr(M1 h)) of the Jacobian from the Newton tensors of the
-    record's A, for an operator whose derivative in sigma_j is dF[j]
-    (j >= 1), batched over the nodes; M1 and M2 as lower-triangle entries
-    like A.
+    """(M1, M2 Du, tr M2, Tr(G A)) of the Jacobian, batched over the nodes,
+    for an operator whose derivative in sigma_j of the record's A is dF[j]
+    (j >= 1); M1 as lower-triangle entries like A, M2 Du as n node fields.
 
-    G = dF/dA = sum_j dF[j] T_{j-1} and G A = sum_j dF[j] (sigma_j I - T_j),
-    with the Newton tensors T_j = sum_m (-1)^m sigma_{j-m} A^m, T_n = 0
-    (Reilly, J. Diff. Geom. 8, 1973).  Then M1 = P^T G P, M2 = P^T G A P for
-    any P with P gtilde P^T = I and A = P h P^T, and Tr(M1 h) = Tr(G A) =
-    sum_j j dF[j] sigma_j.  The record's P is gamma = gtilde^(-1/2), so both
-    M are combinations of the _gamma_sandwiches B_m = gamma A^m gamma, m < n.
+    G = dF/dA = sum_j dF[j] T_{j-1} with the Newton tensors T_0 = I,
+    T_1 = sigma_1 I - A and, in 3-D, T_2 = adj A = sigma_2 I - sigma_1 A + A^2
+    (Reilly, J. Diff. Geom. 8, 1973), and Tr(G A) = sum_j j dF[j] sigma_j.
+    Then M1 = gamma G gamma and M2 = gamma G A gamma with the record's
+    gamma = gtilde^(-1/2) = (I - c Du Du^T) / f, c = 1 / (v (f + v)).  Since
+    gamma Du = Du / v and gamma^2 = gtilde^-1 = (I - Du Du^T / v^2) / f^2,
+        M2 Du = gamma G y / v,  tr M2 = (Tr(G A) - Du . G y / v^2) / f^2,
+    with y = A Du, so M2 itself is never formed.
     """
-    sig = rec.sig
-    n = sig.shape[1] - 1
-    g, q = {}, {}  # M1 = sum_m g[m] B_m and M2 = sum_m q[m] B_m
-    for j, d in dF.items():
-        for m in range(j):
-            g[m] = g.get(m, 0.0) + (-1) ** m * d * sig[:, j - 1 - m]
-        if j == n:
-            q[0] = q.get(0, 0.0) + d * sig[:, n]
-        else:
-            for m in range(1, j + 1):
-                q[m] = q.get(m, 0.0) + (-1) ** (m + 1) * d * sig[:, j - m]
-    B = _gamma_sandwiches(rec, n)
-    M1 = {e: _dot((a, B[m][e]) for m, a in g.items()) for e in B[0]}
-    M2 = {e: _dot((a, B[m][e]) for m, a in q.items()) for e in B[0]}
-    return M1, M2, _dot((j * d, sig[:, j]) for j, d in dF.items())
+    A, du, f, v, sig = rec.A, rec.du, rec.f, rec.v, rec.sig
+    n = du.shape[1]
+    g0, g1 = dF.get(1, 0.0) + dF[2] * sig[:, 1], -dF[2]  # G = g0 I + g1 A
+    G = {(i, j): g0 + g1 * A[i, j] if i == j else g1 * A[i, j] for i, j in A}
+    if 3 in dF:  # + dF[3] adj A, by cofactors with indices mod 3
+        for i, j in G:
+            p, q, r, s = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            G[i, j] += dF[3] * (_sym(A, r, p) * _sym(A, s, q) - _sym(A, r, q) * _sym(A, s, p))
+    c = 1.0 / (v * (f + v))
+    y = [_dot((_sym(A, i, j), du[:, j]) for j in range(n)) for i in range(n)]
+    Gy = [_dot((_sym(G, i, j), y[j]) for j in range(n)) for i in range(n)]
+    du_Gy = _dot(zip(du.T, Gy))
+    c_du_Gy, fv = c * du_Gy, f * v
+    M2du = [(Gy[i] - c_du_Gy * du[:, i]) / fv for i in range(n)]
+    tr_GA = _dot((j * d, sig[:, j]) for j, d in dF.items())
+    return _gamma_congruence(G, du, f, c), M2du, (tr_GA - du_Gy / v ** 2) / f ** 2, tr_GA
 
 
 def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
@@ -421,11 +409,15 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     The first-order change of the operator value is
         dF = Tr(M1 dh) - Tr(M2 dgtilde) + (dF/du) du,
     with M1 = gamma G gamma, M2 = gamma G A gamma, G = dF/dA and
-    gamma = gtilde^(-1/2), the record's closed form (see _newton_tensor_forms);
-    on an eigenbasis these are sum_a G^a v_a v_a^T and sum_a G^a lam_a v_a v_a^T,
-    G^a = dF/dlam_a, and they need no eigenvectors, so they are defined
-    across eigenvalue crossings.  No matrix is assembled: grid.operator_sum
-    applies J, and oracle.jacobian_matrix assembles it.
+    gamma = gtilde^(-1/2), the record's closed form.  Since
+    dgtilde = 2 f f' du I + Du dDu^T + dDu Du^T and dh carries h only
+    through dv, J reads M2 only as M2 Du and tr M2, and M1 h only as
+    Tr(M1 h) = Tr(G A); _newton_tensor_forms returns these and never forms
+    M2.  On an eigenbasis M1 and M2 are sum_a G^a v_a v_a^T and
+    sum_a G^a lam_a v_a v_a^T, G^a = dF/dlam_a, but they need no
+    eigenvectors, so they are defined across eigenvalue crossings.  No matrix
+    is assembled: grid.operator_sum applies J, and oracle.jacobian_matrix
+    assembles it.
     """
     grid, k = spec.grid, spec.k
     if rec is None:
@@ -433,7 +425,7 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     _check_cone(rec, k)
     sig = rec.sig
     t_alpha = [t * spec.alpha(l, u.values) for l in range(k - 1)] if t != 0.0 else []
-    M1, M2, tr_M1h = _newton_tensor_forms(rec, _sigma_derivatives(sig, k, t_alpha))
+    M1, M2du, tr_M2, tr_GA = _newton_tensor_forms(rec, _sigma_derivatives(sig, k, t_alpha))
     Fu = np.zeros(grid.num_nodes)
     for l in range(len(t_alpha)):
         Fu -= t * spec.alpha_du(l, u.values) * (sig[:, l] / sig[:, k - 1])
@@ -443,7 +435,6 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     du, d2u, v = rec.du, rec.d2u, rec.v
     n = grid.n
     M1du = [_dot((_sym(M1, i, j), du[:, j]) for j in range(n)) for i in range(n)]
-    M2du = [_dot((_sym(M2, i, j), du[:, j]) for j in range(n)) for i in range(n)]
     M1d2u = _dot(((1.0 if i == j else 2.0) * M1[i, j], d2u[i, j])
                  for i in range(n) for j in range(i + 1))
 
@@ -451,10 +442,10 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     # dh/du = K0 / v - h f f' / v^2, K0 = -f' D^2u + 2 f'' Du Du^T + (2 f f'^2 + f^2 f'') I
     c0 = ((-fp * M1d2u + 2.0 * fpp * _dot(zip(du.T, M1du))
            + (2.0 * f * fp ** 2 + f ** 2 * fpp) * sum(M1[i, i] for i in range(n))) / v
-          - tr_M1h * f * fp / v ** 2
-          - 2.0 * f * fp * sum(M2[i, i] for i in range(n))
+          - tr_GA * f * fp / v ** 2
+          - 2.0 * f * fp * tr_M2
           + Fu)
-    c1 = [4.0 * fp * M1du[i] / v - tr_M1h * du[:, i] / v ** 2 - 2.0 * M2du[i]
+    c1 = [4.0 * fp * M1du[i] / v - tr_GA * du[:, i] / v ** 2 - 2.0 * M2du[i]
           for i in range(n)]
     # c2 : D^2 over the grid's hess_keys, j <= i: (i, j) and (j, i) share a weight
     return [c0, *c1, *((1.0 if i == j else 2.0) * (-f * M1[i, j] / v) for i, j in grid.hess_keys)]

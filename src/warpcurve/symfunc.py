@@ -1,5 +1,5 @@
-"""Elementary symmetric polynomials, their derivatives, admissibility cones,
-and the curvature quotient operator.
+"""Elementary symmetric polynomials, admissibility cones, and the curvature
+quotient operator with its eigenvalue gradients.
 
 All evaluators accept batched input: the eigenvalue axis is always the last
 axis, leading axes (if any) index nodes or samples.  Conventions sigma_0 = 1
@@ -38,20 +38,6 @@ def elem_sym(lam, k):
     if not 0 <= k <= n:
         raise DomainError(f"elem_sym order k={k} outside 0..{n}")
     return sigma_all(lam)[..., k]
-
-
-def elem_sym_grad(lam, k):
-    """Gradient of sigma_k: entry i equals sigma_{k-1} of lam with entry i
-    removed.  Recomputed per deletion rather than divided out."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"elem_sym_grad order k={k} outside 1..{n}")
-    grad = np.empty_like(lam)
-    for i in range(n):
-        sub = np.delete(lam, i, axis=-1)
-        grad[..., i] = elem_sym(sub, k - 1)
-    return grad
 
 
 def cone_margins(lam, k):

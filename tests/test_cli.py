@@ -3,6 +3,7 @@ import importlib.util
 import json
 import logging
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,27 @@ def test_export_mesh_requires_sphere(tmp_path):
 
 def test_export_unknown_format(sphere_archive):
     assert cli.main(["export", str(sphere_archive), "--format", "vtk"]) == 1
+
+
+@pytest.mark.parametrize("damage", ["too-few-rows", "nan", "outside-domain", "non-numeric"])
+def test_export_damaged_archive_is_an_error_not_a_traceback(sphere_archive, tmp_path, capsys,
+                                                            damage):
+    archive = tmp_path / "archive"
+    shutil.copytree(sphere_archive, archive)
+    csv_path = archive / "solution.csv"
+    header, *rows = csv_path.read_text().splitlines()
+    if damage == "too-few-rows":
+        rows.pop()
+    else:  # one u cell: hyperbolic warping needs u > 0
+        cells = rows[3].split(",")
+        cells[header.split(",").index("u")] = {"nan": "nan", "outside-domain": "-1.0",
+                                               "non-numeric": "1.3x"}[damage]
+        rows[3] = ",".join(cells)
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["export", str(archive), "--format", "csv",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read archive: ")
 
 
 def test_export_table_archive(tmp_path, monkeypatch):

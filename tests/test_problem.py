@@ -304,12 +304,13 @@ def graph_pencils(n, kind, N=400, seed=0):
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
 def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     # the closed-form record of graph nodes, its sigma from principal minors
-    # of A = gamma h gamma and M1, M2, Tr(M1 h) from Newton tensors with
-    # P = gamma, against sigma_all of the LAPACK pencil eigenvalues of the
-    # same (gtilde, h) and the eigenvector formula M1 = V diag(G) V^T,
+    # of A = gamma h gamma and the Jacobian's reads of the Newton-tensor
+    # forms, M1 = gamma G gamma, M2 Du, tr M2 (M2 = gamma G A gamma) and
+    # Tr(G A), against sigma_all of the LAPACK pencil eigenvalues of the same
+    # (gtilde, h) and the eigenvector forms M1 = V diag(G) V^T,
     # M2 = V diag(G lam) V^T, G = dF/dlam; measured at most 6.0e-15 (sigma)
-    # and 2.7e-13 (M, at a k = 3 node next to the cone's edge, where |G| is
-    # about 1e7)
+    # and 2.7e-13 (M1, at a k = 3 node next to the cone's edge, where |G| is
+    # about 1e7; M2 Du 1.4e-13, tr M2 3.0e-14)
     fields, gtilde, h = graph_pencils(n, kind)
     rec = geometry.graph_record(*fields)
     sig = rec.sig
@@ -322,18 +323,23 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     assert 0 < inside.sum() < inside.size
     rng = np.random.default_rng(1)
     t_alpha = [rng.uniform(0.5, 2.0, lam.shape[0]) for _ in range(k - 1)]
-    M1, M2, tr_M1h = problem._newton_tensor_forms(
+    M1, M2du, tr_M2, tr_GA = problem._newton_tensor_forms(
         rec, problem._sigma_derivatives(sig, k, t_alpha))
     _, dquot = symfunc.quotient_and_grads(lam[inside], k)
     G = dquot[:, k] - sum(ta[inside, None] * dquot[:, l] for l, ta in enumerate(t_alpha))
     Vi, Vt = V[inside], np.swapaxes(V[inside], 1, 2)
-    for M, D in ((M1, G), (M2, G * lam[inside])):
-        want = (Vi * D[:, None, :]) @ Vt
-        size = np.abs(want).max(axis=(1, 2))
-        for (i, j), got in M.items():
-            assert np.all(np.abs(got[inside] - want[:, i, j]) <= 1e-12 * size)
+    want1, want2 = ((Vi * D[:, None, :]) @ Vt for D in (G, G * lam[inside]))
+    size1, size2 = (np.abs(W).max(axis=(1, 2)) for W in (want1, want2))
+    for (i, j), got in M1.items():
+        assert np.all(np.abs(got[inside] - want1[:, i, j]) <= 1e-12 * size1)
+    du = rec.du[inside]
+    want = np.einsum("nij,nj->ni", want2, du)
+    got = np.stack(M2du, axis=1)[inside]
+    assert np.all(np.abs(got - want) <= 1e-12 * (size2 * np.abs(du).sum(axis=1))[:, None])
+    want = np.trace(want2, axis1=1, axis2=2)
+    assert np.all(np.abs(tr_M2[inside] - want) <= 1e-12 * size2)
     want = np.sum(G * lam[inside], axis=1)
-    assert np.all(np.abs(tr_M1h[inside] - want) <= 1e-12 * np.abs(G * lam[inside]).sum(axis=1))
+    assert np.all(np.abs(tr_GA[inside] - want) <= 1e-12 * np.abs(G * lam[inside]).sum(axis=1))
 
     # the cone check names the worst node by sigma and its pencil eigenvalues
     with pytest.raises(ConeExitError) as err:

@@ -44,26 +44,6 @@ def test_elem_sym_batched():
     assert out[0] == 11.0 and out[1] == 3.0
 
 
-def test_elem_sym_grad_known_values():
-    np.testing.assert_allclose(symfunc.elem_sym_grad([1.0, 1.0, 1.0], 2), [2.0, 2.0, 2.0])
-    np.testing.assert_allclose(symfunc.elem_sym_grad([1.0, 2.0, 3.0], 3), [6.0, 3.0, 2.0])
-    np.testing.assert_allclose(symfunc.elem_sym_grad([1.0, 2.0, 3.0], 2), [5.0, 4.0, 3.0])
-
-
-def test_grad_identities():
-    # Euler: sum lam_i d sigma_k = k sigma_k; sum d sigma_k = (n-k+1) sigma_{k-1}
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        n = int(rng.integers(3, 7))
-        lam = rng.standard_normal(n) * 2.0
-        for k in range(1, n + 1):
-            grad = symfunc.elem_sym_grad(lam, k)
-            sk = symfunc.elem_sym(lam, k)
-            assert abs(lam @ grad - k * sk) <= 1e-12 * max(1.0, abs(k * sk))
-            skm1 = symfunc.elem_sym(lam, k - 1)
-            assert abs(grad.sum() - (n - k + 1) * skm1) <= 1e-12 * max(1.0, abs(skm1))
-
-
 def test_newton_maclaurin_frozen_values():
     m1, m2 = symfunc.newton_maclaurin_margins(np.array([1.0, 2.0, 3.0]), 2, 1, 1, 0)
     assert m1 == pytest.approx(6.0, abs=1e-12)
