@@ -1,11 +1,14 @@
-"""Solve one configuration and report its solve time, peak RSS and the
-Newton and GMRES iterations summed per grid level.
+"""Solve one configuration and report its solve time, the time to write its
+archive, peak RSS and the Newton and GMRES iterations summed per grid level.
 
     PYTHONPATH=src python configs/measure.py configs/torus2-512.json
 
 Set-up (config, spec, hypothesis check) is not timed; the solve is the
-continuation alone, with BLAS on one thread.  Peak RSS is the process's,
-set-up included, so run one config per process.
+continuation alone, with BLAS on one thread.  archive_s is cli.write_archive
+of the solved state (solution.csv, metadata.json, log.jsonl) into a
+temporary directory, removed afterwards.  Peak RSS is the process's, set-up
+included, so run one config per process: peak_rss_mib is read after the
+solve, peak_rss_archive_mib after the archive is written.
 """
 import os
 
@@ -15,18 +18,29 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import json
 import resource
 import sys
+import tempfile
 from time import perf_counter
 
 from warpcurve import cli, problem, solver
 
 
+def _peak_rss_mib():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+
+
 def main(path):
     with open(path) as fh:
-        spec = cli.build_spec(cli.normalize_config(json.load(fh)))
+        cfg = cli.normalize_config(json.load(fh))
+    spec = cli.build_spec(cfg)
     problem.check_hypotheses(spec).raise_if_failed()
     start = perf_counter()
     state = solver.continuation(spec, check=False)
     solve_s = perf_counter() - start
+    peak_solve = _peak_rss_mib()
+    with tempfile.TemporaryDirectory() as out:
+        start = perf_counter()
+        cli.write_archive(out, cfg, spec, state, "converged")
+        archive_s = perf_counter() - start
     levels = {}
     for rec in state.steps:
         if rec["accepted"]:
@@ -34,7 +48,8 @@ def main(path):
             counts[0] += rec["newton_iters"]
             counts[1] += rec["linear_iters"]
     print(json.dumps({"config": path, "solve_s": round(solve_s, 3),
-                      "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
+                      "archive_s": round(archive_s, 3), "peak_rss_mib": peak_solve,
+                      "peak_rss_archive_mib": _peak_rss_mib(),
                       "newton_gmres_per_level": levels}))
 
 

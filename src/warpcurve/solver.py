@@ -218,9 +218,10 @@ def _log(steps, log_stream, entry):
         log_stream.write(json.dumps(entry) + "\n")
 
 
-def _record(steps, log_stream, spec, t, u, stats, rec):
-    """Append the step record of u, solved at t on spec's grid, to steps and
-    write it to log_stream; returns u's diagnostics."""
+def _record(steps, log_stream, spec, t, u, stats, rec, **extra):
+    """Append the step record of u, solved at t on spec's grid, with the
+    entries of extra last, to steps and write it to log_stream; returns u's
+    diagnostics."""
     diag = diagnostics(u, spec, rec)
     _log(steps, log_stream, {
         "t": t, "grid": list(spec.grid.shape), "accepted": True,
@@ -229,7 +230,7 @@ def _record(steps, log_stream, spec, t, u, stats, rec):
         "residual_norm": stats.residual_norms[-1],
         "residual_history": stats.residual_norms,
         "u_min": diag.u_min, "u_max": diag.u_max,
-        "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max})
+        "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max, **extra})
     return diag
 
 
@@ -325,13 +326,15 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     coarsest level of spec's grid: the last grid of halved axes that keeps
     COARSEST_NODES nodes (see _coarse_spec), so 8^3 for 16^3 and 16 x 32 for
     Sphere2(64, 128).  Each finer level, up to spec's own grid, prolongs the
-    level below (grid.prolong_from) and finishes with Newton at t_final.  A
-    grid with no coarse level, or a ladder in which anything fails, is
-    solved by the homotopy on spec's own grid, so a ContinuationError is
-    always that path's and its last_state is on spec's grid.  Every step
-    record names the grid it ran on.  A failed ladder's records stay in
-    front of the fallback's and end in one record of the level that failed:
-    its grid, t_final, the error's type and "accepted": false, with no dt.
+    level below (grid.prolong_from) and finishes with Newton at t_final; its
+    step record also carries correction_norm, max|u_L - P u_{L-1}| between
+    its solution u_L and that prolonged start.  A grid with no coarse level,
+    or a ladder in which anything fails, is solved by the homotopy on
+    spec's own grid, so a ContinuationError is always that path's and its
+    last_state is on spec's grid.  Every step record names the grid it ran
+    on.  A failed ladder's records stay in front of the fallback's and end
+    in one record of the level that failed: its grid, t_final, the error's
+    type and "accepted": false, with no dt.
     With check=True the structural hypotheses are verified first and a
     violation raises HypothesisError; callers that have already checked them
     pass False.
@@ -348,10 +351,10 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
         try:
             state = _homotopy(level, t_final, log_stream, steps)
             for level in levels[1:]:
-                u = GridFunction(level.grid.prolong_from(state.u.values, state.u.grid),
-                                 level.grid)
-                u, stats, rec = newton_solve(u, t_final, level)
-                diag = _record(steps, log_stream, level, t_final, u, stats, rec)
+                start = level.grid.prolong_from(state.u.values, state.u.grid)
+                u, stats, rec = newton_solve(GridFunction(start, level.grid), t_final, level)
+                diag = _record(steps, log_stream, level, t_final, u, stats, rec,
+                               correction_norm=float(np.abs(u.values - start).max()))
                 state = ContinuationState(t=t_final, u=u, diagnostics=diag, steps=steps)
             return state
         except WarpcurveError as exc:

@@ -283,6 +283,31 @@ def test_archive_bytes_match_per_cell_formatting(tmp_path, manifold, table):
             assert (out / fname).read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 700])
+def test_write_rows_matches_per_cell_formatting(tmp_path, rows):
+    # 700 rows span three blocks; a column holding both 0.0 and -0.0 ("0"
+    # and "-0", which values compared by == would merge), a constant
+    # column, a %d column stored as floats, and values that need all 17
+    # digits, the extremes, nan and the infinities
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0]
+    zeros = rng.choice([0.0, -0.0, 1.0], rows)
+    mixed = np.where(rng.uniform(size=rows) < 0.3, rng.choice(specials, rows),
+                     rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows))
+    table = np.column_stack([zeros, np.full(rows, 1.3169578969248166),
+                             rng.integers(-10 ** 6, 10 ** 6, rows).astype(float), mixed])
+    fmt = cli.FLOAT_FMT
+    for template, tab in ((f"{fmt},{fmt},%d,{fmt}\n", table),
+                          ("f %d %d\n", rng.integers(1, 5, (rows, 2)))):
+        with open(tmp_path / "rows.txt", "w") as fh:
+            cli._write_rows(fh, template, tab)
+        want = "".join(template % tuple(row) for row in tab.tolist())
+        assert (tmp_path / "rows.txt").read_bytes() == want.encode()
+    with pytest.raises(ValueError, match="one %-conversion per column"):
+        cli._write_rows(None, f"{fmt},{fmt}\n", table)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

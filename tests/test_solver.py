@@ -713,6 +713,31 @@ def test_sequenced_solution_matches_the_direct_homotopy(spec_fn, ladder):
     assert state.u.grid is spec.grid and state.t == 1.0
 
 
+def test_finer_levels_log_their_correction_norm(monkeypatch):
+    # each finer level's record carries max|u_L - P u_{L-1}|, u_{L-1} the
+    # solution of the level below; no other record has the key
+    spec = perturbed_spec((64, 64), 2)
+    solved = {}  # grid shape -> (grid, u of the last Newton solve on it)
+    original = solver.newton_solve
+
+    def newton_solve(u, t, level, rec=None):
+        out = original(u, t, level, rec=rec)
+        solved[level.grid.shape] = (level.grid, out[0].values)
+        return out
+    monkeypatch.setattr(solver, "newton_solve", newton_solve)
+    state = solver.continuation(spec)
+    finer = [rec for rec in state.steps if "correction_norm" in rec]
+    assert [rec["grid"] for rec in finer] == [[32, 32], [64, 64]]
+    assert finer == state.steps[-2:]
+    for below, rec in zip([(16, 16), (32, 32)], finer):
+        (coarse, u_coarse), (grid, u) = solved[below], solved[tuple(rec["grid"])]
+        assert rec["correction_norm"] == float(np.abs(u - grid.prolong_from(u_coarse, coarse)).max())
+    # an estimate of the error of u_{L-1}, so second order: each level's
+    # about a quarter of the one before
+    ratio = finer[0]["correction_norm"] / finer[1]["correction_norm"]
+    assert 3.5 <= ratio <= 4.5, ratio
+
+
 def fail_on_grid(monkeypatch, grid, count):
     """Make the first `count` newton_solve calls on grid raise."""
     original = solver.newton_solve
