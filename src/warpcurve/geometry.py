@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import ConfigError, DomainError, GeometryError
 
@@ -225,8 +226,8 @@ def _check_refines(grid, coarse, kind):
         raise ConfigError("prolongation needs more nodes on every axis")
 
 
-# smallest |symbol| / max |symbol| (torus) or |pivot| / max |pivot| (sphere)
-# an averaged stencil may have and still be inverted by a grid's
+# smallest |symbol| / max |symbol| (torus) or |U_ii| / max |U_ii| of its LU
+# (sphere) an averaged stencil may have and still be inverted by a grid's
 # averaged_stencil_inverse
 _SYMBOL_FLOOR = 1e-12
 
@@ -366,48 +367,50 @@ class Sphere2(BaseGrid):
         self.stack = _stack([[(idx.ravel(), 1.0)], D_theta, frame(D_phi, 1),
                              D2_theta, frame(H_tp, 1), frame(H_pp, 2)])
 
+    @cached_property
+    def _bands(self):
+        """The band table: the stack's entries in its phi = 0 rows, which fix
+        each operator as it commutes with phi rotations, as (owner, slot,
+        value).  An entry of operator o in theta row i has the owner
+        o n_theta + i and, at column c, the slot (c // n_phi - i + 1,
+        c mod n_phi, i) of a (theta offset + 1, phi offset, theta row)
+        kernel; a pole ghost lies in row i itself, at theta offset 0."""
+        n_theta, n_phi = self.shape
+        band = self.stack[::n_phi].tocoo()  # row o n_theta + i: operator o, theta row i
+        i, col = band.row % n_theta, band.col
+        return band.row, ((col // n_phi - i + 1) * n_phi + col % n_phi) * n_theta + i, band.data
+
     def averaged_stencil_inverse(self, weights):
         """Inverse of sum_o diag(m_o) op_o, m_o the phi-mean of
         weights[o] per theta row: the average of J = operator_sum(weights)
         over all phi rotations.
 
-        It commutes with phi rotations, so each phi Fourier mode is one
-        tridiagonal system in theta, all factored at once by a Thomas sweep.
-        Its entries are read from its responses to unit impulses at phi = 0
-        in every third theta row: in theta row i, each set's response comes
-        from just one of the rows i - 1, i, i + 1 (a pole ghost lies in row i
-        itself), and its DFT in phi is that coupling per mode.  Returns None
-        when a pivot is (near-)zero, since the sweep cannot invert it.
+        Its kernel, its coefficients by slot, is one bincount of the means
+        times the band table's values (_bands).  Each phi Fourier mode is one
+        tridiagonal system in theta, with the conjugate DFT in phi of the
+        kernel as its bands; all modes, end to end, make one tridiagonal
+        system, factored by one banded LU with partial pivoting (LAPACK
+        zgttrf) and applied by an FFT in phi, zgttrs and an inverse FFT.
+        Returns None when the LU fails (info != 0) or U has a (near-)zero
+        diagonal entry: min |U_ii| <= _SYMBOL_FLOOR max |U_ii|.
         """
         n_theta, n_phi = self.shape
-        averaged = self.operator_sum(
-            [np.repeat(np.reshape(w, self.shape).mean(axis=1), n_phi) for w in weights])
-        rows = np.arange(n_theta)
-        impulses = np.zeros((3, *self.shape))
-        impulses[rows % 3, rows, 0] = 1.0
-        responses = np.fft.rfft(np.stack(
-            [(averaged @ x.ravel()).reshape(self.shape) for x in impulses]), axis=-1)
-        # (lower, diagonal, upper) coefficients, each (n_theta, mode)
-        lower, diag, upper = (responses[(rows + d) % 3, rows] for d in (-1, 0, 1))
-        # LU without pivoting; lower becomes the elimination multipliers
-        pivot = diag.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(1, n_theta):
-                lower[i] /= pivot[i - 1]
-                pivot[i] -= lower[i] * upper[i - 1]
-        size = np.abs(pivot)
-        # a zero pivot leaves inf or nan after it, which fails this test too
-        if not size.min() > _SYMBOL_FLOOR * size.max():
+        owner, slot, value = self._bands
+        means = np.array([np.reshape(w, self.shape).mean(axis=1) for w in weights]).ravel()
+        kernel = np.bincount(slot, means[owner] * value, minlength=3 * self.num_nodes)
+        # (lower, diagonal, upper) couplings, each mode-major (mode, theta row);
+        # a mode's first row has no lower and its last row no upper coupling
+        bands = np.fft.rfft(kernel.reshape(3, n_phi, n_theta), axis=1).conj().reshape(3, -1)
+        lower, diag, upper, upper2, pivots, info = zgttrf(bands[0, 1:], bands[1], bands[2, :-1])
+        size = np.abs(diag)
+        # a nan in the bands fails this test too
+        if info != 0 or not size.min() > _SYMBOL_FLOOR * size.max():
             return None
 
         def apply(x):
-            y = np.fft.rfft(np.reshape(x, self.shape), axis=-1)
-            for i in range(1, n_theta):
-                y[i] -= lower[i] * y[i - 1]
-            y[-1] /= pivot[-1]
-            for i in range(n_theta - 2, -1, -1):
-                y[i] = (y[i] - upper[i] * y[i + 1]) / pivot[i]
-            return np.fft.irfft(y, n=n_phi, axis=-1).ravel()
+            y = np.fft.rfft(np.reshape(x, self.shape), axis=-1).T.reshape(-1, 1)
+            y = zgttrs(lower, diag, upper, upper2, pivots, y, overwrite_b=True)[0]
+            return np.fft.irfft(y.reshape(-1, n_theta).T, n=n_phi, axis=-1).ravel()
         return apply
 
     def prolong_from(self, coarse_values, coarse_grid):

@@ -95,13 +95,13 @@ class CoefficientFamily:
             if t.epsilon * np.max(np.abs(psi)) >= 1.0:
                 raise ConfigError("perturbation eps*psi must stay below 1")
 
-    def values(self, l, u, w: WarpingFunction):
-        f, _, _ = warp_eval(w, u)
+    def values(self, l, u, w: WarpingFunction, rec=None):
+        f = warp_eval(w, u)[0] if rec is None else rec.f
         t = self.terms[l]
         return t.amplitude * f ** (-(self.k - l)) * (1.0 + t.epsilon * self._psi[l])
 
-    def du(self, l, u, w: WarpingFunction):
-        f, fp, _ = warp_eval(w, u)
+    def du(self, l, u, w: WarpingFunction, rec=None):
+        f, fp = warp_eval(w, u)[:2] if rec is None else (rec.f, rec.fp)
         t = self.terms[l]
         return (-(self.k - l) * t.amplitude * f ** (-(self.k - l) - 1) * fp
                 * (1.0 + t.epsilon * self._psi[l]))
@@ -154,11 +154,11 @@ class TabulatedCoefficients:
         nodes = np.arange(tb.shape[1])
         return j, t, tb[j, nodes], tb[j + 1, nodes]
 
-    def values(self, l, u, w=None):
+    def values(self, l, u, w=None, rec=None):
         _, t, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return lo + t * (hi - lo)
 
-    def du(self, l, u, w=None):
+    def du(self, l, u, w=None, rec=None):
         j, _, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return (hi - lo) / (self.u_samples[j + 1] - self.u_samples[j])
 
@@ -280,25 +280,28 @@ class ProblemSpec:
         """sigma_k(e)/sigma_{k-1}(e) = (n - k + 1)/k."""
         return (self.n - self.k + 1) / self.k
 
-    def alpha(self, l, u):
-        return self.coeffs.values(l, u, self.warping)
+    def alpha(self, l, u, rec=None):
+        """alpha_l at u; rec, when given, is u's curvature record, whose f
+        and f' this and alpha_du read instead of evaluating the warping."""
+        return self.coeffs.values(l, u, self.warping, rec)
 
-    def alpha_du(self, l, u):
-        return self.coeffs.du(l, u, self.warping)
+    def alpha_du(self, l, u, rec=None):
+        return self.coeffs.du(l, u, self.warping, rec)
 
     def alpha_factors(self, l, us):
         return self.coeffs.factors(l, us, self.warping)
 
 
-def alpha_k1_homotopy(u, t, spec: ProblemSpec):
+def alpha_k1_homotopy(u, t, spec: ProblemSpec, rec=None):
     """Deformed top coefficient
-    t alpha_{k-1}(u, x) + (1 - t) phi(u) (sigma_k(e)/sigma_{k-1}(e)) f'/f."""
+    t alpha_{k-1}(u, x) + (1 - t) phi(u) (sigma_k(e)/sigma_{k-1}(e)) f'/f;
+    rec, when given, is u's curvature record, whose f and f' are read."""
     if not 0.0 <= t <= 1.0:
         raise ConfigError(f"homotopy parameter t={t} outside [0, 1]")
     u = np.asarray(u, dtype=float)
-    f, fp, _ = warp_eval(spec.warping, u)
+    f, fp = warp_eval(spec.warping, u)[:2] if rec is None else (rec.f, rec.fp)
     leaf = spec.phi(u) * spec.ratio_e * fp / f
-    return t * spec.alpha(spec.k - 1, u) + (1.0 - t) * leaf
+    return t * spec.alpha(spec.k - 1, u, rec) + (1.0 - t) * leaf
 
 
 def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
@@ -306,7 +309,7 @@ def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
     kappa = fp / f
     dkappa = (fpp * f - fp ** 2) / f ** 2
     dleaf = spec.ratio_e * (spec.phi.deriv(u) * kappa + spec.phi(u) * dkappa)
-    return t * spec.alpha_du(spec.k - 1, u) + (1.0 - t) * dleaf
+    return t * spec.alpha_du(spec.k - 1, u, rec) + (1.0 - t) * dleaf
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +339,8 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     F = sig[:, k] / den
     for l in range(k - 1):
         if t != 0.0:
-            F = F - t * spec.alpha(l, u.values) * sig[:, l] / den
-    F = F - alpha_k1_homotopy(u.values, t, spec)
+            F = F - t * spec.alpha(l, u.values, rec) * sig[:, l] / den
+    F = F - alpha_k1_homotopy(u.values, t, spec, rec)
     return u.with_values(F)
 
 
@@ -424,11 +427,11 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
         rec = geometry.fundamental_forms(u, spec.warping)
     _check_cone(rec, k)
     sig = rec.sig
-    t_alpha = [t * spec.alpha(l, u.values) for l in range(k - 1)] if t != 0.0 else []
+    t_alpha = [t * spec.alpha(l, u.values, rec) for l in range(k - 1)] if t != 0.0 else []
     M1, M2du, tr_M2, tr_GA = _newton_tensor_forms(rec, _sigma_derivatives(sig, k, t_alpha))
     Fu = np.zeros(grid.num_nodes)
     for l in range(len(t_alpha)):
-        Fu -= t * spec.alpha_du(l, u.values) * (sig[:, l] / sig[:, k - 1])
+        Fu -= t * spec.alpha_du(l, u.values, rec) * (sig[:, l] / sig[:, k - 1])
     Fu -= _alpha_k1_homotopy_du(u.values, t, spec, rec)
 
     f, fp, fpp = rec.f, rec.fp, rec.fpp

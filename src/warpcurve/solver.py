@@ -119,9 +119,11 @@ def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
 
     Matrix-free GMRES, preconditioned by the grid's averaged_stencil_inverse
     of the weights (the FFT inverse of the translation-averaged operator on
-    the torus, FFT in phi plus a tridiagonal solve in theta per mode on the
-    sphere).  Raises NonConvergenceError when that inverse does not exist or
-    GMRES misses rtol, so the Newton solve fails like any other.
+    the torus; on the sphere an FFT in phi and one banded LU with partial
+    pivoting of every mode's tridiagonal system in theta, from the band
+    table).  Raises NonConvergenceError when that inverse does not exist (a
+    near-zero symbol or U_ii, or a failed LU) or GMRES misses rtol, so the
+    Newton solve fails like any other.
     """
     apply = grid.averaged_stencil_inverse(weights)
     if apply is None:

@@ -432,27 +432,53 @@ def test_jacobian_matches_colored_fd_entrywise(grid, profiles):
         assert err <= 1e-6 * abs(J).max()
 
 
-@pytest.mark.parametrize("grid, profiles", [
+GIVEN_RECORD_SPECS = pytest.mark.parametrize("grid, profiles", [
     (FlatTorus((8, 8, 8)), ({"kind": "cos", "axis": 0}, {"kind": "sin", "axis": 2})),
     (Sphere2(12, 24), ({"kind": "sphere_z"}, {"kind": "sphere_x"})),
 ], ids=["torus3-8", "sphere-12x24"])
-def test_jacobian_from_given_record_is_identical(grid, profiles, monkeypatch):
-    # the record Newton hands over is the one jacobian would build itself
+
+
+def given_record_case(grid, profiles):
+    """A perturbed k = 2 spec on grid, a smooth u near its pivot and u's record."""
     coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, profiles[0]),
                                 CoefficientTerm(0.5, 0.05, profiles[1])], 2)
     spec = ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
                        k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
     x = grid.coords
     u = GridFunction(1.45 + 0.03 * np.cos(x[:, 0]) * np.sin(x[:, 1]), grid)
-    rec = geometry.fundamental_forms(u, spec.warping)
+    return spec, u, geometry.fundamental_forms(u, spec.warping)
+
+
+def without_record_building(m):
+    """Make building a record, or evaluating the warping, fail inside m."""
+    for name in ("fundamental_forms", "pencil_eigensystem", "warp_eval"):
+        m.setattr(geometry, name, None)
+    m.setattr(problem, "warp_eval", None)
+    m.setattr(geometry.BaseGrid, "gradient_hessian", None)
+
+
+@GIVEN_RECORD_SPECS
+def test_jacobian_from_given_record_is_identical(grid, profiles, monkeypatch):
+    # the record Newton hands over is the one jacobian would build itself,
+    # and its f and f' stand in for every evaluation of the warping
+    spec, u, rec = given_record_case(grid, profiles)
     for t in (0.0, 0.5, 1.0):
         want = jacobian(u, t, spec)
         with monkeypatch.context() as m:
-            for name in ("fundamental_forms", "pencil_eigensystem"):
-                m.setattr(geometry, name, None)
-            m.setattr(geometry.BaseGrid, "gradient_hessian", None)
+            without_record_building(m)
             got = jacobian(u, t, spec, rec)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+@GIVEN_RECORD_SPECS
+def test_residual_from_given_record_is_identical(grid, profiles, monkeypatch):
+    spec, u, rec = given_record_case(grid, profiles)
+    for t in (0.0, 0.5, 1.0):
+        want = residual(u, t, spec).values
+        with monkeypatch.context() as m:
+            without_record_building(m)
+            got = residual(u, t, spec, rec).values
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

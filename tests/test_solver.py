@@ -294,6 +294,41 @@ def test_solve_linear_sphere_without_averaged_inverse_raises():
         solver._solve_linear(weights, rhs, grid)
 
 
+def test_sphere_averaged_stencil_inverse_pivots_past_a_zero_first_pivot():
+    # c0 + c_tt d_tt with c0 = c_tt / h^2: in phi mode 0 the row-0 diagonal
+    # c0 - 2 c_tt / h^2 plus the pole ghost's c_tt / h^2 is exactly 0, so an
+    # elimination without row exchanges stops at once; the operator itself
+    # is nonsingular for n_theta = 8, as 2 cos(pi m / 8) = 1 has no integer
+    # solution m, nor has 2 cos(pi (m + 1/2) / 8) = 1 in the odd modes
+    grid = Sphere2(8, 16)
+    weights = operator_weights(grid, 1.0 / grid.h_theta ** 2, hess={(0, 0): 1.0})
+    J = operator_matrix(grid, weights)
+    assert J[0, :grid.shape[1]].sum() == 0.0  # row 0's mode-0 diagonal
+    apply = grid.averaged_stencil_inverse(weights)
+    assert apply is not None
+    rhs = np.random.default_rng(1).standard_normal(grid.num_nodes)
+    assert np.abs(J @ apply(rhs) - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_newton_solve_evaluates_the_warping_once_per_record(monkeypatch):
+    # residual and Jacobian read f, f' and f'' from the iterate's record
+    spec = perturbed_sphere_spec(8, 16)
+    u = smooth_field(spec)
+    counts = {"warp_eval": 0, "graph_record": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(problem, "warp_eval", counted("warp_eval", geometry.warp_eval))
+    for name in counts:
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    _, stats, _ = solver.newton_solve(u, 0.7, spec)
+    assert stats.iterations >= 2
+    assert counts["warp_eval"] == counts["graph_record"] > stats.iterations
+
+
 # ---------------------------------------------------------------------------
 # the Jacobian in coefficient form
 # ---------------------------------------------------------------------------
