@@ -100,8 +100,8 @@ class CoefficientFamily:
         t = self.terms[l]
         return t.amplitude * f ** (-(self.k - l)) * (1.0 + t.epsilon * self._psi[l])
 
-    def du(self, l, u, w: WarpingFunction, rec=None):
-        f, fp = warp_eval(w, u)[:2] if rec is None else (rec.f, rec.fp)
+    def du(self, l, u, w: WarpingFunction, rec):
+        f, fp = rec.f, rec.fp
         t = self.terms[l]
         return (-(self.k - l) * t.amplitude * f ** (-(self.k - l) - 1) * fp
                 * (1.0 + t.epsilon * self._psi[l]))
@@ -282,10 +282,11 @@ class ProblemSpec:
 
     def alpha(self, l, u, rec=None):
         """alpha_l at u; rec, when given, is u's curvature record, whose f
-        and f' this and alpha_du read instead of evaluating the warping."""
+        is read instead of evaluating the warping."""
         return self.coeffs.values(l, u, self.warping, rec)
 
-    def alpha_du(self, l, u, rec=None):
+    def alpha_du(self, l, u, rec):
+        """d alpha_l/du at u, from the f and f' of u's curvature record rec."""
         return self.coeffs.du(l, u, self.warping, rec)
 
     def alpha_factors(self, l, us):
