@@ -34,7 +34,7 @@ def main(path):
     spec = cli.build_spec(cfg)
     problem.check_hypotheses(spec).raise_if_failed()
     start = perf_counter()
-    state = solver.continuation(spec, check=False)
+    state = solver.continuation(spec)
     solve_s = perf_counter() - start
     peak_solve = _peak_rss_mib()
     with tempfile.TemporaryDirectory() as out:

@@ -313,15 +313,11 @@ def write_archive(out_dir, cfg, spec, state, status):
 
 def read_archive(path):
     path = Path(path)
-    with open(path / "metadata.json") as fh:
-        meta = json.load(fh)
-    values = []
+    meta = json.loads((path / "metadata.json").read_text())
     with open(path / "solution.csv") as fh:
-        header = fh.readline().strip().split(",")
-        ucol = header.index("u")
-        for line in fh:
-            values.append(float(line.strip().split(",")[ucol]))
-    return meta, np.array(values)
+        ucol = fh.readline().strip().split(",").index("u")
+        values = np.loadtxt(fh, delimiter=",", usecols=ucol, ndmin=1)
+    return meta, values
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +348,7 @@ def cmd_solve(args):
 
     out_dir = Path(args.out or cfg["output_dir"])
     try:
-        state = solver.continuation(spec, check=False)  # checked above
+        state = solver.continuation(spec)
     except ContinuationError as exc:
         if exc.last_state is not None:
             write_archive(out_dir, cfg, spec, exc.last_state, "continuation-failure")

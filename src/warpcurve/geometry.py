@@ -235,11 +235,7 @@ _SYMBOL_FLOOR = 1e-12
 class FlatTorus(BaseGrid):
     """Flat n-torus (n = 2 or 3), periods L_i, uniform periodic grid."""
 
-    def __init__(self, resolution, periods=None, n=None):
-        if np.isscalar(resolution):
-            if n is None:
-                raise ConfigError("scalar resolution needs explicit n")
-            resolution = (int(resolution),) * n
+    def __init__(self, resolution, periods=None):
         self.shape = tuple(int(r) for r in resolution)
         self.n = len(self.shape)
         if self.n not in (2, 3):

@@ -80,6 +80,9 @@ class CoefficientFamily:
 
     The f^{-(k-l)} scaling makes d/du [f^{k-l} alpha_l] vanish identically,
     so the monotonicity hypothesis holds with equality for every member.
+    bind(grid, warping) samples the profiles psi_l on the grid and fixes the
+    warping f.  values(l, u, rec) reads f from u's curvature record rec when
+    given and evaluates the warping otherwise; du reads f and f' from rec.
     """
 
     def __init__(self, terms, k):
@@ -89,34 +92,37 @@ class CoefficientFamily:
         self.terms = terms
         self.k = k
 
-    def bind(self, grid: BaseGrid):
+    def bind(self, grid: BaseGrid, warping: WarpingFunction):
+        self._warping = warping
         self._psi = np.stack([sample_profile(t.profile, grid) for t in self.terms])
         for t, psi in zip(self.terms, self._psi):
             if t.epsilon * np.max(np.abs(psi)) >= 1.0:
                 raise ConfigError("perturbation eps*psi must stay below 1")
 
-    def values(self, l, u, w: WarpingFunction, rec=None):
-        f = warp_eval(w, u)[0] if rec is None else rec.f
+    def values(self, l, u, rec=None):
+        f = warp_eval(self._warping, u)[0] if rec is None else rec.f
         t = self.terms[l]
         return t.amplitude * f ** (-(self.k - l)) * (1.0 + t.epsilon * self._psi[l])
 
-    def du(self, l, u, w: WarpingFunction, rec):
+    def du(self, l, u, rec):
         f, fp = rec.f, rec.fp
         t = self.terms[l]
         return (-(self.k - l) * t.amplitude * f ** (-(self.k - l) - 1) * fp
                 * (1.0 + t.epsilon * self._psi[l]))
 
-    def factors(self, l, us, w: WarpingFunction):
+    def factors(self, l, us):
         """(B, P) with alpha_l(us[i], x) = (B @ P)[i, x]; rank 1 here:
         B = a_l f(us)^{-(k-l)} as a column, P = 1 + eps_l psi_l as a row."""
-        f, _, _ = warp_eval(w, us)
+        f, _, _ = warp_eval(self._warping, us)
         t = self.terms[l]
         return ((t.amplitude * f ** (-(self.k - l)))[:, None],
                 (1.0 + t.epsilon * self._psi[l])[None, :])
 
 
 class TabulatedCoefficients:
-    """Escape hatch: alpha_l given on a (u-sample x node) table, linear in u."""
+    """Escape hatch: alpha_l given on a (u-sample x node) table, linear in u.
+    It has the methods of CoefficientFamily and reads neither the warping
+    nor a curvature record."""
 
     def __init__(self, u_samples, tables, k):
         self.u_samples = np.asarray(u_samples, dtype=float)
@@ -133,7 +139,7 @@ class TabulatedCoefficients:
         self.tables = tables
         self.k = k
 
-    def bind(self, grid: BaseGrid):
+    def bind(self, grid: BaseGrid, warping: WarpingFunction):
         for tb in self.tables:
             if tb.shape[1] != grid.num_nodes:
                 raise ConfigError("table columns must match the grid nodes")
@@ -154,15 +160,15 @@ class TabulatedCoefficients:
         nodes = np.arange(tb.shape[1])
         return j, t, tb[j, nodes], tb[j + 1, nodes]
 
-    def values(self, l, u, w=None, rec=None):
+    def values(self, l, u, rec=None):
         _, t, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return lo + t * (hi - lo)
 
-    def du(self, l, u, w=None, rec=None):
+    def du(self, l, u, rec=None):
         j, _, lo, hi = self._bracket(l, np.asarray(u, dtype=float))
         return (hi - lo) / (self.u_samples[j + 1] - self.u_samples[j])
 
-    def factors(self, l, us, w=None):
+    def factors(self, l, us):
         """(B, P) with alpha_l(us[i], x) = (B @ P)[i, x]: B holds each u's two
         hat-function weights over the u samples, P is the table."""
         j, t = self._segment(us)
@@ -264,7 +270,7 @@ class ProblemSpec:
             raise ConfigError("phi pivot must lie strictly inside (r1, r2)")
         if self.coeffs.k != self.k:
             raise ConfigError("coefficient family order does not match k")
-        self.coeffs.bind(self.grid)
+        self.coeffs.bind(self.grid, self.warping)
         # f > 0, f' > 0 on the guarded working interval
         delta = self.guard_frac * (self.r2 - self.r1)
         lo = max(self.r1 - delta, self.warping.t_min + 1e-12 * max(1.0, abs(self.warping.t_min)))
@@ -280,18 +286,6 @@ class ProblemSpec:
         """sigma_k(e)/sigma_{k-1}(e) = (n - k + 1)/k."""
         return (self.n - self.k + 1) / self.k
 
-    def alpha(self, l, u, rec=None):
-        """alpha_l at u; rec, when given, is u's curvature record, whose f
-        is read instead of evaluating the warping."""
-        return self.coeffs.values(l, u, self.warping, rec)
-
-    def alpha_du(self, l, u, rec):
-        """d alpha_l/du at u, from the f and f' of u's curvature record rec."""
-        return self.coeffs.du(l, u, self.warping, rec)
-
-    def alpha_factors(self, l, us):
-        return self.coeffs.factors(l, us, self.warping)
-
 
 def alpha_k1_homotopy(u, t, spec: ProblemSpec, rec=None):
     """Deformed top coefficient
@@ -302,7 +296,7 @@ def alpha_k1_homotopy(u, t, spec: ProblemSpec, rec=None):
     u = np.asarray(u, dtype=float)
     f, fp = warp_eval(spec.warping, u)[:2] if rec is None else (rec.f, rec.fp)
     leaf = spec.phi(u) * spec.ratio_e * fp / f
-    return t * spec.alpha(spec.k - 1, u, rec) + (1.0 - t) * leaf
+    return t * spec.coeffs.values(spec.k - 1, u, rec) + (1.0 - t) * leaf
 
 
 def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
@@ -310,7 +304,7 @@ def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
     kappa = fp / f
     dkappa = (fpp * f - fp ** 2) / f ** 2
     dleaf = spec.ratio_e * (spec.phi.deriv(u) * kappa + spec.phi(u) * dkappa)
-    return t * spec.alpha_du(spec.k - 1, u, rec) + (1.0 - t) * dleaf
+    return t * spec.coeffs.du(spec.k - 1, u, rec) + (1.0 - t) * dleaf
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +334,7 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     F = sig[:, k] / den
     for l in range(k - 1):
         if t != 0.0:
-            F = F - t * spec.alpha(l, u.values, rec) * sig[:, l] / den
+            F = F - t * spec.coeffs.values(l, u.values, rec) * sig[:, l] / den
     F = F - alpha_k1_homotopy(u.values, t, spec, rec)
     return u.with_values(F)
 
@@ -428,11 +422,11 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
         rec = geometry.fundamental_forms(u, spec.warping)
     _check_cone(rec, k)
     sig = rec.sig
-    t_alpha = [t * spec.alpha(l, u.values, rec) for l in range(k - 1)] if t != 0.0 else []
+    t_alpha = [t * spec.coeffs.values(l, u.values, rec) for l in range(k - 1)] if t != 0.0 else []
     M1, M2du, tr_M2, tr_GA = _newton_tensor_forms(rec, _sigma_derivatives(sig, k, t_alpha))
     Fu = np.zeros(grid.num_nodes)
     for l in range(len(t_alpha)):
-        Fu -= t * spec.alpha_du(l, u.values, rec) * (sig[:, l] / sig[:, k - 1])
+        Fu -= t * spec.coeffs.du(l, u.values, rec) * (sig[:, l] / sig[:, k - 1])
     Fu -= _alpha_k1_homotopy_du(u.values, t, spec, rec)
 
     f, fp, fpp = rec.f, rec.fp, rec.fpp
@@ -465,7 +459,6 @@ class HypothesisCheck:
     passed: bool
     worst_margin: float
     offender: tuple | None  # (u, node, l) where applicable
-    checked_range: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -551,7 +544,7 @@ def _leaf_check(name, spec: ProblemSpec, us, sign):
     n, k = spec.n, spec.k
     f, fp, _ = warp_eval(spec.warping, us)
     kpow = [(fp / f) ** l for l in range(k + 1)]
-    factors = [spec.alpha_factors(l, us) for l in range(k)]
+    factors = [spec.coeffs.factors(l, us) for l in range(k)]
     Bs = np.hstack([sign * comb(n, k) * kpow[k][:, None]]
                    + [-sign * comb(n, l) * kpow[l][:, None] * B for l, (B, _) in enumerate(factors)])
     Ps = np.vstack([np.ones((1, spec.grid.num_nodes))] + [P for _, P in factors])
@@ -569,14 +562,14 @@ def _leaf_check(name, spec: ProblemSpec, us, sign):
     j = int(np.argmin(margins))
     return HypothesisCheck(
         name, bool(margins[j] >= 0.0), float(margins[j]),
-        (float(us[rows[j]]), int(cols[j]), None), (float(us[0]), float(us[-1])))
+        (float(us[rows[j]]), int(cols[j]), None))
 
 
 def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Sampled verification of the structural hypotheses: the two leaf-side
     inequalities, monotonicity of f^{k-l} alpha_l, the phi conditions, and
     uniform positivity of the coefficients, at every (u-sample, node).  Each
-    is worked from the coefficients' (B, P) factors (alpha_factors), never
+    is worked from the coefficients' (B, P) factors (coeffs.factors), never
     from a (u-sample x node) lattice of alpha."""
     m = CHECK_SAMPLES
     w = spec.warping
@@ -607,7 +600,7 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     def slope(l):
         # f^{k-l} alpha_l = B @ P at u - h (first m rows of B) and u + h
         nonlocal scale
-        B, P = spec.alpha_factors(l, uv)
+        B, P = spec.coeffs.factors(l, uv)
         B = B * (fv ** (spec.k - l))[:, None]
         scale = max(scale, -_product_min(-B, P)[0], -_product_min(B, P)[0])
         return (B[:m] - B[m:]) / (2.0 * h), P  # -(b(u + h) - b(u - h)) / 2h
@@ -616,9 +609,7 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     tol = 1e-9 * scale
     # within the tolerance the worst point is rounding noise: name no offender
     passed = bool(margin >= -tol)
-    checks["as-3"] = HypothesisCheck(
-        "as-3", passed, margin, None if passed else offender,
-        (float(us[0]), float(us[-1])))
+    checks["as-3"] = HypothesisCheck("as-3", passed, margin, None if passed else offender)
 
     # phi conditions (a)-(d)
     lo_phi = max(w.t_min + 1e-6, spec.r1 / 4.0)
@@ -632,14 +623,11 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     # exactly where its term below is positive
     phi_margin = float(min(vals.min(), (below - 1).min(), (1 - above).min(),
                            (-derivs).min()))
-    checks["phi"] = HypothesisCheck("phi", phi_margin > 0.0, phi_margin, None,
-                                    (float(lo_phi), float(hi_phi)))
+    checks["phi"] = HypothesisCheck("phi", phi_margin > 0.0, phi_margin, None)
 
     # uniform positivity alpha_l >= c_l > 0 on [r1, r2] x M
     us = np.linspace(spec.r1, spec.r2, m)
-    worst, offender = _orders_min(us, (spec.alpha_factors(l, us) for l in orders))
-    checks["positivity"] = HypothesisCheck(
-        "positivity", bool(worst > 0.0), worst, offender,
-        (float(spec.r1), float(spec.r2)))
+    worst, offender = _orders_min(us, (spec.coeffs.factors(l, us) for l in orders))
+    checks["positivity"] = HypothesisCheck("positivity", bool(worst > 0.0), worst, offender)
 
     return HypothesisReport(checks=checks)

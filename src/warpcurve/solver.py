@@ -5,9 +5,8 @@ grid only finishes its solution with Newton."""
 from __future__ import annotations
 
 import copy
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -35,11 +34,7 @@ class DiagnosticsReport:
     flags: tuple = ()
 
     def as_dict(self):
-        return {"u_min": self.u_min, "u_max": self.u_max,
-                "tau_min": self.tau_min, "lambda_abs_max": self.lambda_abs_max,
-                "cone_margin_min": self.cone_margin_min,
-                "newton_maclaurin_min": self.newton_maclaurin_min,
-                "flags": list(self.flags)}
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 @dataclass
@@ -213,19 +208,11 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         stats.residual_norms.append(float(np.abs(F).max()))
 
 
-def _log(steps, log_stream, entry):
-    """Append entry to steps and write it to log_stream as one JSON line."""
-    steps.append(entry)
-    if log_stream is not None:
-        log_stream.write(json.dumps(entry) + "\n")
-
-
-def _record(steps, log_stream, spec, t, u, stats, rec, **extra):
+def _record(steps, spec, t, u, stats, rec, **extra):
     """Append the step record of u, solved at t on spec's grid, with the
-    entries of extra last, to steps and write it to log_stream; returns u's
-    diagnostics."""
+    entries of extra last, to steps; returns u's diagnostics."""
     diag = diagnostics(u, spec, rec)
-    _log(steps, log_stream, {
+    steps.append({
         "t": t, "grid": list(spec.grid.shape), "accepted": True,
         "newton_iters": stats.iterations, "linear_iters": stats.linear_iters,
         "backtracks": stats.backtracks,
@@ -236,9 +223,9 @@ def _record(steps, log_stream, spec, t, u, stats, rec, **extra):
     return diag
 
 
-def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> ContinuationState:
-    """Follow the homotopy path from the constant solution at t = 0 on
-    spec's own grid, appending a record per attempted step to steps: a
+def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
+    """Follow the homotopy path from the constant solution at t = 0 to t = 1
+    on spec's own grid, appending a record per attempted step to steps: a
     rejected one names its error and the dt it tried.
 
     Predictor-corrector: the first step starts Newton from the constant
@@ -249,7 +236,6 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
     included, which shrinks the prediction with it; it grows by dt_grow
     after two consecutive easy successes.
     """
-    steps = [] if steps is None else steps
     # a record goes to the next Newton solve or step record, which frees it
     # on moving on (holding it here too raised peak RSS); a failed first
     # step's retry rebuilds it, and a predicted start builds its own
@@ -258,19 +244,18 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
     u_prev = t_prev = None
     dt = spec.dt_init
     easy_run = 0
-    diag = _record(steps, log_stream, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
+    diag = _record(steps, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
 
-    while t < t_final:
-        t_next = min(t_final, t + dt)
+    while t < 1.0:
+        t_next = min(1.0, t + dt)
         start = u if u_prev is None else u.with_values(
             u.values + (t_next - t) / (t - t_prev) * (u.values - u_prev.values))
         try:
             u_next, stats, *handoff = newton_solve(start, t_next, spec,
                                                    rec=handoff.pop() if handoff else None)
         except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
-            _log(steps, log_stream, {"t": t_next, "grid": list(spec.grid.shape),
-                                     "accepted": False, "dt": t_next - t,
-                                     "error": type(exc).__name__})
+            steps.append({"t": t_next, "grid": list(spec.grid.shape), "accepted": False,
+                          "dt": t_next - t, "error": type(exc).__name__})
             dt *= 0.5
             easy_run = 0
             if dt < spec.dt_min:
@@ -282,7 +267,7 @@ def _homotopy(spec: ProblemSpec, t_final, log_stream, steps=None) -> Continuatio
                      t_next, type(exc).__name__, dt)
             continue
         u_prev, t_prev, u, t = u, t, u_next, t_next
-        diag = _record(steps, log_stream, spec, t, u, stats, handoff.pop())
+        diag = _record(steps, spec, t, u, stats, handoff.pop())
         easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
         if easy_run >= 2:
             dt *= spec.dt_grow
@@ -314,36 +299,32 @@ def _coarse_spec(spec: ProblemSpec):
     try:
         coarse.grid = (FlatTorus(half, periods=grid.periods) if isinstance(grid, FlatTorus)
                        else Sphere2(*half))
-        coarse.coeffs.bind(coarse.grid)
+        coarse.coeffs.bind(coarse.grid, spec.warping)
     except ConfigError:
         return None
     return coarse
 
 
-def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
-                 check=True) -> ContinuationState:
-    """Solve spec at t_final by grid sequencing.
+def continuation(spec: ProblemSpec) -> ContinuationState:
+    """Solve spec at t = 1 by grid sequencing.
 
+    spec is taken as checked: its structural hypotheses are never verified
+    here, so a caller that builds it from outside input verifies them first
+    (warpcurve solve does, once).
     The homotopy path from the constant solution at t = 0 is followed on the
     coarsest level of spec's grid: the last grid of halved axes that keeps
     COARSEST_NODES nodes (see _coarse_spec), so 8^3 for 16^3 and 16 x 32 for
     Sphere2(64, 128).  Each finer level, up to spec's own grid, prolongs the
-    level below (grid.prolong_from) and finishes with Newton at t_final; its
+    level below (grid.prolong_from) and finishes with Newton at t = 1; its
     step record also carries correction_norm, max|u_L - P u_{L-1}| between
     its solution u_L and that prolonged start.  A grid with no coarse level,
     or a ladder in which anything fails, is solved by the homotopy on
     spec's own grid, so a ContinuationError is always that path's and its
     last_state is on spec's grid.  Every step record names the grid it ran
     on.  A failed ladder's records stay in front of the fallback's and end
-    in one record of the level that failed: its grid, t_final, the error's
+    in one record of the level that failed: its grid, t = 1, the error's
     type and "accepted": false, with no dt.
-    With check=True the structural hypotheses are verified first and a
-    violation raises HypothesisError; callers that have already checked them
-    pass False.
     """
-    if check:
-        problem.check_hypotheses(spec).raise_if_failed()
-
     levels = [spec]
     while (coarse := _coarse_spec(levels[0])) is not None:
         levels.insert(0, coarse)
@@ -351,18 +332,18 @@ def continuation(spec: ProblemSpec, t_final=1.0, log_stream=None,
     if len(levels) > 1:
         level = levels[0]
         try:
-            state = _homotopy(level, t_final, log_stream, steps)
+            state = _homotopy(level, steps)
             for level in levels[1:]:
                 start = level.grid.prolong_from(state.u.values, state.u.grid)
-                u, stats, rec = newton_solve(GridFunction(start, level.grid), t_final, level)
-                diag = _record(steps, log_stream, level, t_final, u, stats, rec,
+                u, stats, rec = newton_solve(GridFunction(start, level.grid), 1.0, level)
+                diag = _record(steps, level, 1.0, u, stats, rec,
                                correction_norm=float(np.abs(u.values - start).max()))
-                state = ContinuationState(t=t_final, u=u, diagnostics=diag, steps=steps)
+                state = ContinuationState(t=1.0, u=u, diagnostics=diag, steps=steps)
             return state
         except WarpcurveError as exc:
-            _log(steps, log_stream, {"t": t_final, "grid": list(level.grid.shape),
-                                     "accepted": False, "error": type(exc).__name__})
+            steps.append({"t": 1.0, "grid": list(level.grid.shape),
+                          "accepted": False, "error": type(exc).__name__})
             log.info("grid sequencing failed on the %s level (%s: %s); following the "
                      "path on the %s grid", "x".join(map(str, level.grid.shape)),
                      type(exc).__name__, exc, "x".join(map(str, spec.grid.shape)))
-    return _homotopy(spec, t_final, log_stream, steps)
+    return _homotopy(spec, steps)

@@ -176,7 +176,7 @@ def test_criterion_08_ellipticity_along_path():
         _, dquot = symfunc.quotient_and_grads(rec.lam, spec.k)
         glam = dquot[:, spec.k, :].copy()
         for l in range(spec.k - 1):
-            glam -= t * spec.alpha(l, u.values)[:, None] * dquot[:, l, :]
+            glam -= t * spec.coeffs.values(l, u.values)[:, None] * dquot[:, l, :]
         min_grad = min(min_grad, float(glam.min()))
 
     # pure-quotient gradient sum bound on random admissible samples

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import warpcurve
-from warpcurve import cli, solver
+from warpcurve import cli, problem, solver
 from warpcurve.errors import WarpcurveError
 from warpcurve.geometry import GridFunction, Sphere2, fundamental_forms
 
@@ -228,6 +228,34 @@ def test_solve_force_overrides_rejection(tmp_path, capsys):
     assert abs(meta["diagnostics"]["u_max"] - u_star) <= 1e-6
 
 
+def test_hypotheses_are_checked_once_per_solve(tmp_path, monkeypatch, capsys):
+    # continuation takes its spec as checked, and warpcurve solve checks it
+    # exactly once, with or without --force
+    calls = []
+    check = problem.check_hypotheses
+    monkeypatch.setattr(problem, "check_hypotheses",
+                        lambda spec: calls.append(spec) or check(spec))
+    cfg = base_config(manifold={"type": "flat_torus", "resolution": [32, 32]},
+                      phi={"pivot": 1.45},
+                      coefficients={"kind": "builtin",
+                                    "terms": [{"amplitude": 3.0}, {"amplitude": 0.5}]})
+    spec = cli.build_spec(cli.normalize_config(cfg))
+    assert solver._coarse_spec(spec) is not None  # a laddered solve
+    assert solver.continuation(spec).t == 1.0
+    assert calls == []
+    path = write_config(tmp_path, cfg)
+    for flags in ([], ["--force"]):
+        assert cli.main(["solve", str(path), "--out", str(tmp_path / "out"), *flags]) == 0
+    assert len(calls) == 2
+    files = write_constant_tables(tmp_path, 4 * 4, (6.0, 1.0))
+    rejected = base_config(r1=0.2, r2=0.35, phi={"pivot": 0.28},
+                           manifold={"type": "flat_torus", "resolution": [4, 4]},
+                           coefficients={"kind": "table", "files": files})
+    path = write_config(tmp_path, rejected, "rejected.json")
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "forced"), "--force"]) == 0
+    assert len(calls) == 3
+
+
 def test_solve_determinism(tmp_path):
     cfg = base_config()
     cfg["manifold"]["resolution"] = [6, 6]
@@ -418,6 +446,23 @@ def test_export_mesh_requires_sphere(tmp_path):
 
 def test_export_unknown_format(sphere_archive):
     assert cli.main(["export", str(sphere_archive), "--format", "vtk"]) == 1
+
+
+def test_read_archive_matches_per_line_float(tmp_path):
+    # the u column read back equals float() of each cell, bit for bit
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.finfo(float).max,
+                         -np.finfo(float).max, 1.3, np.nan],
+                        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
+    rows = [f"{i},{-0.5 * i!r},{cli.FLOAT_FMT % x}" for i, x in enumerate(u)]
+    (tmp_path / "solution.csv").write_text("\n".join(["x1,x2,u", *rows]) + "\n")
+    (tmp_path / "metadata.json").write_text("{}")
+    meta, values = cli.read_archive(tmp_path)
+    expected = np.array([float(row.split(",")[2]) for row in rows])
+    assert meta == {} and values.dtype == float
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+    (tmp_path / "solution.csv").write_text("u\n1.5\n")
+    assert np.array_equal(cli.read_archive(tmp_path)[1], [1.5])
 
 
 @pytest.mark.parametrize("damage", ["too-few-rows", "nan", "outside-domain", "non-numeric"])

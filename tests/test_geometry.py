@@ -76,9 +76,7 @@ def test_flat_torus_validation():
         FlatTorus((4, 4, 4, 4))
     with pytest.raises(ConfigError):
         FlatTorus((3, 4))
-    with pytest.raises(ConfigError):
-        FlatTorus(8)  # scalar resolution needs explicit n
-    grid = FlatTorus(8, n=2)
+    grid = FlatTorus((8, 8))
     assert grid.shape == (8, 8) and grid.num_nodes == 64
     with pytest.raises(ConfigError, match="periods"):
         FlatTorus((6, 6, 6), periods=(6.0, 6.0))

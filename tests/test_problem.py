@@ -64,16 +64,16 @@ def test_builtin_family_scaling():
     grid = FlatTorus((4, 4, 4))
     w = WarpingFunction("hyperbolic", 1.0)
     fam = CoefficientFamily([CoefficientTerm(6.0), CoefficientTerm(1.0)], 2)
-    fam.bind(grid)
+    fam.bind(grid, w)
     f = np.sinh(1.2)
-    np.testing.assert_allclose(fam.values(0, 1.2, w), 6.0 / f ** 2)
-    np.testing.assert_allclose(fam.values(1, 1.2, w), 1.0 / f)
+    np.testing.assert_allclose(fam.values(0, 1.2), 6.0 / f ** 2)
+    np.testing.assert_allclose(fam.values(1, 1.2), 1.0 / f)
     # derivative of f^{k-l} alpha_l vanishes identically for this family
     h = 1e-6
     for l in range(2):
         def beta(u):
             fv = np.sinh(u)
-            return fv ** (2 - l) * fam.values(l, u, w)
+            return fv ** (2 - l) * fam.values(l, u)
         assert np.abs((beta(1.2 + h) - beta(1.2 - h)) / (2 * h)).max() < 1e-8
 
 
@@ -82,7 +82,7 @@ def test_tabulated_coefficients_interpolation():
     us = np.array([1.0, 1.5, 2.0])
     table = np.outer([2.0, 3.0, 5.0], np.ones(grid.num_nodes))
     tab = TabulatedCoefficients(us, [table, 2 * table], 2)
-    tab.bind(grid)
+    tab.bind(grid, WarpingFunction("hyperbolic", 1.0))
     np.testing.assert_allclose(tab.values(0, 1.25), 2.5)
     np.testing.assert_allclose(tab.du(0, 1.25), 2.0)
     np.testing.assert_allclose(tab.values(1, 1.75), 8.0)
@@ -97,7 +97,7 @@ def test_tabulated_coefficients_on_lattice_match_per_sample_calls():
     rng = np.random.default_rng(11)
     us = np.array([0.5, 0.9, 1.4, 2.0])
     tab = TabulatedCoefficients(us, [rng.random((4, grid.num_nodes)) for _ in range(2)], 2)
-    tab.bind(grid)
+    tab.bind(grid, WarpingFunction("hyperbolic", 1.0))
     # samples, interior points and points beyond both ends
     col = np.concatenate([us, [0.3, 0.7, 1.1, 1.9, 2.4]])[:, None]
     for l in range(2):
@@ -176,7 +176,7 @@ def test_alpha_k1_homotopy_endpoints():
     spec = hyperbolic_spec((4, 4, 4))
     u = 1.25
     a1 = alpha_k1_homotopy(u, 1.0, spec)
-    np.testing.assert_allclose(a1, spec.alpha(1, u))
+    np.testing.assert_allclose(a1, spec.coeffs.values(1, u))
     a0 = alpha_k1_homotopy(spec.phi.pivot, 0.0, spec)
     f, fp, _ = geometry.warp_eval(spec.warping, spec.phi.pivot)
     np.testing.assert_allclose(a0, spec.ratio_e * fp / f)
@@ -643,7 +643,7 @@ def lattice_checks(spec):
         kappa = (fp / f)[:, None]
         rhs = 0.0
         for l in range(k):
-            rhs = rhs + spec.alpha(l, us[:, None]) * comb(n, l) * kappa ** l
+            rhs = rhs + spec.coeffs.values(l, us[:, None]) * comb(n, l) * kappa ** l
         margins = sign * (comb(n, k) * kappa ** k - rhs)
         i, x = np.unravel_index(np.argmin(margins), margins.shape)
         return bool(margins[i, x] >= 0.0), float(margins[i, x]), (float(us[i]), int(x), None)
@@ -662,7 +662,7 @@ def lattice_checks(spec):
     fv, _, _ = warp_eval(w, uv)
     slopes, scale = [], 1.0
     for l in range(k):
-        b = spec.alpha(l, uv) * fv ** (k - l)
+        b = spec.coeffs.values(l, uv) * fv ** (k - l)
         scale = max(scale, float(b.max()), -float(b.min()))
         slopes.append((b[:m] - b[m:]) / (2.0 * h))
     margin, offender = lattice_min(us, slopes)
@@ -670,7 +670,7 @@ def lattice_checks(spec):
     out["as-3"] = (passed, margin, None if passed else offender)
 
     us = np.linspace(spec.r1, spec.r2, m)
-    worst, offender = lattice_min(us, [spec.alpha(l, us[:, None]) for l in range(k)])
+    worst, offender = lattice_min(us, [spec.coeffs.values(l, us[:, None]) for l in range(k)])
     out["positivity"] = (bool(worst > 0.0), worst, offender)
     return out, scale
 
@@ -811,6 +811,6 @@ def test_ellipticity_certificate_along_quotient():
     for t in (0.0, 0.5, 1.0):
         glam = dquot[:, spec.k, :].copy()
         for l in range(spec.k - 1):
-            glam -= t * spec.alpha(l, u.values)[:, None] * dquot[:, l, :]
+            glam -= t * spec.coeffs.values(l, u.values)[:, None] * dquot[:, l, :]
         assert glam.min() > 0.0
     del quot

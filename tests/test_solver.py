@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -63,13 +62,12 @@ def test_newton_quadratic_convergence_tail():
 
 def test_continuation_radial_reaches_oracle_root():
     spec = hyperbolic_spec((8, 8, 8))
-    stream = io.StringIO()
-    state = solver.continuation(spec, log_stream=stream)
+    state = solver.continuation(spec)
     assert state.t == 1.0
     assert np.abs(state.u.values - np.arccosh(2.0)).max() <= 1e-8
-    # log records carry the documented fields
-    lines = [json.loads(s) for s in stream.getvalue().splitlines()]
-    assert len(lines) == len(state.steps)
+    # log records carry the documented fields and survive a JSON round trip
+    lines = state.steps
+    assert [json.loads(json.dumps(rec)) for rec in lines] == lines
     for rec in lines:
         assert set(rec) == {"t", "grid", "accepted", "newton_iters", "linear_iters",
                             "backtracks", "residual_norm", "residual_history",
@@ -92,18 +90,10 @@ def test_first_log_record_carries_the_start_residual():
     spec = hyperbolic_spec()
     _, _, norm = solver.initial_solution(spec)
     assert norm > 0.0
-    stream = io.StringIO()
-    solver.continuation(spec, log_stream=stream)
-    first = json.loads(stream.getvalue().splitlines()[0])
+    first = solver.continuation(spec).steps[0]
+    assert json.loads(json.dumps(first)) == first
     assert first["t"] == 0.0 and first["newton_iters"] == 0
     assert first["residual_norm"] == norm and first["residual_history"] == [norm]
-
-
-def test_continuation_frozen_at_zero():
-    spec = hyperbolic_spec()
-    state = solver.continuation(spec, t_final=0.0)
-    assert state.t == 0.0
-    assert np.all(state.u.values == spec.phi.pivot)
 
 
 def test_continuation_underflow_serializes_last_state():
@@ -678,10 +668,9 @@ def test_rejected_attempt_gets_its_own_record(monkeypatch, tmp_path):
     # logged as its own record; the archive's totals count accepted ones only
     spec = perturbed_spec((16, 16), 2)
     calls = record_newton_solves(monkeypatch, fail_calls={1})
-    stream = io.StringIO()
-    state = solver.continuation(spec, log_stream=stream)
-    lines = [json.loads(s) for s in stream.getvalue().splitlines()]
-    assert lines == state.steps
+    state = solver.continuation(spec)
+    lines = state.steps
+    assert [json.loads(json.dumps(rec)) for rec in lines] == lines
     (_, t1, _), (_, t2, _) = calls[:2]
     rejected = [rec for rec in lines if not rec["accepted"]]
     assert rejected == [{"t": t2, "grid": [16, 16], "accepted": False,
@@ -734,10 +723,10 @@ def test_coarse_levels_halve_every_axis_down_to_256_nodes():
 def test_sequenced_solution_matches_the_direct_homotopy(spec_fn, ladder):
     spec = spec_fn()
     # the coarse levels bind copies of the coefficients, never spec's own
-    before = [spec.alpha(l, 1.3) for l in range(spec.k)]
+    before = [spec.coeffs.values(l, 1.3) for l in range(spec.k)]
     state = solver.continuation(spec)
-    assert all(np.array_equal(spec.alpha(l, 1.3), a) for l, a in enumerate(before))
-    direct = solver._homotopy(spec, 1.0, None)
+    assert all(np.array_equal(spec.coeffs.values(l, 1.3), a) for l, a in enumerate(before))
+    direct = solver._homotopy(spec, [])
     assert np.abs(state.u.values - direct.u.values).max() <= 1e-9
     # the path on the coarsest grid, then one Newton record per finer grid
     grids = [rec["grid"] for rec in state.steps]
@@ -789,7 +778,7 @@ def fail_on_grid(monkeypatch, grid, count):
 
 def test_failed_fine_newton_falls_back_to_the_direct_homotopy(monkeypatch):
     spec = perturbed_spec((32, 32), 2)
-    direct = solver._homotopy(spec, 1.0, None)
+    direct = solver._homotopy(spec, [])
     failures = fail_on_grid(monkeypatch, spec.grid, 1)
     state = solver.continuation(spec)
     assert failures == [1.0]  # the fine level's Newton, not a homotopy step
@@ -838,7 +827,8 @@ def test_tabulated_coefficients_take_the_direct_path():
                        coeffs=TabulatedCoefficients([0.05, 1.8], tables, 2),
                        phi=PhiFunction(0.28), r1=0.2, r2=0.35)
     assert solver._coarse_spec(spec) is None
-    state = solver.continuation(spec, check=False)
+    assert not problem.check_hypotheses(spec).checks["as-3"].passed
+    state = solver.continuation(spec)
     assert all(rec["grid"] == [32, 32] for rec in state.steps)
     assert state.steps[0]["t"] == 0.0 and state.t == 1.0
     assert np.abs(state.u.values - np.arctanh(1.0 / (1.0 + np.sqrt(7.0)))).max() <= 1e-8
