@@ -169,6 +169,8 @@ def build_spec(cfg, base_dir="."):
     if man["type"] == "flat_torus":
         grid = FlatTorus(man["resolution"], periods=man["periods"])
     else:
+        if "periods" in man:
+            raise ConfigError("sphere2 takes no periods")
         if len(man["resolution"]) != 2:
             raise ConfigError(f"sphere2 resolution needs 2 entries (n_theta, n_phi), "
                               f"got {len(man['resolution'])}")
@@ -209,62 +211,33 @@ def _coord_names(grid):
     return [f"x{i + 1}" for i in range(grid.n)]
 
 
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 1024
 # one %-conversion of one number: flags, width, precision, type
 _CONVERSION = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgG]")
-
-
-def _column_texts(column, fmt):
-    """(bits, distinct, texts) of one column of a table: its entries' bits
-    as unsigned integers, their sorted distinct values, and fmt % x for the
-    number x each distinct entry holds, as NUL-padded bytes.  Entries are
-    told apart by their bits, since == merges 0.0 and -0.0, which "%g"
-    prints as "0" and "-0"."""
-    bits = column.view(f"u{column.itemsize}")
-    # np.unique hashes integers before it sorts them, 7x slower at 8 192
-    distinct = np.sort(bits)
-    keep = np.ones(len(distinct), dtype=bool)
-    keep[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[keep]
-    values = distinct.view(column.dtype)
-    texts = np.zeros(len(distinct), dtype="S1")
-    for start in range(0, len(distinct), _BLOCK_ROWS):
-        # Python numbers format faster than numpy scalars
-        part = np.array([fmt % x for x in values[start:start + _BLOCK_ROWS].tolist()], dtype="S")
-        texts = texts.astype(np.promote_types(texts.dtype, part.dtype), copy=False)
-        texts[start:start + _BLOCK_ROWS] = part
-    return bits, distinct, texts
 
 
 def _write_rows(fh, template, table):
     """Write template % tuple(row) for each row of a 2-D array, where the
     template is literal text around one numeric %-conversion per column.
-
-    A correctly rounded "%.17g" costs about 1 us a value, and grid
-    coordinates repeat, so each distinct value of a column is formatted
-    once.  A block of rows is then laid out as fixed-width byte fields
-    (literal, text, literal, ...); dropping the NUL padding leaves the
-    block's text, which is written as one string."""
+    Each distinct value of a column, told apart by its bits so that -0.0
+    ("-0") and 0.0 stay apart, is formatted once with the literal after it."""
     conversions = _CONVERSION.findall(template)
     literals = _CONVERSION.split(template)
     if len(conversions) != table.shape[1] or any("%" in t or "\0" in t for t in literals):
         raise ValueError(f"template {template!r} needs one %-conversion per column of a "
                          f"{table.shape[1]}-column table, and no other % or NUL")
-    columns = [_column_texts(table[:, c], fmt) for c, fmt in enumerate(conversions)]
-    literals = [np.frombuffer(t.encode(), np.uint8) for t in literals]
-    widths = [len(literals[0])]
-    for (_, _, texts), lit in zip(columns, literals[1:]):
-        widths += [texts.itemsize, len(lit)]
-    edges = np.cumsum([0] + widths)
-    block = np.zeros((_BLOCK_ROWS, edges[-1]), np.uint8)
-    for i, lit in enumerate(literals):
-        block[:, edges[2 * i]:edges[2 * i + 1]] = lit
+    columns = []
+    for column, fmt, literal in zip(table.T, conversions, literals[1:]):
+        bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        parts = np.split(bits.view(column.dtype), range(_BLOCK_ROWS, len(bits), _BLOCK_ROWS))
+        # Python numbers format faster than numpy scalars; by blocks, to keep RSS down
+        texts = [np.array([(fmt + literal) % x for x in p.tolist()], dtype="S") for p in parts]
+        columns.append((np.concatenate(texts), inverse))
     for start in range(0, len(table), _BLOCK_ROWS):
-        rows = block[:min(_BLOCK_ROWS, len(table) - start)]
-        for c, (bits, distinct, texts) in enumerate(columns):
-            cells = texts[np.searchsorted(distinct, bits[start:start + len(rows)])]
-            rows[:, edges[2 * c + 1]:edges[2 * c + 2]] = cells.view(np.uint8).reshape(len(rows), -1)
-        fh.write(rows[rows != 0].tobytes().decode())
+        rows = literals[0].encode()
+        for texts, inverse in columns:
+            rows = np.char.add(rows, texts[inverse[start:start + _BLOCK_ROWS]])
+        fh.write(b"".join(rows.tolist()).decode())
 
 
 def _write_coefficient_tables(out, files, coeffs):

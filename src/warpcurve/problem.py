@@ -2,6 +2,7 @@
 the discrete residual field and its Jacobian's coefficients."""
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 from math import comb
@@ -270,6 +271,7 @@ class ProblemSpec:
             raise ConfigError("phi pivot must lie strictly inside (r1, r2)")
         if self.coeffs.k != self.k:
             raise ConfigError("coefficient family order does not match k")
+        self.coeffs = copy.copy(self.coeffs)  # bound per spec; specs may share a family
         self.coeffs.bind(self.grid, self.warping)
         # f > 0, f' > 0 on the guarded working interval
         delta = self.guard_frac * (self.r2 - self.r1)

@@ -4,9 +4,8 @@ and grid sequencing: the path is followed on a coarse grid, and each finer
 grid only finishes its solution with Newton."""
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -179,28 +178,22 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         delta, iters = _solve_linear(J, -F, spec.grid, rtol)
         stats.linear_iters += iters
         s = 1.0
-        accepted = False
         for _ in range(spec.max_backtracks):
             u_try = u.with_values(u.values + s * delta)
-            if u_try.values.min() < lo or u_try.values.max() > hi:
-                s *= 0.5
-                stats.backtracks += 1
-                continue
-            try:
-                rec_try = geometry.fundamental_forms(u_try, spec.warping)
-                F_try = problem.residual(u_try, t, spec, rec_try).values
-            except ConeExitError:
-                s *= 0.5
-                stats.backtracks += 1
-                continue
-            norm2_try = float(F_try @ F_try)
+            norm2_try = np.nan  # stays nan outside the annulus or off the cone
+            if not (u_try.values.min() < lo or u_try.values.max() > hi):
+                try:
+                    rec_try = geometry.fundamental_forms(u_try, spec.warping)
+                    F_try = problem.residual(u_try, t, spec, rec_try).values
+                    norm2_try = float(F_try @ F_try)
+                except ConeExitError:
+                    pass
             if norm2_try <= (1.0 - 2e-4 * s) * norm2:
                 u, F, norm2, rec = u_try, F_try, norm2_try, rec_try
-                accepted = True
                 break
             s *= 0.5
             stats.backtracks += 1
-        if not accepted:
+        else:
             raise StepFailureError(
                 f"no acceptable Newton step at t={t} after {spec.max_backtracks} backtracks "
                 f"(|F| = {norm:.3e}, rounding floor {floor:.3e})")
@@ -294,15 +287,12 @@ def _coarse_spec(spec: ProblemSpec):
     half = [size // 2 for size in grid.shape]
     if np.prod(half) < COARSEST_NODES:
         return None
-    coarse = copy.copy(spec)
-    coarse.coeffs = copy.copy(spec.coeffs)  # bind samples the profiles in place
     try:
-        coarse.grid = (FlatTorus(half, periods=grid.periods) if isinstance(grid, FlatTorus)
-                       else Sphere2(*half))
-        coarse.coeffs.bind(coarse.grid, spec.warping)
+        return replace(spec, grid=(
+            FlatTorus(half, periods=grid.periods) if isinstance(grid, FlatTorus)
+            else Sphere2(*half)))
     except ConfigError:
         return None
-    return coarse
 
 
 def continuation(spec: ProblemSpec) -> ContinuationState:

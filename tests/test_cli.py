@@ -171,8 +171,9 @@ def test_solve_invalid_config(tmp_path):
 @pytest.mark.parametrize("manifold, key", [
     ({"type": "flat_torus", "resolution": [6, 6, 6], "periods": [6.0, 6.0]}, "periods"),
     ({"type": "flat_torus", "resolution": [6, 6], "periods": [6.0, 6.0, 6.0]}, "periods"),
-    ({"type": "sphere2", "resolution": [8, 16, 16]}, "resolution")],
-    ids=["torus-short-periods", "torus-long-periods", "sphere-3-axes"])
+    ({"type": "sphere2", "resolution": [8, 16, 16]}, "resolution"),
+    ({"type": "sphere2", "resolution": [8, 16], "periods": [6.0, 6.0]}, "periods")],
+    ids=["torus-short-periods", "torus-long-periods", "sphere-3-axes", "sphere-periods"])
 def test_solve_names_a_mismatched_manifold_key(tmp_path, capsys, manifold, key):
     # the schema accepts 2 or 3 entries for each; the grid names the misfit
     cfg = base_config(manifold=manifold)
@@ -277,9 +278,10 @@ def test_solve_determinism(tmp_path):
     ({"type": "sphere2", "resolution": [16, 32]}, False),
     ({"type": "flat_torus", "resolution": [17, 16]}, True)],
     ids=["torus3", "sphere2", "table"])
-def test_archive_bytes_match_per_cell_formatting(tmp_path, manifold, table):
-    # more rows than one conversion block, and digits that need all 17; the
+def test_archive_bytes_match_per_cell_formatting(tmp_path, manifold, table, monkeypatch):
+    # more rows than one block of 64, and digits that need all 17; the
     # reference is the writer's former cell-by-cell formatting
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
     rng = np.random.default_rng(3)
     cfg = base_config(manifold=manifold)
     if table:
@@ -312,11 +314,12 @@ def test_archive_bytes_match_per_cell_formatting(tmp_path, manifold, table):
 
 
 @pytest.mark.parametrize("rows", [0, 1, 700])
-def test_write_rows_matches_per_cell_formatting(tmp_path, rows):
-    # 700 rows span three blocks; a column holding both 0.0 and -0.0 ("0"
+def test_write_rows_matches_per_cell_formatting(tmp_path, rows, monkeypatch):
+    # 700 rows span eleven blocks of 64; a column holding both 0.0 and -0.0 ("0"
     # and "-0", which values compared by == would merge), a constant
     # column, a %d column stored as floats, and values that need all 17
     # digits, the extremes, nan and the infinities
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
     rng = np.random.default_rng(5)
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                 np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0]

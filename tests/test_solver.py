@@ -819,6 +819,21 @@ def test_coarse_failure_raises_the_direct_paths_error():
     assert steps[start]["t"] == 0.0 and steps[start]["accepted"]
 
 
+def test_specs_sharing_a_coefficient_family_check_and_solve():
+    # one family given to specs on two grids: each spec binds its own copy,
+    # so the 32^2 spec does not resample the profiles the 16^2 spec reads
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": "cos", "axis": 0}),
+                                CoefficientTerm(0.5, 0.05, {"kind": "sin", "axis": 1})], 2)
+    specs = [ProblemSpec(grid=FlatTorus((n, n)), warping=WarpingFunction("hyperbolic", 1.0),
+                         k=2, coeffs=coeffs, phi=PhiFunction(1.3), r1=1.0, r2=1.6)
+             for n in (16, 32)]
+    for spec in specs:
+        assert problem.check_hypotheses(spec).passed
+        alone = perturbed_spec(spec.grid.shape, 2)  # the same family, unshared
+        assert np.array_equal(solver.continuation(spec).u.values,
+                              solver.continuation(alone).u.values)
+
+
 def test_tabulated_coefficients_take_the_direct_path():
     # u-independent tables: the constant solution solves coth(u) = 1 + sqrt(7)
     grid = FlatTorus((32, 32))
