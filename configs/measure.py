@@ -1,14 +1,17 @@
-"""Solve one configuration and report its solve time, the time to write its
-archive, peak RSS and the Newton and GMRES iterations summed per grid level.
+"""Solve one configuration and report its set-up and solve times, the time
+to write its archive, peak RSS and the Newton and GMRES iterations summed
+per grid level.
 
     PYTHONPATH=src python configs/measure.py configs/torus2-512.json
 
-Set-up (config, spec, hypothesis check) is not timed; the solve is the
-continuation alone, with BLAS on one thread.  archive_s is cli.write_archive
-of the solved state (solution.csv, metadata.json, log.jsonl) into a
-temporary directory, removed afterwards.  Peak RSS is the process's, set-up
-included, so run one config per process: peak_rss_mib is read after the
-solve, peak_rss_archive_mib after the archive is written.
+setup_s is the set-up: reading the config, cli.build_spec (which builds the
+grid and its stacked operators) and the hypothesis check.  solve_s is the
+continuation alone, with BLAS on one thread.  archive_s is
+cli.write_archive of the solved state (solution.csv, metadata.json,
+log.jsonl) into a temporary directory, removed afterwards.  Peak RSS is the
+process's, so run one config per process: peak_rss_setup_mib is read after
+the set-up, peak_rss_mib after the solve, peak_rss_archive_mib after the
+archive is written.
 """
 import os
 
@@ -29,10 +32,12 @@ def _peak_rss_mib():
 
 
 def main(path):
+    start = perf_counter()
     with open(path) as fh:
         cfg = cli.normalize_config(json.load(fh))
     spec = cli.build_spec(cfg)
     problem.check_hypotheses(spec).raise_if_failed()
+    setup_s, peak_setup = perf_counter() - start, _peak_rss_mib()
     start = perf_counter()
     state = solver.continuation(spec)
     solve_s = perf_counter() - start
@@ -47,8 +52,9 @@ def main(path):
             counts = levels.setdefault("x".join(map(str, rec["grid"])), [0, 0])
             counts[0] += rec["newton_iters"]
             counts[1] += rec["linear_iters"]
-    print(json.dumps({"config": path, "solve_s": round(solve_s, 3),
-                      "archive_s": round(archive_s, 3), "peak_rss_mib": peak_solve,
+    print(json.dumps({"config": path, "setup_s": round(setup_s, 3),
+                      "solve_s": round(solve_s, 3), "archive_s": round(archive_s, 3),
+                      "peak_rss_setup_mib": peak_setup, "peak_rss_mib": peak_solve,
                       "peak_rss_archive_mib": _peak_rss_mib(),
                       "newton_gmres_per_level": levels}))
 

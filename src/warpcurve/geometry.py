@@ -118,7 +118,8 @@ class BaseGrid:
     orthonormal frame e_a of the base, so the base metric never appears in
     the per-node algebra: |Du|^2 = sum_a (D_a u)^2.  Every operator commutes
     with the grid's symmetries (torus translations, sphere phi rotations),
-    whose orbits are _orbits blocks of consecutive nodes."""
+    whose orbits are _orbits blocks of consecutive nodes, so its rows at
+    each orbit's first node fix it: the band table _bands."""
 
     n: int
     num_nodes: int
@@ -140,25 +141,25 @@ class BaseGrid:
         assembled; a weight is a node field or a constant."""
         def matvec(x):
             z = (self.stack @ np.ravel(x)).reshape(-1, self.num_nodes)  # row o: op_o x
-            y = weights[0] * z[0]
-            for w, zo in zip(weights[1:], z[1:]):
-                y += w * zo
-            return y
+            return _dot(zip(weights, z))
         return spla.LinearOperator((self.num_nodes,) * 2, matvec=matvec, dtype=float)
 
     @cached_property
-    def _abs_row_sums(self):
-        """rowsum|op_o| at each orbit's first node, which holds for its whole
-        orbit: (operator, orbit)."""
-        first = np.arange(self._orbits) * (self.num_nodes // self._orbits)
-        sums = np.add.reduceat(np.abs(self.stack.data), self.stack.indptr[:-1])
-        return sums.reshape(-1, self.num_nodes)[:, first]  # no row of the stack is empty
+    def _bands(self):
+        """The band table: the stack's entries in each orbit's first row, as
+        (owner, column, value); an entry of operator o in orbit i has the
+        owner o _orbits + i."""
+        band = self.stack[::self.num_nodes // self._orbits].tocoo()
+        return band.row, band.col, band.data
 
     def norm_inf_bound(self, weights):
         """max over rows r of sum_o |weights[o][r]| rowsum|op_o|[r], an upper
-        bound on the max-norm of operator_sum(weights)."""
+        bound on the max-norm of operator_sum(weights), with the row sums
+        taken from the band table: they are the same on a whole orbit."""
+        owner, _, value = self._bands
+        sums = np.bincount(owner, np.abs(value)).reshape(-1, self._orbits)  # (operator, orbit)
         total = sum(np.abs(np.reshape(w, (self._orbits, -1))) * a[:, None]
-                    for w, a in zip(weights, self._abs_row_sums))
+                    for w, a in zip(weights, sums))
         return float(total.max())
 
 
@@ -181,11 +182,13 @@ def _compose(outer, inner):
 
 def _stack(stencils):
     """One CSR whose row block o is the operator of stencils[o], built in one
-    step from the maps and coefficients.  Each row keeps its terms in stencil
-    order, a repeated column as two entries."""
-    N = stencils[0][0][0].size
-    indptr = np.concatenate([[0], np.cumsum(np.repeat([len(s) for s in stencils], N))])
-    cols, vals = np.empty(indptr[-1], dtype=np.intp), np.empty(indptr[-1])
+    step from the maps and coefficients, its index arrays in the dtype the CSR
+    keeps (int32 while the entry count fits).  Each row keeps its terms in
+    stencil order, a repeated column as two entries."""
+    N, sizes = stencils[0][0][0].size, [len(s) for s in stencils]
+    dtype = np.int32 if N * sum(sizes) <= np.iinfo(np.int32).max else np.int64  # rows <= nnz
+    indptr = np.repeat(np.array([0] + sizes, dtype), [1] + [N] * len(sizes)).cumsum(dtype=dtype)
+    cols, vals = np.empty(indptr[-1], dtype), np.empty(indptr[-1])
     for s, start in zip(stencils, indptr[::N]):
         block = slice(start, start + len(s) * N)
         c, v = cols[block].reshape(N, len(s)), vals[block].reshape(N, len(s))
@@ -228,7 +231,7 @@ def _check_refines(grid, coarse, kind):
 
 # smallest |symbol| / max |symbol| (torus) or |U_ii| / max |U_ii| of its LU
 # (sphere) an averaged stencil may have and still be inverted by a grid's
-# averaged_stencil_inverse
+# averaged_stencil_inverse; both test not min > _SYMBOL_FLOOR max, so a nan fails
 _SYMBOL_FLOOR = 1e-12
 
 
@@ -270,21 +273,21 @@ class FlatTorus(BaseGrid):
         J = operator_sum(weights) over all translations, applied by FFT.
 
         That operator has constant coefficients and is periodic, so it is
-        diagonal in Fourier modes, and its symbol is the DFT of its response
-        to a unit impulse at node 0.  Returns None when that symbol has a
-        (near-)zero entry, since the inverse does not exist there.
+        diagonal in Fourier modes; its symbol is the conjugate DFT of its row
+        0, summed by column from the band table (_bands).  Returns None when
+        that symbol has a (near-)zero entry, since the inverse does not exist there.
         """
-        means = [np.mean(w) for w in weights]
-        response = self.operator_sum(means) @ np.eye(1, self.num_nodes)[0]  # impulse at node 0
-        axes = tuple(range(self.n))
-        symbol = np.fft.rfftn(response.reshape(self.shape))
+        means = np.array([np.mean(w) for w in weights])
+        owner, col, value = self._bands
+        row = np.bincount(col, means[owner] * value, minlength=self.num_nodes)
+        symbol = np.fft.rfftn(row.reshape(self.shape)).conj()
         size = np.abs(symbol)
-        if size.min() <= _SYMBOL_FLOOR * size.max():
+        if not size.min() > _SYMBOL_FLOOR * size.max():
             return None
 
         def apply(x):
-            xhat = np.fft.rfftn(np.reshape(x, self.shape), axes=axes)
-            return np.fft.irfftn(xhat / symbol, s=self.shape, axes=axes).ravel()
+            xhat = np.fft.rfftn(np.reshape(x, self.shape))
+            return np.fft.irfftn(xhat / symbol, s=self.shape, axes=tuple(range(self.n))).ravel()
         return apply
 
     def inject_from(self, fine_values, fine_grid):
@@ -333,7 +336,6 @@ class Sphere2(BaseGrid):
         self._orbits = n_theta  # phi rotations keep each theta row
         self.h_theta = np.pi / n_theta
         self.h_phi = 2.0 * np.pi / n_phi
-        self.spacing = (self.h_theta, self.h_phi)
 
         theta = (np.arange(n_theta) + 0.5) * self.h_theta
         phi = np.arange(n_phi) * self.h_phi
@@ -364,26 +366,25 @@ class Sphere2(BaseGrid):
                              D2_theta, frame(H_tp, 1), frame(H_pp, 2)])
 
     @cached_property
-    def _bands(self):
-        """The band table: the stack's entries in its phi = 0 rows, which fix
-        each operator as it commutes with phi rotations, as (owner, slot,
-        value).  An entry of operator o in theta row i has the owner
-        o n_theta + i and, at column c, the slot (c // n_phi - i + 1,
-        c mod n_phi, i) of a (theta offset + 1, phi offset, theta row)
-        kernel; a pole ghost lies in row i itself, at theta offset 0."""
+    def _slots(self):
+        """The slot of each entry of the band table (_bands), whose orbits
+        are the theta rows: an entry of theta row i at column c has the slot
+        (c // n_phi - i + 1, c mod n_phi, i) of a (theta offset + 1, phi
+        offset, theta row) kernel; a pole ghost lies in row i itself, at
+        theta offset 0."""
         n_theta, n_phi = self.shape
-        band = self.stack[::n_phi].tocoo()  # row o n_theta + i: operator o, theta row i
-        i, col = band.row % n_theta, band.col
-        return band.row, ((col // n_phi - i + 1) * n_phi + col % n_phi) * n_theta + i, band.data
+        owner, col, _ = self._bands
+        i = owner % n_theta
+        return ((col // n_phi - i + 1) * n_phi + col % n_phi) * n_theta + i
 
     def averaged_stencil_inverse(self, weights):
         """Inverse of sum_o diag(m_o) op_o, m_o the phi-mean of
         weights[o] per theta row: the average of J = operator_sum(weights)
         over all phi rotations.
 
-        Its kernel, its coefficients by slot, is one bincount of the means
-        times the band table's values (_bands).  Each phi Fourier mode is one
-        tridiagonal system in theta, with the conjugate DFT in phi of the
+        Its kernel, its coefficients by slot (_slots), is one bincount of the
+        means times the band table's values (_bands).  Each phi Fourier mode
+        is one tridiagonal system in theta, with the conjugate DFT in phi of the
         kernel as its bands; all modes, end to end, make one tridiagonal
         system, factored by one banded LU with partial pivoting (LAPACK
         zgttrf) and applied by an FFT in phi, zgttrs and an inverse FFT.
@@ -391,15 +392,14 @@ class Sphere2(BaseGrid):
         diagonal entry: min |U_ii| <= _SYMBOL_FLOOR max |U_ii|.
         """
         n_theta, n_phi = self.shape
-        owner, slot, value = self._bands
+        owner, _, value = self._bands
         means = np.array([np.reshape(w, self.shape).mean(axis=1) for w in weights]).ravel()
-        kernel = np.bincount(slot, means[owner] * value, minlength=3 * self.num_nodes)
+        kernel = np.bincount(self._slots, means[owner] * value, minlength=3 * self.num_nodes)
         # (lower, diagonal, upper) couplings, each mode-major (mode, theta row);
         # a mode's first row has no lower and its last row no upper coupling
         bands = np.fft.rfft(kernel.reshape(3, n_phi, n_theta), axis=1).conj().reshape(3, -1)
         lower, diag, upper, upper2, pivots, info = zgttrf(bands[0, 1:], bands[1], bands[2, :-1])
         size = np.abs(diag)
-        # a nan in the bands fails this test too
         if info != 0 or not size.min() > _SYMBOL_FLOOR * size.max():
             return None
 

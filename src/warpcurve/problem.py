@@ -25,13 +25,17 @@ def sample_profile(desc, grid: BaseGrid):
     """Sample a bounded smooth profile on the grid nodes.
 
     Torus: {"kind": "cos"|"sin", "axis": a, "freq": m, "phase": p} gives
-    trig(2 pi m x_a / L_a + p).  Sphere: "sphere_x"/"sphere_y"/"sphere_z"
-    are the ambient coordinate functions (smooth across the poles).
-    "values" carries an explicit node array.
+    trig(2 pi m x_a / L_a + p), with m an integer, so that it is periodic.
+    Sphere: "sphere_x"/"sphere_y"/"sphere_z" are the ambient coordinate
+    functions (smooth across the poles).  "values" carries an explicit node
+    array.  A missing kind, an axis outside 0 .. n-1 or a fractional freq
+    is a ConfigError naming the key.
     """
     if desc is None:
         return np.zeros(grid.num_nodes)
-    kind = desc["kind"]
+    kind = desc.get("kind")
+    if kind is None:
+        raise ConfigError("profile needs a 'kind'")
     if kind == "zero":
         return np.zeros(grid.num_nodes)
     if kind == "values":
@@ -40,9 +44,13 @@ def sample_profile(desc, grid: BaseGrid):
             raise ConfigError("profile value array does not match the grid")
         return vals
     if kind in ("cos", "sin"):
-        axis = int(desc.get("axis", 0))
-        freq = float(desc.get("freq", 1.0))
-        phase = float(desc.get("phase", 0.0))
+        axis, freq = desc.get("axis", 0), float(desc.get("freq", 1.0))
+        if axis not in range(grid.n):
+            raise ConfigError(f"profile 'axis' {axis!r} is not in 0 .. {grid.n - 1}")
+        if not freq.is_integer():
+            raise ConfigError(f"profile 'freq' {freq!r} is not an integer, so the "
+                              "profile is not periodic on the grid")
+        axis, phase = int(axis), float(desc.get("phase", 0.0))
         x = grid.coords[:, axis]
         if hasattr(grid, "periods"):
             ang = 2.0 * np.pi * freq * x / grid.periods[axis] + phase

@@ -38,6 +38,14 @@ def test_sample_profile_torus():
         psi, np.cos(2 * np.pi * grid.coords[:, 1] / 4.0), atol=1e-14)
     assert np.all(problem.sample_profile({"kind": "zero"}, grid) == 0.0)
     assert np.all(problem.sample_profile(None, grid) == 0.0)
+    # not a function on the torus (a jump at the period seam), no such axis
+    # (-1 would read the last one), or no kind at all
+    for desc, key in [({"kind": "cos", "axis": 0, "freq": 1.5}, "freq"),
+                      ({"kind": "sin", "axis": -1}, "axis"),
+                      ({"kind": "cos", "axis": 5}, "axis"),
+                      ({"axis": 0, "freq": 1.0}, "kind")]:
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            problem.sample_profile(desc, grid)
 
 
 def test_sample_profile_sphere():

@@ -284,6 +284,15 @@ def test_solve_linear_sphere_without_averaged_inverse_raises():
         solver._solve_linear(weights, rhs, grid)
 
 
+@pytest.mark.parametrize("grid", [FlatTorus((6, 6)), Sphere2(8, 16)], ids=["torus", "sphere"])
+def test_averaged_stencil_inverse_rejects_a_nan_weight(grid):
+    # one nan node makes an average nan, and with it the symbol or the LU's
+    # diagonal, which no comparison with the floor passes
+    node = np.arange(grid.num_nodes)
+    weights = operator_weights(grid, np.where(node == 3, np.nan, 2.0), hess={(0, 0): -1.0})
+    assert grid.averaged_stencil_inverse(weights) is None
+
+
 def test_sphere_averaged_stencil_inverse_pivots_past_a_zero_first_pivot():
     # c0 + c_tt d_tt with c0 = c_tt / h^2: in phi mode 0 the row-0 diagonal
     # c0 - 2 c_tt / h^2 plus the pole ghost's c_tt / h^2 is exactly 0, so an
@@ -817,6 +826,27 @@ def test_coarse_failure_raises_the_direct_paths_error():
     assert steps[start - 1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
                                 "error": "ContinuationError"}
     assert steps[start]["t"] == 0.0 and steps[start]["accepted"]
+
+
+def test_an_aliased_coarsest_level_falls_back_to_the_direct_homotopy():
+    # freq 16 profiles sample to constants on the 16^2 coarsest level, whose
+    # homotopy (eps 0.5, outside the hypotheses) then fails; the path on the
+    # 32^2 grid, which sees the profiles, converges
+    profiles = ({"kind": "cos", "axis": 0, "freq": 16}, {"kind": "sin", "axis": 1, "freq": 16})
+    for p in profiles:
+        assert np.ptp(problem.sample_profile(p, FlatTorus((16, 16)))) <= 1e-13
+    coeffs = CoefficientFamily([CoefficientTerm(a, 0.5, p)
+                                for a, p in zip((3.0, 0.5), profiles)], 2)
+    spec = ProblemSpec(grid=FlatTorus((32, 32)), warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    state = solver.continuation(spec)
+    start = [rec["grid"] for rec in state.steps].index([32, 32])
+    assert {tuple(rec["grid"]) for rec in state.steps[:start]} == {(16, 16)}
+    assert state.steps[start - 1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
+                                      "error": "ContinuationError"}
+    assert state.steps[start]["t"] == 0.0
+    assert state.t == 1.0 and state.u.grid is spec.grid
+    assert state.steps[-1]["accepted"] and state.steps[-1]["residual_norm"] <= spec.newton_tol
 
 
 def test_specs_sharing_a_coefficient_family_check_and_solve():
