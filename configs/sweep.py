@@ -1,0 +1,83 @@
+"""Sweep the hypothesis envelope: solve 40 perturbed configurations across
+and beyond the structural hypotheses, and report for each whether the
+hypotheses hold, whether the solve converged or which error it raised,
+and its Newton, GMRES and rejected-step counts, summed over every grid
+the solve ran on.
+
+    PYTHONPATH=src python configs/sweep.py
+
+The points are the torus2 amplitudes (3.0, 0.5) with pivot 1.45: on T^2
+32^2 and 64^2 with cos/sin profiles at every eps in EPSILONS and freq in
+FREQS, and on Sphere2 32x64 and 64x128 with sphere_z/sphere_x profiles at
+the same eps.  A point outside the hypotheses may fail, but only with a
+named WarpcurveError; the exit status is 1 when a point inside them does
+not converge.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+
+import sys
+from time import perf_counter
+
+from warpcurve import cli, problem, solver
+from warpcurve.errors import WarpcurveError
+
+EPSILONS = (0.05, 0.2, 0.5, 0.9)
+FREQS = (1, 4, 8, 16)
+
+
+def _config(manifold, resolution, eps, profiles):
+    return {"manifold": {"type": manifold, "resolution": list(resolution)},
+            "warping": {"kind": "hyperbolic", "param": 1.0},
+            "k": 2, "r1": 1.0, "r2": 1.6, "phi": {"pivot": 1.45},
+            "coefficients": {"kind": "builtin", "terms": [
+                {"amplitude": a, "epsilon": eps, "profile": p}
+                for a, p in zip((3.0, 0.5), profiles)]}}
+
+
+def points():
+    """(label, config) of every sweep point."""
+    for n in (32, 64):
+        for eps in EPSILONS:
+            for freq in FREQS:
+                profiles = ({"kind": "cos", "axis": 0, "freq": freq},
+                            {"kind": "sin", "axis": 1, "freq": freq})
+                yield (f"torus {n}x{n} eps {eps} freq {freq}",
+                       _config("flat_torus", (n, n), eps, profiles))
+    for shape in ((32, 64), (64, 128)):
+        for eps in EPSILONS:
+            yield (f"sphere {shape[0]}x{shape[1]} eps {eps}",
+                   _config("sphere2", shape, eps, ({"kind": "sphere_z"}, {"kind": "sphere_x"})))
+
+
+def main():
+    start = perf_counter()
+    print(f"{'point':<30} {'hypotheses':<10} {'status':<20} newton gmres rejected")
+    statuses, missed = [], []
+    for label, cfg in points():
+        spec = cli.build_spec(cli.normalize_config(cfg))
+        inside = problem.check_hypotheses(spec).passed
+        try:
+            steps, status = solver.continuation(spec).steps, "converged"
+        except WarpcurveError as exc:
+            steps = exc.last_state.steps if getattr(exc, "last_state", None) else []
+            status = type(exc).__name__
+        accepted = [rec for rec in steps if rec["accepted"]]
+        print(f"{label:<30} {'pass' if inside else 'fail':<10} {status:<20} "
+              f"{sum(rec['newton_iters'] for rec in accepted):>6} "
+              f"{sum(rec['linear_iters'] for rec in accepted):>5} "
+              f"{len(steps) - len(accepted):>8}")
+        statuses.append((inside, status))
+        if inside and status != "converged":
+            missed.append(label)
+    converged = sum(status == "converged" for _, status in statuses)
+    inside = sum(ok for ok, _ in statuses)
+    print(f"{converged} of {len(statuses)} points converged; {inside} inside the hypotheses, "
+          f"{inside - len(missed)} of them converged ({perf_counter() - start:.1f} s)")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -155,11 +155,12 @@ class BaseGrid:
     def norm_inf_bound(self, weights):
         """max over rows r of sum_o |weights[o][r]| rowsum|op_o|[r], an upper
         bound on the max-norm of operator_sum(weights), with the row sums
-        taken from the band table: they are the same on a whole orbit."""
+        taken from the band table: they are the same on a whole orbit.  A
+        weight is a node field or a constant."""
         owner, _, value = self._bands
         sums = np.bincount(owner, np.abs(value)).reshape(-1, self._orbits)  # (operator, orbit)
-        total = sum(np.abs(np.reshape(w, (self._orbits, -1))) * a[:, None]
-                    for w, a in zip(weights, sums))
+        total = sum(np.abs(np.broadcast_to(w, self.num_nodes).reshape(self._orbits, -1))
+                    * a[:, None] for w, a in zip(weights, sums))
         return float(total.max())
 
 
@@ -378,9 +379,9 @@ class Sphere2(BaseGrid):
         return ((col // n_phi - i + 1) * n_phi + col % n_phi) * n_theta + i
 
     def averaged_stencil_inverse(self, weights):
-        """Inverse of sum_o diag(m_o) op_o, m_o the phi-mean of
-        weights[o] per theta row: the average of J = operator_sum(weights)
-        over all phi rotations.
+        """Inverse of sum_o diag(m_o) op_o, m_o the phi-mean of weights[o]
+        (a node field or a constant) per theta row: the average of
+        J = operator_sum(weights) over all phi rotations.
 
         Its kernel, its coefficients by slot (_slots), is one bincount of the
         means times the band table's values (_bands).  Each phi Fourier mode
@@ -393,7 +394,8 @@ class Sphere2(BaseGrid):
         """
         n_theta, n_phi = self.shape
         owner, _, value = self._bands
-        means = np.array([np.reshape(w, self.shape).mean(axis=1) for w in weights]).ravel()
+        means = np.array([np.broadcast_to(w, self.num_nodes).reshape(self.shape).mean(axis=1)
+                          for w in weights]).ravel()
         kernel = np.bincount(self._slots, means[owner] * value, minlength=3 * self.num_nodes)
         # (lower, diagonal, upper) couplings, each mode-major (mode, theta row);
         # a mode's first row has no lower and its last row no upper coupling

@@ -264,7 +264,7 @@ class ProblemSpec:
     max_backtracks: int = 30
     dt_init: float = 0.1
     dt_min: float = 1e-4
-    dt_grow: float = 1.5
+    dt_grow: float = 4.0  # the largest growth of dt per accepted step
     guard_frac: float = 0.05
 
     def __post_init__(self):

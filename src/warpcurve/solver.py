@@ -5,6 +5,7 @@ grid only finishes its solution with Newton."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -105,6 +106,10 @@ def initial_solution(spec: ProblemSpec):
 GMRES_RTOL = 1e-10
 GMRES_RESTART = 30
 GMRES_MAXITER = 5
+
+# The first Newton contraction |F^1|/|F^0| that the homotopy's step control
+# aims each predicted start at (see _homotopy).
+CONTRACTION_TARGET = 0.25
 
 
 def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
@@ -226,8 +231,13 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
     step; every later step starts from the secant through the last two
     accepted points, extrapolated to the new t.  The step halves on any
     Newton failure, a predicted start off the cone or outside the annulus
-    included, which shrinks the prediction with it; it grows by dt_grow
-    after two consecutive easy successes.
+    included, which shrinks the prediction with it.  After an accepted
+    step of two or more Newton iterations, with first contraction
+    theta = |F^1|/|F^0|, dt is scaled by sqrt(CONTRACTION_TARGET / theta),
+    kept in [1/2, dt_grow]: the secant's start error is O(dt^2), so that
+    aims the next start's contraction at CONTRACTION_TARGET (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004, sec. 5.1).  A step of 0
+    or 1 iterations tells no theta, and dt grows by dt_grow.
     """
     # a record goes to the next Newton solve or step record, which frees it
     # on moving on (holding it here too raised peak RSS); a failed first
@@ -236,7 +246,6 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
     t = 0.0
     u_prev = t_prev = None
     dt = spec.dt_init
-    easy_run = 0
     diag = _record(steps, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
 
     while t < 1.0:
@@ -250,7 +259,6 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
             steps.append({"t": t_next, "grid": list(spec.grid.shape), "accepted": False,
                           "dt": t_next - t, "error": type(exc).__name__})
             dt *= 0.5
-            easy_run = 0
             if dt < spec.dt_min:
                 state = ContinuationState(t=t, u=u, diagnostics=diagnostics(u, spec),
                                           steps=steps)
@@ -261,10 +269,9 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
             continue
         u_prev, t_prev, u, t = u, t, u_next, t_next
         diag = _record(steps, spec, t, u, stats, handoff.pop())
-        easy_run = easy_run + 1 if stats.iterations <= 4 and stats.backtracks == 0 else 0
-        if easy_run >= 2:
-            dt *= spec.dt_grow
-            easy_run = 0
+        norms = stats.residual_norms
+        dt *= spec.dt_grow if stats.iterations < 2 else min(
+            spec.dt_grow, max(0.5, math.sqrt(CONTRACTION_TARGET * norms[0] / norms[1])))
 
     return ContinuationState(t=t, u=u, diagnostics=diag, steps=steps)
 

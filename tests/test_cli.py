@@ -130,6 +130,22 @@ def test_fine_grid_configs_build(name, shape):
     assert spec.grid.shape == shape and spec.k == 2
 
 
+def test_sweep_points_span_the_hypothesis_envelope(monkeypatch):
+    # configs/sweep.py: 40 distinct valid points, 13 of them inside the
+    # hypotheses; solving them is left to the script
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script sets them on import
+    path = Path(__file__).resolve().parents[1] / "configs" / "sweep.py"
+    module_spec = importlib.util.spec_from_file_location("sweep", path)
+    sweep = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(sweep)
+    labels, cfgs = zip(*sweep.points())
+    assert len(set(labels)) == len(labels) == 40
+    inside = [problem.check_hypotheses(cli.build_spec(cli.normalize_config(cfg))).passed
+              for cfg in cfgs]
+    assert sum(inside) == 13
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

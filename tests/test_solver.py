@@ -235,12 +235,12 @@ def test_averaged_stencil_inverse_is_exact_for_constant_coefficients():
     assert np.abs(operator_matrix(grid, weights) @ apply(rhs) - rhs).max() <= 1e-12
 
 
-def perturbed_sphere_spec(n_theta, n_phi):
+def perturbed_sphere_spec(n_theta, n_phi, **kwargs):
     grid = Sphere2(n_theta, n_phi)
     coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": "sphere_z"}),
                                 CoefficientTerm(0.5, 0.05, {"kind": "sphere_x"})], 2)
     return ProblemSpec(grid=grid, warping=WarpingFunction("hyperbolic", 1.0),
-                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6, **kwargs)
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (32, 64)], ids=["sphere-16x32", "sphere-32x64"])
@@ -291,6 +291,21 @@ def test_averaged_stencil_inverse_rejects_a_nan_weight(grid):
     node = np.arange(grid.num_nodes)
     weights = operator_weights(grid, np.where(node == 3, np.nan, 2.0), hess={(0, 0): -1.0})
     assert grid.averaged_stencil_inverse(weights) is None
+
+
+@pytest.mark.parametrize("grid", [FlatTorus((6, 6)), Sphere2(8, 16)], ids=["torus", "sphere"])
+def test_grid_methods_take_a_constant_weight(grid):
+    # operator_sum documents a weight as a node field or a constant: all
+    # three Jacobian methods read the constant 2 as the node field 2
+    blocks = grid.stack.shape[0] // grid.num_nodes
+    const = [2.0] + [np.zeros(grid.num_nodes)] * (blocks - 1)
+    field = [np.full(grid.num_nodes, 2.0)] + const[1:]
+    x = np.random.default_rng(5).standard_normal(grid.num_nodes)
+    assert np.array_equal(grid.operator_sum(const) @ x, 2.0 * x)
+    assert grid.norm_inf_bound(const) == grid.norm_inf_bound(field) == 2.0
+    got = grid.averaged_stencil_inverse(const)(x)
+    assert np.array_equal(got, grid.averaged_stencil_inverse(field)(x))
+    assert np.abs(got - 0.5 * x).max() <= 1e-14 * np.abs(x).max()
 
 
 def test_sphere_averaged_stencil_inverse_pivots_past_a_zero_first_pivot():
@@ -633,13 +648,14 @@ def record_newton_solves(monkeypatch, fail_calls=()):
     return calls
 
 
-@pytest.mark.parametrize("spec_fn", [lambda: perturbed_spec((16, 16), 2),
-                                     lambda: perturbed_sphere_spec(16, 32)],
+@pytest.mark.parametrize("spec_fn", [lambda **kw: perturbed_spec((16, 16), 2, **kw),
+                                     lambda **kw: perturbed_sphere_spec(16, 32, **kw)],
                          ids=["torus2-16", "sphere-16x32"])
 def test_secant_prediction_cuts_the_start_residual(spec_fn, monkeypatch):
     # every step after the first starts from the secant prediction, whose
-    # residual at the new t is well below that of the last accepted u
-    spec = spec_fn()
+    # residual at the new t is well below that of the last accepted u; dt
+    # grows by at most 1.1 a step, so the path takes 8 steps of at most 0.18
+    spec = spec_fn(dt_init=0.1, dt_grow=1.1)
     calls = record_newton_solves(monkeypatch)
     state = solver.continuation(spec)
     assert state.t == 1.0
@@ -702,6 +718,68 @@ def test_newton_start_outside_the_guarded_annulus_fails():
     spec = hyperbolic_spec()
     with pytest.raises(StepFailureError, match="guarded annulus"):
         solver.newton_solve(GridFunction.constant(spec.r2 + 0.5, spec.grid), 1.0, spec)
+
+
+# ---------------------------------------------------------------------------
+# step control from Newton's contraction
+# ---------------------------------------------------------------------------
+
+def replay_step_control(spec, steps):
+    """Check the t of every record in steps, one homotopy path from t = 0
+    to 1, against the step rule: dt halves after a rejected attempt; after
+    an accepted step with first contraction theta = |F^1|/|F^0| it is
+    scaled by min(dt_grow, max(1/2, sqrt(0.25 / theta))), and by dt_grow
+    when the step took fewer than 2 Newton iterations.  Returns the scale
+    factors of the accepted steps."""
+    assert steps[0]["t"] == 0.0 and steps[-1]["t"] == 1.0
+    assert all(type(rec["t"]) is float for rec in steps)  # no numpy scalar in a record
+    t, dt, factors = 0.0, spec.dt_init, []
+    for rec in steps[1:]:
+        assert rec["t"] - t == pytest.approx(min(1.0 - t, dt), rel=1e-12, abs=0.0)
+        if not rec["accepted"]:
+            dt *= 0.5
+            continue
+        norms = rec["residual_history"]
+        factors.append(spec.dt_grow if rec["newton_iters"] < 2 else min(
+            spec.dt_grow, max(0.5, np.sqrt(0.25 / (norms[1] / norms[0])))))
+        t, dt = rec["t"], dt * factors[-1]
+    return factors
+
+
+def test_radial_torus_reaches_t1_in_three_steps():
+    # each step's first contraction is about 1e-3, so dt grows by the full
+    # default dt_grow of 4: t = 0.1, 0.5, 1
+    spec = hyperbolic_spec((8, 8, 8))
+    assert spec.dt_grow == 4.0
+    state = solver.continuation(spec)
+    assert state.t == 1.0
+    accepted = [rec for rec in state.steps[1:] if rec["accepted"]]
+    assert len(accepted) == len(state.steps) - 1 <= 4
+    assert sum(rec["newton_iters"] for rec in accepted) <= 8
+    assert replay_step_control(spec, state.steps) == [4.0] * len(accepted)
+
+
+@pytest.mark.parametrize("spec_fn,uncapped", [
+    (lambda: perturbed_spec((16, 16), 2), True),
+    (lambda: perturbed_sphere_spec(16, 32), False),
+    (lambda: perturbed_spec((16, 16), 2, dt_init=0.02, dt_grow=10.0), True)],
+    ids=["torus2-16", "sphere-16x32", "torus2-16-grow-10"])
+def test_step_size_follows_the_first_contraction(spec_fn, uncapped):
+    spec = spec_fn()
+    factors = replay_step_control(spec, solver._homotopy(spec, []).steps)
+    assert len(factors) >= 2
+    # whether the contraction, not the cap, sets some step's growth
+    assert any(1.0 < f < spec.dt_grow for f in factors) == uncapped
+
+
+def test_rejected_step_halves_dt_under_step_control(monkeypatch):
+    # the forced failure of the second attempt halves its dt, and the retry's
+    # contraction scales the halved dt
+    spec = perturbed_spec((16, 16), 2)
+    record_newton_solves(monkeypatch, fail_calls={1})
+    state = solver._homotopy(spec, [])
+    assert [rec["accepted"] for rec in state.steps[:4]] == [True, True, False, True]
+    replay_step_control(spec, state.steps)
 
 
 # ---------------------------------------------------------------------------
