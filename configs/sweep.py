@@ -1,8 +1,9 @@
 """Sweep the hypothesis envelope: solve 40 perturbed configurations across
 and beyond the structural hypotheses, and report for each whether the
 hypotheses hold, whether the solve converged or which error it raised,
-and its Newton, GMRES and rejected-step counts, summed over every grid
-the solve ran on.
+its Newton, GMRES and rejected-step counts, summed over every grid the
+solve ran on, the grid its path started on (the first record's) and, for
+a failure, the t of its last accepted record (where the path stopped).
 
     PYTHONPATH=src python configs/sweep.py
 
@@ -54,7 +55,8 @@ def points():
 
 def main():
     start = perf_counter()
-    print(f"{'point':<30} {'hypotheses':<10} {'status':<20} newton gmres rejected")
+    print(f"{'point':<30} {'hypotheses':<10} {'status':<20} newton gmres rejected "
+          f"{'start grid':<10} exit t")
     statuses, missed = [], []
     for label, cfg in points():
         spec = cli.build_spec(cli.normalize_config(cfg))
@@ -65,10 +67,12 @@ def main():
             steps = exc.last_state.steps if getattr(exc, "last_state", None) else []
             status = type(exc).__name__
         accepted = [rec for rec in steps if rec["accepted"]]
+        start_grid = "x".join(map(str, steps[0]["grid"])) if steps else "-"
+        exit_t = f"{accepted[-1]['t']:.4f}" if status != "converged" and accepted else ""
         print(f"{label:<30} {'pass' if inside else 'fail':<10} {status:<20} "
               f"{sum(rec['newton_iters'] for rec in accepted):>6} "
               f"{sum(rec['linear_iters'] for rec in accepted):>5} "
-              f"{len(steps) - len(accepted):>8}")
+              f"{len(steps) - len(accepted):>8} {start_grid:<10} {exit_t}")
         statuses.append((inside, status))
         if inside and status != "converged":
             missed.append(label)

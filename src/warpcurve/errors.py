@@ -46,7 +46,9 @@ class StepFailureError(WarpcurveError):
 
 
 class ContinuationError(WarpcurveError):
-    """Homotopy step size underflowed before reaching t = 1."""
+    """The solve did not reach t = 1 on its grid: the homotopy step size
+    underflowed, or a finer grid level's Newton solve failed.  last_state
+    is the last accepted state, on the configured grid."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

@@ -483,10 +483,14 @@ class CurvatureRecord:
     def lam(self):
         """Principal curvatures, ascending (N, n), computed on first use: for
         diagnostics and export, never for a Newton iterate."""
-        A, n = self.A, self.sig.shape[-1] - 1
-        if n == 2:
-            return _eigvalsh_2x2(A[0, 0], A[1, 0], A[1, 1])
-        return np.linalg.eigvalsh(_dense(A, n))
+        return _eigvalsh_lower(self.A, self.sig.shape[-1] - 1)
+
+
+def _eigvalsh_lower(A, n):
+    """Ascending eigenvalues of the symmetric n x n matrices with lower triangle A."""
+    if n == 2:
+        return _eigvalsh_2x2(A[0, 0], A[1, 0], A[1, 1])
+    return np.linalg.eigvalsh(_dense(A, n))
 
 
 def _sym(X, i, j):

@@ -323,13 +323,15 @@ def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
 
 def _check_cone(rec, k):
     """Require every node's curvatures in Gamma_{k-1}, read from sigma_1 ..
-    sigma_{k-1}; name the worst offender and its curvatures."""
+    sigma_{k-1}; name the worst offender and its curvatures, from its A
+    alone (rec.lam would solve every node's)."""
     margins = rec.sig[:, 1:k].min(axis=1)
     worst = int(np.argmin(margins))
     if margins[worst] <= 0.0:
+        A = {key: entry[worst] for key, entry in rec.A.items()}
         raise ConeExitError(
             f"node {worst} left Gamma_{k-1} (margin {margins[worst]:.3e})",
-            node=worst, lam=rec.lam[worst])
+            node=worst, lam=geometry._eigvalsh_lower(A, rec.sig.shape[-1] - 1))
 
 
 def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:

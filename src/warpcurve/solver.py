@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from . import geometry, problem, symfunc
 from .errors import (ConeExitError, ConfigError, ContinuationError,
-                     NonConvergenceError, StepFailureError, WarpcurveError)
+                     NonConvergenceError, StepFailureError)
 from .geometry import FlatTorus, GridFunction, Sphere2
 from .problem import ProblemSpec
 
@@ -234,10 +234,11 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
     included, which shrinks the prediction with it.  After an accepted
     step of two or more Newton iterations, with first contraction
     theta = |F^1|/|F^0|, dt is scaled by sqrt(CONTRACTION_TARGET / theta),
-    kept in [1/2, dt_grow]: the secant's start error is O(dt^2), so that
-    aims the next start's contraction at CONTRACTION_TARGET (Deuflhard,
-    Newton Methods for Nonlinear Problems, 2004, sec. 5.1).  A step of 0
-    or 1 iterations tells no theta, and dt grows by dt_grow.
+    kept in [1/2, cap]: the secant's start error is O(dt^2), so that aims
+    the next start's contraction at CONTRACTION_TARGET (Deuflhard, Newton
+    Methods for Nonlinear Problems, 2004, sec. 5.1).  A step of 0 or 1
+    iterations tells no theta, and dt grows by cap: dt_grow, or 1 right
+    after a rejected attempt.
     """
     # a record goes to the next Newton solve or step record, which frees it
     # on moving on (holding it here too raised peak RSS); a failed first
@@ -269,9 +270,10 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
             continue
         u_prev, t_prev, u, t = u, t, u_next, t_next
         diag = _record(steps, spec, t, u, stats, handoff.pop())
+        cap = spec.dt_grow if steps[-2]["accepted"] else 1.0
         norms = stats.residual_norms
-        dt *= spec.dt_grow if stats.iterations < 2 else min(
-            spec.dt_grow, max(0.5, math.sqrt(CONTRACTION_TARGET * norms[0] / norms[1])))
+        dt *= cap if stats.iterations < 2 else min(
+            cap, max(0.5, math.sqrt(CONTRACTION_TARGET * norms[0] / norms[1])))
 
     return ContinuationState(t=t, u=u, diagnostics=diag, steps=steps)
 
@@ -281,25 +283,31 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
 # Sphere2(96, 192) goes down to 12 x 24.  On a perturbed Sphere2(64, 128) and 64^2
 # torus, coarsest levels of 4 to 32 nodes per axis all let every finer level
 # finish in one or two Newton iterations, and on a perturbed 16^3 torus the
-# 8^3 level lets 16^3 finish in two; the budget leaves a margin for steeper
-# coefficient profiles, which a coarser grid would resolve worse.
+# 8^3 level lets 16^3 finish in two; steeper profiles stop at _coarse_spec's carry test.
 COARSEST_NODES = 256
 
 
 def _coarse_spec(spec: ProblemSpec):
-    """spec on its grid with every axis halved, or None when that grid would
-    have fewer than COARSEST_NODES nodes or cannot be built, or the
-    coefficients are given per node and cannot be sampled there."""
+    """spec on its grid with every axis halved, or None when that grid has
+    fewer than COARSEST_NODES nodes, cannot be built, or cannot carry the
+    coefficients: some alpha_l at the pivot, sampled there and prolonged
+    back, misses spec's by over 1e-12 of its max (rounding, if band-limited)."""
     grid = spec.grid
     half = [size // 2 for size in grid.shape]
     if np.prod(half) < COARSEST_NODES:
         return None
     try:
-        return replace(spec, grid=(
+        coarse = replace(spec, grid=(
             FlatTorus(half, periods=grid.periods) if isinstance(grid, FlatTorus)
             else Sphere2(*half)))
     except ConfigError:
         return None
+    for l in range(spec.k):
+        alpha = spec.coeffs.values(l, spec.phi.pivot)
+        back = grid.prolong_from(coarse.coeffs.values(l, spec.phi.pivot), coarse.grid)
+        if np.abs(back - alpha).max() > 1e-12 * np.abs(alpha).max():
+            return None
+    return coarse
 
 
 def continuation(spec: ProblemSpec) -> ContinuationState:
@@ -308,39 +316,39 @@ def continuation(spec: ProblemSpec) -> ContinuationState:
     spec is taken as checked: its structural hypotheses are never verified
     here, so a caller that builds it from outside input verifies them first
     (warpcurve solve does, once).
-    The homotopy path from the constant solution at t = 0 is followed on the
-    coarsest level of spec's grid: the last grid of halved axes that keeps
-    COARSEST_NODES nodes (see _coarse_spec), so 8^3 for 16^3 and 16 x 32 for
-    Sphere2(64, 128).  Each finer level, up to spec's own grid, prolongs the
-    level below (grid.prolong_from) and finishes with Newton at t = 1; its
-    step record also carries correction_norm, max|u_L - P u_{L-1}| between
-    its solution u_L and that prolonged start.  A grid with no coarse level,
-    or a ladder in which anything fails, is solved by the homotopy on
-    spec's own grid, so a ContinuationError is always that path's and its
-    last_state is on spec's grid.  Every step record names the grid it ran
-    on.  A failed ladder's records stay in front of the fallback's and end
-    in one record of the level that failed: its grid, t = 1, the error's
-    type and "accepted": false, with no dt.
+    The homotopy path from the constant solution at t = 0 is followed once,
+    on the coarsest level of spec's grid: the last grid of halved axes that
+    keeps COARSEST_NODES nodes and carries the coefficients (see
+    _coarse_spec), so 8^3 for 16^3 and 16 x 32 for Sphere2(64, 128).  Each
+    finer level, up to spec's own grid, prolongs the level below
+    (grid.prolong_from) and finishes with Newton at t = 1; its step record
+    also carries correction_norm, max|u_L - P u_{L-1}| between its solution
+    u_L and that prolonged start.  Every step record names the grid it ran
+    on.  A failed path raises ContinuationError, as does a failed finer level
+    after one record (its grid, t = 1, "accepted": false, the error's type
+    and no dt), with the last accepted state prolonged onto spec's grid.
     """
     levels = [spec]
     while (coarse := _coarse_spec(levels[0])) is not None:
         levels.insert(0, coarse)
     steps = []
-    if len(levels) > 1:
-        level = levels[0]
-        try:
-            state = _homotopy(level, steps)
-            for level in levels[1:]:
-                start = level.grid.prolong_from(state.u.values, state.u.grid)
+    try:
+        state = _homotopy(levels[0], steps)
+        for level in levels[1:]:
+            start = level.grid.prolong_from(state.u.values, state.u.grid)
+            try:
                 u, stats, rec = newton_solve(GridFunction(start, level.grid), 1.0, level)
-                diag = _record(steps, level, 1.0, u, stats, rec,
-                               correction_norm=float(np.abs(u.values - start).max()))
-                state = ContinuationState(t=1.0, u=u, diagnostics=diag, steps=steps)
-            return state
-        except WarpcurveError as exc:
-            steps.append({"t": 1.0, "grid": list(level.grid.shape),
-                          "accepted": False, "error": type(exc).__name__})
-            log.info("grid sequencing failed on the %s level (%s: %s); following the "
-                     "path on the %s grid", "x".join(map(str, level.grid.shape)),
-                     type(exc).__name__, exc, "x".join(map(str, spec.grid.shape)))
-    return _homotopy(spec, steps)
+            except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
+                steps.append({"t": 1.0, "grid": list(level.grid.shape),
+                              "accepted": False, "error": type(exc).__name__})
+                raise ContinuationError(f"Newton failed at t=1 on {level.grid.shape}: {exc}",
+                                        last_state=state) from exc
+            diag = _record(steps, level, 1.0, u, stats, rec,
+                           correction_norm=float(np.abs(u.values - start).max()))
+            state = ContinuationState(t=1.0, u=u, diagnostics=diag, steps=steps)
+        return state
+    except ContinuationError as exc:
+        if (last := exc.last_state).u.grid is not spec.grid:
+            u = GridFunction(spec.grid.prolong_from(last.u.values, last.u.grid), spec.grid)
+            exc.last_state = replace(last, u=u, diagnostics=diagnostics(u, spec))
+        raise

@@ -130,16 +130,22 @@ def test_fine_grid_configs_build(name, shape):
     assert spec.grid.shape == shape and spec.k == 2
 
 
-def test_sweep_points_span_the_hypothesis_envelope(monkeypatch):
-    # configs/sweep.py: 40 distinct valid points, 13 of them inside the
-    # hypotheses; solving them is left to the script
+def sweep_points(monkeypatch):
+    """{label: config} of configs/sweep.py's points."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the script sets them on import
     path = Path(__file__).resolve().parents[1] / "configs" / "sweep.py"
     module_spec = importlib.util.spec_from_file_location("sweep", path)
     sweep = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(sweep)
-    labels, cfgs = zip(*sweep.points())
+    return dict(sweep.points())
+
+
+def test_sweep_points_span_the_hypothesis_envelope(monkeypatch):
+    # configs/sweep.py: 40 distinct valid points, 13 of them inside the
+    # hypotheses; solving them is left to the script
+    points = list(sweep_points(monkeypatch).items())
+    labels, cfgs = zip(*points)
     assert len(set(labels)) == len(labels) == 40
     inside = [problem.check_hypotheses(cli.build_spec(cli.normalize_config(cfg))).passed
               for cfg in cfgs]
@@ -243,6 +249,21 @@ def test_solve_force_overrides_rejection(tmp_path, capsys):
     # coth(u*) = 1 + sqrt(7)
     u_star = np.arctanh(1.0 / (1.0 + np.sqrt(7.0)))
     assert abs(meta["diagnostics"]["u_max"] - u_star) <= 1e-6
+
+
+def test_forced_continuation_failure_archives_the_configured_grid(tmp_path, monkeypatch, capsys):
+    # the sweep's torus 32^2 eps 0.5 freq 1 point fails on its 16^2 path; the
+    # archived last state is prolonged onto 32^2, so export reads it
+    cfg = sweep_points(monkeypatch)["torus 32x32 eps 0.5 freq 1"]
+    path, out = write_config(tmp_path, cfg), tmp_path / "failed"
+    assert cli.main(["solve", str(path), "--out", str(out), "--force"]) == 2
+    assert "continuation failed" in capsys.readouterr().err
+    meta, values = cli.read_archive(out)
+    assert meta["status"] == "continuation-failure" and 0.0 < meta["t_final"] < 1.0
+    assert values.size == 32 * 32
+    steps = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert {tuple(rec["grid"]) for rec in steps} == {(16, 16)}
+    assert cli.main(["export", str(out), "--format", "csv"]) == 0
 
 
 def test_hypotheses_are_checked_once_per_solve(tmp_path, monkeypatch, capsys):

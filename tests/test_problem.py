@@ -355,6 +355,7 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     node = err.value.node
     assert node == int(np.argmin(sig[:, 1:k].min(axis=1)))
     assert np.all(np.abs(np.array(err.value.lam) - lam[node]) <= 1e-14 * scale[node])
+    assert "lam" not in rec.__dict__  # from the worst node's A, no eigensolve of every node
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -728,20 +728,22 @@ def replay_step_control(spec, steps):
     """Check the t of every record in steps, one homotopy path from t = 0
     to 1, against the step rule: dt halves after a rejected attempt; after
     an accepted step with first contraction theta = |F^1|/|F^0| it is
-    scaled by min(dt_grow, max(1/2, sqrt(0.25 / theta))), and by dt_grow
-    when the step took fewer than 2 Newton iterations.  Returns the scale
-    factors of the accepted steps."""
+    scaled by min(cap, max(1/2, sqrt(0.25 / theta))), and by cap when the
+    step took fewer than 2 Newton iterations, where cap is dt_grow, or 1
+    when the attempt before was rejected.  Returns the scale factors of the
+    accepted steps."""
     assert steps[0]["t"] == 0.0 and steps[-1]["t"] == 1.0
     assert all(type(rec["t"]) is float for rec in steps)  # no numpy scalar in a record
     t, dt, factors = 0.0, spec.dt_init, []
-    for rec in steps[1:]:
+    for before, rec in zip(steps, steps[1:]):
         assert rec["t"] - t == pytest.approx(min(1.0 - t, dt), rel=1e-12, abs=0.0)
         if not rec["accepted"]:
             dt *= 0.5
             continue
+        cap = spec.dt_grow if before["accepted"] else 1.0
         norms = rec["residual_history"]
-        factors.append(spec.dt_grow if rec["newton_iters"] < 2 else min(
-            spec.dt_grow, max(0.5, np.sqrt(0.25 / (norms[1] / norms[0])))))
+        factors.append(cap if rec["newton_iters"] < 2 else min(
+            cap, max(0.5, np.sqrt(0.25 / (norms[1] / norms[0])))))
         t, dt = rec["t"], dt * factors[-1]
     return factors
 
@@ -863,68 +865,84 @@ def fail_on_grid(monkeypatch, grid, count):
     return failures
 
 
-def test_failed_fine_newton_falls_back_to_the_direct_homotopy(monkeypatch):
-    spec = perturbed_spec((32, 32), 2)
-    direct = solver._homotopy(spec, [])
-    failures = fail_on_grid(monkeypatch, spec.grid, 1)
-    state = solver.continuation(spec)
-    assert failures == [1.0]  # the fine level's Newton, not a homotopy step
-    assert np.array_equal(state.u.values, direct.u.values)
-    # the ladder's records stay in front of the fallback's, which restart at
-    # t = 0, and end in one record of the level that failed
-    start = [rec["grid"] for rec in state.steps].index([32, 32])
-    assert {tuple(rec["grid"]) for rec in state.steps[:start]} == {(16, 16)}
-    assert state.steps[start] == {"t": 1.0, "grid": [32, 32], "accepted": False,
-                                  "error": "StepFailureError"}
-    assert state.steps[start + 1:] == direct.steps
-
-
-def test_failed_sequencing_raises_the_direct_paths_error(monkeypatch):
-    # every Newton solve on the fine grid fails: the ladder's fine level and
-    # then each step of the direct path, until the step size underflows
-    spec = perturbed_spec((32, 32), 2, dt_min=0.09)
-    fail_on_grid(monkeypatch, spec.grid, np.inf)
-    with pytest.raises(ContinuationError) as err:
-        solver.continuation(spec)
-    state = err.value.last_state
-    assert state.u.grid is spec.grid and state.t == 0.0
-
-
-def test_coarse_failure_raises_the_direct_paths_error():
-    # no step is acceptable on any grid: the coarse level's ContinuationError
-    # is caught, and the one raised is the fine grid's
-    spec = perturbed_spec((32, 32), 2, max_newton=1, newton_tol=1e-16, dt_min=0.09)
-    with pytest.raises(ContinuationError) as err:
-        solver.continuation(spec)
-    assert err.value.last_state.u.grid is spec.grid
-    steps = err.value.last_state.steps
-    assert {tuple(rec["grid"]) for rec in steps} == {(16, 16), (32, 32)}
-    # the coarse path's records end in the failed level's, before the fine t = 0
-    start = [rec["grid"] for rec in steps].index([32, 32])
-    assert steps[start - 1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
-                                "error": "ContinuationError"}
-    assert steps[start]["t"] == 0.0 and steps[start]["accepted"]
-
-
-def test_an_aliased_coarsest_level_falls_back_to_the_direct_homotopy():
-    # freq 16 profiles sample to constants on the 16^2 coarsest level, whose
-    # homotopy (eps 0.5, outside the hypotheses) then fails; the path on the
-    # 32^2 grid, which sees the profiles, converges
+def aliased_spec():
+    """32^2 torus at eps 0.5 (outside the hypotheses) whose freq 16 profiles
+    sample to constants on 16^2."""
     profiles = ({"kind": "cos", "axis": 0, "freq": 16}, {"kind": "sin", "axis": 1, "freq": 16})
-    for p in profiles:
-        assert np.ptp(problem.sample_profile(p, FlatTorus((16, 16)))) <= 1e-13
     coeffs = CoefficientFamily([CoefficientTerm(a, 0.5, p)
                                 for a, p in zip((3.0, 0.5), profiles)], 2)
+    return ProblemSpec(grid=FlatTorus((32, 32)), warping=WarpingFunction("hyperbolic", 1.0),
+                       k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+
+
+@pytest.mark.parametrize("kind,freq,carried", [
+    ("sin", 8, False),   # samples to zero on 16^2
+    ("cos", 16, False),  # samples to a constant on 16^2
+    ("cos", 8, True)],   # the Nyquist cosine, which _trig_interpolate restores
+                         ids=["sin-8", "cos-16", "cos-8"])
+def test_coarse_spec_refuses_a_grid_that_cannot_carry_the_coefficients(kind, freq, carried):
+    coeffs = CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": kind, "axis": 0, "freq": freq}),
+                                CoefficientTerm(0.5)], 2)
     spec = ProblemSpec(grid=FlatTorus((32, 32)), warping=WarpingFunction("hyperbolic", 1.0),
                        k=2, coeffs=coeffs, phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    coarse = solver._coarse_spec(spec)
+    assert (coarse is not None) == carried
+    if carried:
+        assert coarse.grid.shape == (16, 16)
+
+
+def test_an_aliased_spec_follows_its_path_on_its_own_grid():
+    # the 16^2 level would see constant coefficients, so the path runs on
+    # 32^2, once, without a rejected attempt
+    spec = aliased_spec()
+    for term in spec.coeffs.terms:
+        assert np.ptp(problem.sample_profile(term.profile, FlatTorus((16, 16)))) <= 1e-13
+    assert solver._coarse_spec(spec) is None
     state = solver.continuation(spec)
-    start = [rec["grid"] for rec in state.steps].index([32, 32])
-    assert {tuple(rec["grid"]) for rec in state.steps[:start]} == {(16, 16)}
-    assert state.steps[start - 1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
-                                      "error": "ContinuationError"}
-    assert state.steps[start]["t"] == 0.0
+    assert all(rec["grid"] == [32, 32] and rec["accepted"] for rec in state.steps)
     assert state.t == 1.0 and state.u.grid is spec.grid
-    assert state.steps[-1]["accepted"] and state.steps[-1]["residual_norm"] <= spec.newton_tol
+    assert state.steps[-1]["residual_norm"] <= spec.newton_tol
+
+
+def test_coarse_failure_raises_the_last_accepted_state_on_the_configured_grid(monkeypatch):
+    # Newton fails on the 16^2 level from the third attempt on, so its path
+    # stops at the second step's t; no record is on 32^2
+    spec = perturbed_spec((32, 32), 2, dt_min=0.09)
+    calls = record_newton_solves(monkeypatch, fail_calls=set(range(2, 100)))
+    with pytest.raises(ContinuationError, match="step size underflow") as err:
+        solver.continuation(spec)
+    state = err.value.last_state
+    accepted = [rec for rec in state.steps if rec["accepted"]]
+    assert {tuple(rec["grid"]) for rec in state.steps} == {(16, 16)}
+    assert len(accepted) == 3 and state.t == accepted[-1]["t"] == calls[1][1] < 1.0
+    assert not state.steps[-1]["accepted"] and "dt" in state.steps[-1]
+    assert state.u.grid is spec.grid
+    coarse = calls[1][2]
+    assert np.array_equal(state.u.values, spec.grid.prolong_from(coarse.values, coarse.grid))
+    assert state.diagnostics == solver.diagnostics(state.u, spec)
+
+
+def test_failed_finer_level_raises_the_coarse_solution_prolonged(monkeypatch):
+    # the 64^2 level fails: its one record follows the 32^2 level's, and the
+    # error carries the 32^2 solution at t = 1, prolonged onto 64^2
+    spec = perturbed_spec((64, 64), 2)
+    failures = fail_on_grid(monkeypatch, spec.grid, np.inf)
+    with pytest.raises(ContinuationError, match="forced") as err:
+        solver.continuation(spec)
+    assert failures == [1.0]  # the 64^2 level's Newton, once
+    state = err.value.last_state
+    assert isinstance(err.value.__cause__, StepFailureError)
+    assert [rec["grid"] for rec in state.steps[-2:]] == [[32, 32], [64, 64]]
+    assert state.steps[-1] == {"t": 1.0, "grid": [64, 64], "accepted": False,
+                               "error": "StepFailureError"}
+    assert all(rec["accepted"] for rec in state.steps[:-1])
+    assert [rec["t"] for rec in state.steps if rec["grid"] != [16, 16]] == [1.0, 1.0]
+    # no record restarts the path: t never falls after the first
+    assert all(b["t"] >= a["t"] for a, b in zip(state.steps, state.steps[1:]))
+    assert state.t == 1.0 and state.u.grid is spec.grid
+    solved = solver.continuation(perturbed_spec((32, 32), 2))
+    assert np.array_equal(state.u.values,
+                          spec.grid.prolong_from(solved.u.values, solved.u.grid))
 
 
 def test_specs_sharing_a_coefficient_family_check_and_solve():
