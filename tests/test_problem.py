@@ -229,6 +229,25 @@ def test_residual_cone_exit_names_node():
     assert err.value.node is not None
 
 
+def test_sigma_margins_are_the_row_minimum_bit_for_bit():
+    # the column-by-column minimum that the cone check and diagnostics read
+    # is numpy's minimum over each row, bit for bit, through exact ties,
+    # tied signed zeros and a nan node
+    spec = hyperbolic_spec((4, 4, 4))
+    rng = np.random.default_rng(0)
+    u = GridFunction(1.3 + 0.05 * rng.standard_normal(spec.grid.num_nodes), spec.grid)
+    sig = geometry.fundamental_forms(u, spec.warping).sig.copy()
+    sig[0, 1:] = sig[0, 1]
+    sig[1, 2] = sig[1, 1]
+    sig[2, 1:3] = 0.0, -0.0
+    sig[3, 1:3] = -0.0, 0.0
+    sig[4, 2] = np.nan
+    for k in range(1, sig.shape[1]):
+        got, want = symfunc.sigma_margins(sig, k), sig[:, 1:k + 1].min(axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(symfunc.sigma_margins(sig, 2)[4])
+
+
 # ---------------------------------------------------------------------------
 # jacobian
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -504,15 +505,16 @@ def test_failed_linear_solve_rejects_the_step_and_halves_it(monkeypatch):
     assert np.abs(state.u.values - np.arccosh(2.0)).max() <= 1e-8
 
 
-@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32),
-                                     lambda: perturbed_spec((16, 16), 2)],
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_sphere_spec(16, 32, dt_init=0.1),
+                                     lambda: perturbed_spec((16, 16), 2, dt_init=0.1)],
                          ids=["sphere-16x32", "torus2-16"])
 def test_continuation_builds_one_curvature_record_per_residual(spec_fn, monkeypatch):
     # each point Newton evaluates gets one record, which its residual, its
     # Jacobian and its step record's diagnostics share; the t = 0 record
     # serves the start check, the t = 0 step record and the first step, the
     # one Newton start handed a record: every later step starts from a
-    # secant prediction, a new point that builds its own
+    # secant prediction, a new point that builds its own (dt_init 0.1 pins
+    # a path of several steps)
     calls = {"fundamental_forms": 0, "residual": 0, "jacobian": 0}
 
     def counted(owner, name):
@@ -673,8 +675,9 @@ def test_secant_prediction_cuts_the_start_residual(spec_fn, monkeypatch):
 def test_failed_predicted_start_halves_the_step(monkeypatch):
     # the first predicted start fails as a start off the cone would: the
     # step halves, the retry is predicted along the same secant with half
-    # the offset, and the path still reaches t = 1
-    spec = perturbed_spec((16, 16), 2)
+    # the offset, and the path still reaches t = 1 (dt_init 0.1 pins a path
+    # with a predicted start)
+    spec = perturbed_spec((16, 16), 2, dt_init=0.1)
     unforced = solver.continuation(spec)
     calls = record_newton_solves(monkeypatch, fail_calls={1})
     state = solver.continuation(spec)
@@ -691,7 +694,7 @@ def test_failed_predicted_start_halves_the_step(monkeypatch):
 def test_rejected_attempt_gets_its_own_record(monkeypatch, tmp_path):
     # the forced failure of test_failed_predicted_start_halves_the_step is
     # logged as its own record; the archive's totals count accepted ones only
-    spec = perturbed_spec((16, 16), 2)
+    spec = perturbed_spec((16, 16), 2, dt_init=0.1)
     calls = record_newton_solves(monkeypatch, fail_calls={1})
     state = solver.continuation(spec)
     lines = state.steps
@@ -748,22 +751,47 @@ def replay_step_control(spec, steps):
     return factors
 
 
-def test_radial_torus_reaches_t1_in_three_steps():
-    # each step's first contraction is about 1e-3, so dt grows by the full
-    # default dt_grow of 4: t = 0.1, 0.5, 1
+def test_radial_torus_reaches_t1_in_one_step():
+    # the default first step is the whole path, and its first contraction
+    # is about 1e-3, so Newton needs at most 3 iterations
     spec = hyperbolic_spec((8, 8, 8))
-    assert spec.dt_grow == 4.0
+    assert spec.dt_init == 1.0
     state = solver.continuation(spec)
     assert state.t == 1.0
-    accepted = [rec for rec in state.steps[1:] if rec["accepted"]]
-    assert len(accepted) == len(state.steps) - 1 <= 4
-    assert sum(rec["newton_iters"] for rec in accepted) <= 8
-    assert replay_step_control(spec, state.steps) == [4.0] * len(accepted)
+    assert [rec["t"] for rec in state.steps] == [0.0, 1.0]
+    assert state.steps[1]["accepted"] and state.steps[1]["newton_iters"] <= 3
+    assert replay_step_control(spec, state.steps) == [4.0]
+
+
+@pytest.mark.parametrize("spec_fn", [
+    lambda: replace(perturbed_spec((16, 16), 2), phi=PhiFunction(1.45)),
+    lambda: perturbed_sphere_spec(16, 32)], ids=["torus2-16", "sphere-16x32"])
+def test_default_path_reaches_t1_in_one_step(spec_fn):
+    # the whole path's first contraction is far below CONTRACTION_TARGET
+    # (2.6e-3 / 5.0e-2 on the benchmark's 16^2 torus, pivot 1.45), so its
+    # one step needs no retry and at most 3 Newton iterations
+    state = solver.continuation(spec_fn())
+    assert state.t == 1.0
+    assert [(rec["t"], rec["accepted"]) for rec in state.steps] == [(0.0, True), (1.0, True)]
+    assert state.steps[1]["newton_iters"] <= 3
+
+
+def test_failed_full_step_backs_off_to_half(monkeypatch):
+    # the first attempt, the whole path, fails: its record names dt 1, the
+    # retry reaches t = 0.5, and the cap of 1 after a rejection keeps dt at
+    # 0.5 for the step to t = 1
+    spec = perturbed_spec((16, 16), 2)
+    record_newton_solves(monkeypatch, fail_calls={0})
+    state = solver.continuation(spec)
+    assert state.steps[1] == {"t": 1.0, "grid": [16, 16], "accepted": False,
+                              "dt": 1.0, "error": "ConeExitError"}
+    assert [(rec["t"], rec["accepted"]) for rec in state.steps[2:]] == [(0.5, True), (1.0, True)]
+    assert replay_step_control(spec, state.steps)[0] == 1.0
 
 
 @pytest.mark.parametrize("spec_fn,uncapped", [
-    (lambda: perturbed_spec((16, 16), 2), True),
-    (lambda: perturbed_sphere_spec(16, 32), False),
+    (lambda: perturbed_spec((16, 16), 2, dt_init=0.1), True),
+    (lambda: perturbed_sphere_spec(16, 32, dt_init=0.1), False),
     (lambda: perturbed_spec((16, 16), 2, dt_init=0.02, dt_grow=10.0), True)],
     ids=["torus2-16", "sphere-16x32", "torus2-16-grow-10"])
 def test_step_size_follows_the_first_contraction(spec_fn, uncapped):
@@ -776,8 +804,8 @@ def test_step_size_follows_the_first_contraction(spec_fn, uncapped):
 
 def test_rejected_step_halves_dt_under_step_control(monkeypatch):
     # the forced failure of the second attempt halves its dt, and the retry's
-    # contraction scales the halved dt
-    spec = perturbed_spec((16, 16), 2)
+    # contraction scales the halved dt (dt_init 0.1 pins a second step)
+    spec = perturbed_spec((16, 16), 2, dt_init=0.1)
     record_newton_solves(monkeypatch, fail_calls={1})
     state = solver._homotopy(spec, [])
     assert [rec["accepted"] for rec in state.steps[:4]] == [True, True, False, True]
@@ -907,7 +935,7 @@ def test_an_aliased_spec_follows_its_path_on_its_own_grid():
 def test_coarse_failure_raises_the_last_accepted_state_on_the_configured_grid(monkeypatch):
     # Newton fails on the 16^2 level from the third attempt on, so its path
     # stops at the second step's t; no record is on 32^2
-    spec = perturbed_spec((32, 32), 2, dt_min=0.09)
+    spec = perturbed_spec((32, 32), 2, dt_init=0.1, dt_min=0.09)
     calls = record_newton_solves(monkeypatch, fail_calls=set(range(2, 100)))
     with pytest.raises(ContinuationError, match="step size underflow") as err:
         solver.continuation(spec)
