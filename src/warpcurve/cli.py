@@ -49,9 +49,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "type": {"enum": ["flat_torus", "sphere2"]},
                 "resolution": {"type": "array", "items": {"type": "integer", "minimum": 4},
-                               "minItems": 2, "maxItems": 3},
+                               "minItems": 2},
                 "periods": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 2, "maxItems": 3},
+                            "minItems": 2},
             },
         },
         "warping": {
@@ -107,7 +107,6 @@ CONFIG_SCHEMA = {
                 "dt_grow": {"type": "number", "exclusiveMinimum": 1},
                 "newton_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_newton": {"type": "integer", "minimum": 1},
-                "max_backtracks": {"type": "integer", "minimum": 1},
                 "guard_frac": {"type": "number", "minimum": 0},
                 # nothing reads it, since the solver has only the analytic
                 # Jacobian; still accepted because existing configs, the
@@ -397,7 +396,8 @@ def _radial_spec(resolution=(8, 8, 8)):
 def _jacobian_fd_cases():
     """(spec, u) by name, at which the Jacobian is checked against finite
     differences: the radial 6^3 torus (k = 2), a perturbed 6^3 torus with
-    k = 3, and a perturbed Sphere2(12, 24) with a u smooth across the poles."""
+    k = 3, a perturbed Sphere2(12, 24) with a u smooth across the poles, and
+    a perturbed 6^4 torus with k = 4."""
     radial = _radial_spec((6, 6, 6))
     x = radial.grid.coords
     hyperbolic = WarpingFunction("hyperbolic", 1.0)
@@ -412,11 +412,20 @@ def _jacobian_fd_cases():
         coeffs=CoefficientFamily([CoefficientTerm(3.0, 0.05, {"kind": "sphere_z"}),
                                   CoefficientTerm(0.5, 0.05, {"kind": "sphere_x"})], 2),
         phi=PhiFunction(pivot=1.45), r1=1.0, r2=1.6)
+    torus4 = ProblemSpec(
+        grid=FlatTorus((6,) * 4), warping=hyperbolic, k=4,
+        coeffs=CoefficientFamily([CoefficientTerm(a, 0.05, {"kind": kind, "axis": axis})
+                                  for axis, (a, kind) in enumerate(zip(
+                                      (4.0, 1.0, 0.3, 0.1), ("cos", "sin", "cos", "sin")))], 4),
+        phi=PhiFunction(pivot=1.45), r1=1.0, r2=1.6)
+    x4 = torus4.grid.coords
     th, ph = sphere.grid.coords[:, 0], sphere.grid.coords[:, 1]
     return {
         "torus3-k2": (radial, 1.3 + 0.05 * np.sin(x[:, 0])),
         "torus3-k3": (torus3, 1.3 + 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])),
         "sphere-12x24": (sphere, 1.45 + 0.03 * np.sin(th) * np.cos(ph) + 0.02 * np.cos(th)),
+        "torus4-k4": (torus4, 1.45 + 0.03 * np.sin(x4[:, 0]) + 0.02 * np.cos(x4[:, 1])
+                      + 0.01 * np.sin(x4[:, 2] + x4[:, 3])),
     }
 
 
@@ -507,7 +516,7 @@ def cmd_export(args):
         meta, values = read_archive(args.archive)
         spec = build_spec(meta["config"], base_dir=args.archive)
         grid = spec.grid
-        rec = geometry.fundamental_forms(GridFunction(values, grid), spec.warping)
+        rec = geometry.fundamental_forms(GridFunction(values, grid), spec.warping, spec.k)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, WarpcurveError) as exc:
         print(f"error: cannot read archive: {exc}", file=sys.stderr)
         return 1

@@ -237,15 +237,13 @@ _SYMBOL_FLOOR = 1e-12
 
 
 class FlatTorus(BaseGrid):
-    """Flat n-torus (n = 2 or 3), periods L_i, uniform periodic grid."""
+    """Flat n-torus, n >= 2, periods L_i, uniform periodic grid."""
 
     def __init__(self, resolution, periods=None):
         self.shape = tuple(int(r) for r in resolution)
         self.n = len(self.shape)
-        if self.n not in (2, 3):
-            raise ConfigError("FlatTorus supports n = 2 or 3")
-        if any(r < 4 for r in self.shape):
-            raise ConfigError("need at least 4 nodes per axis")
+        if self.n < 2 or any(r < 4 for r in self.shape):
+            raise ConfigError("need at least 2 axes and 4 nodes per axis")
         if periods is None:
             periods = (2.0 * np.pi,) * self.n
         self.periods = tuple(float(p) for p in periods)
@@ -463,11 +461,11 @@ class CurvatureRecord:
     the lower triangles of its Hessian and of the Weingarten matrix
     A = gamma h gamma (gamma = gtilde^(-1/2), the induced metric's symmetric
     inverse square root, h the second fundamental form), whose eigenvalues
-    are the principal curvatures; sigma_0 .. sigma_n of those, support
-    function tau, v = sqrt(f^2 + |Du|^2).  A lower triangle is a dict
-    {(i, j): (N,)} over j <= i, read through _sym.  One record per iterate
-    serves its residual, Jacobian and diagnostics; no eigensolve is made
-    unless lam is read."""
+    are the principal curvatures; sigma_0 .. sigma_k of those (k the
+    operator's order) and the P_j of newton_tensors; tau = f^2 / v,
+    v = sqrt(f^2 + |Du|^2).  A lower triangle is a dict {(i, j): (N,)} over
+    j <= i, read through _sym.  One record per iterate serves its residual,
+    Jacobian and diagnostics; no eigensolve is made unless lam is read."""
 
     f: np.ndarray       # (N,)
     fp: np.ndarray      # (N,)
@@ -475,7 +473,8 @@ class CurvatureRecord:
     du: np.ndarray      # (N, n)
     d2u: dict           # (i, j) -> (N,), j <= i
     A: dict             # (i, j) -> (N,), j <= i
-    sig: np.ndarray     # (N, n + 1)
+    sig: np.ndarray     # (N, k + 1)
+    P: list             # P_1 .. P_{k-1}, lower triangles
     tau: np.ndarray     # (N,)
     v: np.ndarray       # (N,)
 
@@ -483,13 +482,15 @@ class CurvatureRecord:
     def lam(self):
         """Principal curvatures, ascending (N, n), computed on first use: for
         diagnostics and export, never for a Newton iterate."""
-        return _eigvalsh_lower(self.A, self.sig.shape[-1] - 1)
+        return _eigvalsh_lower(self.A, self.du.shape[1])
 
 
 def _eigvalsh_lower(A, n):
-    """Ascending eigenvalues of the symmetric n x n matrices with lower triangle A."""
+    """Ascending eigenvalues of the symmetric n x n matrices with lower
+    triangle A; for n = 2 m -+ hypot((a00 - a11)/2, a10), m = (a00 + a11)/2."""
     if n == 2:
-        return _eigvalsh_2x2(A[0, 0], A[1, 0], A[1, 1])
+        m, rad = 0.5 * (A[0, 0] + A[1, 1]), np.hypot(0.5 * (A[0, 0] - A[1, 1]), A[1, 0])
+        return np.stack([m - rad, m + rad], axis=-1)
     return np.linalg.eigvalsh(_dense(A, n))
 
 
@@ -507,34 +508,33 @@ def _dot(pairs):
     return acc
 
 
-def _eigvalsh_2x2(a00, a10, a11):
-    """Ascending eigenvalues of the symmetric 2 x 2 matrices
-    [[a00, a10], [a10, a11]], in closed form: m -+ hypot((a00 - a11)/2, a10),
-    with m = (a00 + a11)/2."""
-    m, rad = 0.5 * (a00 + a11), np.hypot(0.5 * (a00 - a11), a10)
-    return np.stack([m - rad, m + rad], axis=-1)
-
-
 def _dense(X, n):
     """The symmetric (..., n, n) array whose lower triangle is X."""
     rows = [[_sym(X, i, j) for j in range(n)] for i in range(n)]
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def _principal_minor_sums(A, n):
-    """sigma_0 .. sigma_n of the eigenvalues of the symmetric matrices whose
-    lower triangle is A, stacked along a last axis: sigma_j is the sum of
-    the j x j principal minors."""
-    a00 = A[0, 0]
-    sig = np.empty(a00.shape + (n + 1,))
-    sig[..., 0] = 1.0
-    sig[..., 1] = sum(A[i, i] for i in range(n))
-    minors = {(i, j): A[i, i] * A[j, j] - A[i, j] ** 2 for i in range(n) for j in range(i)}
-    sig[..., 2] = sum(minors.values())
-    if n == 3:  # det A by its first column
-        sig[..., 3] = (a00 * minors[2, 1] - A[1, 0] * (A[1, 0] * A[2, 2] - A[2, 1] * A[2, 0])
-                       + A[2, 0] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
-    return sig
+def newton_tensors(A, n, k):
+    """(sig, P) of the symmetric n x n matrices with lower triangle A, any n:
+    sigma_0 .. sigma_k of their eigenvalues, (N, k + 1) with contiguous
+    columns, and the lower triangles of P_j = A T_{j-1}, j < k, by Reilly's
+    Newton tensors T_0 = I, T_j = sigma_j I - P_j (J. Diff. Geom. 8, 1973);
+    A commutes with T_j, so P_j is symmetric.  sigma_j = tr P_j / j
+    (Faddeev-LeVerrier), for j = k from the entrywise product of A and T_{k-1}."""
+    sig = np.empty((k + 1,) + A[0, 0].shape)  # row j: sigma_j, a contiguous node field
+    sig[0], sig[1] = 1.0, sum((A[i, i] for i in range(1, n)), A[0, 0])
+    P = [A]
+    for j in range(2, k + 1):
+        Q = P[-1]  # T_{j-1} is t on its diagonal and -Q off it
+        t = [sig[j - 1] - Q[i, i] for i in range(n)]
+        if j < k:
+            P.append({(i, l): A[i, l] * t[l] - _dot((_sym(A, i, m), _sym(Q, m, l))
+                                                    for m in range(n) if m != l) for i, l in A})
+            np.divide(sum((P[-1][i, i] for i in range(1, n)), P[-1][0, 0]), j, out=sig[j])
+        else:  # no P_k: tr(A T_{k-1}) alone
+            np.divide(_dot((t[i], A[i, i]) if i == l else (-2.0 * A[i, l], Q[i, l])
+                           for i, l in A), j, out=sig[j])
+    return sig.T, P
 
 
 def pencil_eigensystem(gtilde, h):
@@ -563,7 +563,7 @@ def principal_curvatures(gtilde, h):
     return pencil_eigensystem(gtilde, h)[0]
 
 
-def graph_record(f, fp, fpp, du, d2u):
+def graph_record(f, fp, fpp, du, d2u, k=None):
     """Curvature record of a graph from f, f', f'' at its height, the frame
     components of its gradient Du (N, n) and its Hessian's lower triangle.
 
@@ -576,7 +576,7 @@ def graph_record(f, fp, fpp, du, d2u):
     matrix is formed entry by entry, with no factorization:
         A = gamma h gamma = (f'/v) (I + Du Du^T / v^2)
             - (D^2u - c (Du w^T + w Du^T) + c^2 (Du . w) Du Du^T) / (f v),
-    w = D^2u Du; sigma_j(A) are its principal minor sums.
+    w = D^2u Du; newton_tensors gives sigma_0 .. sigma_k of A, k = n if not given.
     """
     n = du.shape[1]
     f2 = f ** 2
@@ -588,12 +588,13 @@ def graph_record(f, fp, fpp, du, d2u):
     A = {(i, j): (uu_coef * du[:, i] * du[:, j] + (a if i == j else 0.0)
                   - b * (d2u[i, j] - c * (du[:, i] * w[j] + w[i] * du[:, j])))
          for i, j in d2u}
-    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, A=A,
-                           sig=_principal_minor_sums(A, n), tau=f2 / v, v=v)
+    sig, P = newton_tensors(A, n, k or n)
+    return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, A=A, sig=sig, P=P,
+                           tau=f2 / v, v=v)
 
 
-def fundamental_forms(u: GridFunction, w: WarpingFunction):
-    """Curvature record of the graph of u: graph_record of f, f', f'' at u
-    and of u's frame derivatives on its grid."""
+def fundamental_forms(u: GridFunction, w: WarpingFunction, k=None):
+    """Curvature record of the graph of u, with sigma_0 .. sigma_k: graph_record
+    of f, f', f'' at u and of u's frame derivatives on its grid."""
     f, fp, fpp = warp_eval(w, u.values)
-    return graph_record(f, fp, fpp, *u.grid.gradient_hessian(u.values))
+    return graph_record(f, fp, fpp, *u.grid.gradient_hessian(u.values), k)

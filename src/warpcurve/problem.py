@@ -261,7 +261,6 @@ class ProblemSpec:
     r2: float
     newton_tol: float = 1e-10
     max_newton: int = 50
-    max_backtracks: int = 30
     dt_init: float = 1.0  # the first step tries the whole path; a failure halves it
     dt_min: float = 1e-4
     dt_grow: float = 4.0  # the largest growth of dt per accepted step
@@ -323,22 +322,23 @@ def _alpha_k1_homotopy_du(u, t, spec: ProblemSpec, rec):
 
 def _check_cone(rec, k):
     """Require every node's curvatures in Gamma_{k-1}, read from sigma_1 ..
-    sigma_{k-1}; name the worst offender and its curvatures, from its A
-    alone (rec.lam would solve every node's)."""
+    sigma_{k-1}, nan outside; name the worst finite offender (else a nan
+    node) and its curvatures, from its A alone (rec.lam solves every node's)."""
     margins = symfunc.sigma_margins(rec.sig, k - 1)
-    worst = int(np.argmin(margins))
-    if margins[worst] <= 0.0:
+    worst = int(np.argmin(margins))  # the first nan, if there is one
+    if not margins[worst] > 0.0:
+        worst = int(np.nanargmin(margins)) if np.any(margins <= 0.0) else worst
         A = {key: entry[worst] for key, entry in rec.A.items()}
         raise ConeExitError(
             f"node {worst} left Gamma_{k-1} (margin {margins[worst]:.3e})",
-            node=worst, lam=geometry._eigvalsh_lower(A, rec.sig.shape[-1] - 1))
+            node=worst, lam=geometry._eigvalsh_lower(A, rec.du.shape[1]))
 
 
 def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
     """Node-wise value of the deformed curvature equation.  rec is the
     curvature record of u; it is built here when not given."""
     if rec is None:
-        rec = geometry.fundamental_forms(u, spec.warping)
+        rec = geometry.fundamental_forms(u, spec.warping, spec.k)
     k = spec.k
     _check_cone(rec, k)
     sig = rec.sig
@@ -354,8 +354,7 @@ def residual(u: GridFunction, t, spec: ProblemSpec, rec=None) -> GridFunction:
 def _sigma_derivatives(sig, k, t_alpha):
     """{j: dF/dsigma_j} of F = (sigma_k - sum_l t_alpha[l] sigma_l) / sigma_{k-1},
     the sum over l < k - 1 (none when t_alpha is empty); sigma_0 = 1 has none."""
-    den = sig[:, k - 1]
-    num = sig[:, k]
+    den, num = sig[:, k - 1], sig[:, k]
     dF = {k: 1.0 / den}
     for l, ta in enumerate(t_alpha):
         num = num - ta * sig[:, l]
@@ -381,9 +380,9 @@ def _newton_tensor_forms(rec, dF):
     for an operator whose derivative in sigma_j of the record's A is dF[j]
     (j >= 1); M1 as lower-triangle entries like A, M2 Du as n node fields.
 
-    G = dF/dA = sum_j dF[j] T_{j-1} with the Newton tensors T_0 = I,
-    T_1 = sigma_1 I - A and, in 3-D, T_2 = adj A = sigma_2 I - sigma_1 A + A^2
-    (Reilly, J. Diff. Geom. 8, 1973), and Tr(G A) = sum_j j dF[j] sigma_j.
+    G = dF/dA = sum_j dF[j] T_{j-1} with the Newton tensors
+    T_{j-1} = sigma_{j-1} I - P_{j-1} of the record (geometry.newton_tensors;
+    P_0 = 0), and Tr(G A) = sum_j j dF[j] sigma_j.
     Then M1 = gamma G gamma and M2 = gamma G A gamma with the record's
     gamma = gtilde^(-1/2) = (I - c Du Du^T) / f, c = 1 / (v (f + v)).  Since
     gamma Du = Du / v and gamma^2 = gtilde^-1 = (I - Du Du^T / v^2) / f^2,
@@ -392,12 +391,11 @@ def _newton_tensor_forms(rec, dF):
     """
     A, du, f, v, sig = rec.A, rec.du, rec.f, rec.v, rec.sig
     n = du.shape[1]
-    g0, g1 = dF.get(1, 0.0) + dF[2] * sig[:, 1], -dF[2]  # G = g0 I + g1 A
-    G = {(i, j): g0 + g1 * A[i, j] if i == j else g1 * A[i, j] for i, j in A}
-    if 3 in dF:  # + dF[3] adj A, by cofactors with indices mod 3
-        for i, j in G:
-            p, q, r, s = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-            G[i, j] += dF[3] * (_sym(A, r, p) * _sym(A, s, q) - _sym(A, r, q) * _sym(A, s, p))
+    terms = [(-d, rec.P[j - 2]) for j, d in dF.items() if j > 1]
+    G = {key: _dot((c, P[key]) for c, P in terms) for key in A}  # G = g0 I - sum_j dF[j] P_{j-1}
+    g0 = _dot((d, sig[:, j - 1]) for j, d in dF.items() if j > 1) + dF.get(1, 0.0)
+    for i in range(n):
+        G[i, i] += g0
     c = 1.0 / (v * (f + v))
     y = [_dot((_sym(A, i, j), du[:, j]) for j in range(n)) for i in range(n)]
     Gy = [_dot((_sym(G, i, j), y[j]) for j in range(n)) for i in range(n)]
@@ -431,7 +429,7 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
     """
     grid, k = spec.grid, spec.k
     if rec is None:
-        rec = geometry.fundamental_forms(u, spec.warping)
+        rec = geometry.fundamental_forms(u, spec.warping, k)
     _check_cone(rec, k)
     sig = rec.sig
     t_alpha = [t * spec.coeffs.values(l, u.values, rec) for l in range(k - 1)] if t != 0.0 else []

@@ -56,9 +56,8 @@ class ContinuationState:
 def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsReport:
     """Report on u; rec is its curvature record, built here when not given."""
     if rec is None:
-        rec = geometry.fundamental_forms(u, spec.warping)
-    k = spec.k
-    sig = rec.sig
+        rec = geometry.fundamental_forms(u, spec.warping, spec.k)
+    k, sig = spec.k, rec.sig
     cone = symfunc.sigma_margins(sig, k - 1)
 
     # Newton-Maclaurin certificate wherever lam in Gamma_k, from the record's
@@ -66,7 +65,7 @@ def diagnostics(u: GridFunction, spec: ProblemSpec, rec=None) -> DiagnosticsRepo
     in_gk = np.minimum(cone, sig[:, k]) > 0.0
     nm_min = np.inf
     if np.any(in_gk):
-        m1, m2 = symfunc._newton_maclaurin_from_sigma(sig[in_gk], k, k - 1, 1, 0)
+        m1, m2 = symfunc._newton_maclaurin_from_sigma(sig[in_gk], spec.n, k, k - 1, 1, 0)
         nm_min = float(min(m1.min(), m2.min()))
 
     flags = []
@@ -90,7 +89,7 @@ def initial_solution(spec: ProblemSpec):
     ProblemSpec keeps it inside (r1, r2)), its record, and its residual
     |F(u0, 0)|_inf, rounding only."""
     u = GridFunction.constant(spec.phi.pivot, spec.grid)
-    rec = geometry.fundamental_forms(u, spec.warping)
+    rec = geometry.fundamental_forms(u, spec.warping, spec.k)
     norm = float(np.abs(problem.residual(u, 0.0, spec, rec).values).max())
     if norm > 1e-10:
         raise ConfigError(f"constant start fails the t=0 equation (|F|={norm:.3e})")
@@ -110,6 +109,9 @@ GMRES_MAXITER = 5
 # The first Newton contraction |F^1|/|F^0| that the homotopy's step control
 # aims each predicted start at (see _homotopy).
 CONTRACTION_TARGET = 0.25
+
+# The smallest damping factor newton_solve tries, Deuflhard's lambda_min (2004).
+DAMPING_FLOOR = 1e-2
 
 
 def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
@@ -144,7 +146,8 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
 
     Every accepted step keeps all nodes inside Gamma_{k-1} and the height
     inside the guarded annulus; damping is backtracking with an Armijo
-    decrease condition on |F|^2.  The iteration stops when |F|_inf is at most
+    decrease condition on |F|^2, halving from 1 down to DAMPING_FLOOR, below
+    which the step fails.  The iteration stops when |F|_inf is at most
     spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
     that rounding u alone can cause, with the grid's norm_inf_bound of the
     last J for |J|_inf: a J is computed only for a step, so the stopping test
@@ -152,15 +155,15 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     stopping target, relative to |F|_2, but never for less than GMRES_RTOL:
     inexact Newton, whose linear error stays below what the test accepts.
     u_init must lie inside the guarded annulus (StepFailureError otherwise)
-    and its record is rec (built when not given); returns (u, stats, rec),
-    rec the record of the final u.
+    and its record is rec (built when not given); returns (u, stats, rec), rec
+    the record of the final u.
     """
     u = u_init
     guard = spec.guard_frac * (spec.r2 - spec.r1)
     lo, hi = spec.r1 - guard, spec.r2 + guard
     if u.values.min() < lo or u.values.max() > hi:
         raise StepFailureError(f"Newton start at t={t} leaves the guarded annulus")
-    rec = geometry.fundamental_forms(u, spec.warping) if rec is None else rec
+    rec = geometry.fundamental_forms(u, spec.warping, spec.k) if rec is None else rec
     F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
     stats = NewtonStats(residual_norms=[float(np.abs(F).max())])
     norm2 = float(F @ F)
@@ -183,12 +186,12 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
         delta, iters = _solve_linear(J, -F, spec.grid, rtol)
         stats.linear_iters += iters
         s = 1.0
-        for _ in range(spec.max_backtracks):
+        while s >= DAMPING_FLOOR:
             u_try = u.with_values(u.values + s * delta)
             norm2_try = np.nan  # stays nan outside the annulus or off the cone
             if not (u_try.values.min() < lo or u_try.values.max() > hi):
                 try:
-                    rec_try = geometry.fundamental_forms(u_try, spec.warping)
+                    rec_try = geometry.fundamental_forms(u_try, spec.warping, spec.k)
                     F_try = problem.residual(u_try, t, spec, rec_try).values
                     norm2_try = float(F_try @ F_try)
                 except ConeExitError:
@@ -200,8 +203,8 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
             stats.backtracks += 1
         else:
             raise StepFailureError(
-                f"no acceptable Newton step at t={t} after {spec.max_backtracks} backtracks "
-                f"(|F| = {norm:.3e}, rounding floor {floor:.3e})")
+                f"no acceptable Newton step at t={t} with damping down to the floor "
+                f"{DAMPING_FLOOR:g} (|F| = {norm:.3e}, rounding floor {floor:.3e})")
         stats.iterations += 1
         stats.residual_norms.append(float(np.abs(F).max()))
 

@@ -73,13 +73,12 @@ def newton_maclaurin_margins(lam, k, l, r, s):
     if np.any(sigma_margins(sig, k) <= 0.0):
         raise ConeExitError(f"newton_maclaurin_margins requires lam in Gamma_{k}", lam=np.atleast_2d(lam)[0])
 
-    return _newton_maclaurin_from_sigma(sig, k, l, r, s)
+    return _newton_maclaurin_from_sigma(sig, n, k, l, r, s)
 
 
-def _newton_maclaurin_from_sigma(sig, k, l, r, s):
-    """newton_maclaurin_margins from sig = sigma_all(lam) at lam in Gamma_k,
-    indices unchecked."""
-    n = sig.shape[-1] - 1
+def _newton_maclaurin_from_sigma(sig, n, k, l, r, s):
+    """newton_maclaurin_margins from sigma_0 .. sigma_k (or more) of n
+    eigenvalues in Gamma_k, indices unchecked."""
     sig_lm1 = sig[..., l - 1] if l >= 1 else np.zeros(sig.shape[:-1])
     lhs = k * (n - l + 1) * sig_lm1 * sig[..., k]
     rhs = l * (n - k + 1) * sig[..., l] * sig[..., k - 1]

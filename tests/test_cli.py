@@ -130,6 +130,13 @@ def test_fine_grid_configs_build(name, shape):
     assert spec.grid.shape == shape and spec.k == 2
 
 
+def test_fine_grid_config_on_the_4_torus_builds():
+    # a 4-axis resolution passes the schema (no cap on the axes) and builds
+    path = Path(__file__).resolve().parents[1] / "configs" / "torus4-16-k3.json"
+    spec = cli.build_spec(cli.normalize_config(json.loads(path.read_text())))
+    assert spec.grid.shape == (16,) * 4 and spec.n == 4 and spec.k == 3
+
+
 def sweep_points(monkeypatch):
     """{label: config} of configs/sweep.py's points."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

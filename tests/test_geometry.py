@@ -73,8 +73,9 @@ def test_warping_validation():
 # ---------------------------------------------------------------------------
 
 def test_flat_torus_validation():
-    with pytest.raises(ConfigError):
-        FlatTorus((4, 4, 4, 4))
+    assert FlatTorus((4, 4, 4, 4)).num_nodes == 256  # any n >= 2
+    with pytest.raises(ConfigError, match="2 axes"):
+        FlatTorus((8,))
     with pytest.raises(ConfigError):
         FlatTorus((3, 4))
     grid = FlatTorus((8, 8))

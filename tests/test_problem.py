@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -328,16 +329,18 @@ def graph_pencils(n, kind, N=400, seed=0):
 
 
 @pytest.mark.parametrize("kind", ["random", "near-degenerate", "umbilic"])
-@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
 def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
-    # the closed-form record of graph nodes, its sigma from principal minors
-    # of A = gamma h gamma and the Jacobian's reads of the Newton-tensor
-    # forms, M1 = gamma G gamma, M2 Du, tr M2 (M2 = gamma G A gamma) and
-    # Tr(G A), against sigma_all of the LAPACK pencil eigenvalues of the same
-    # (gtilde, h) and the eigenvector forms M1 = V diag(G) V^T,
-    # M2 = V diag(G lam) V^T, G = dF/dlam; measured at most 6.0e-15 (sigma)
-    # and 2.7e-13 (M1, at a k = 3 node next to the cone's edge, where |G| is
-    # about 1e7; M2 Du 1.4e-13, tr M2 3.0e-14)
+    # the closed-form record of graph nodes, its sigma from the Newton-tensor
+    # recurrence on A = gamma h gamma and the Jacobian's reads of the
+    # Newton-tensor forms, M1 = gamma G gamma, M2 Du, tr M2
+    # (M2 = gamma G A gamma) and Tr(G A), against sigma_all of the LAPACK
+    # pencil eigenvalues of the same (gtilde, h) and the eigenvector forms
+    # M1 = V diag(G) V^T, M2 = V diag(G lam) V^T, G = dF/dlam; measured at
+    # most 5.2e-15 (sigma, n <= 3; 9.96e-15 for n = 4, whose sigma_2 sums 6
+    # products: 7.3e-15 against eigvalsh of A itself) and 1.3e-13 (M1, at a
+    # 3-D k = 3 node next to the cone's edge, where |G| is about 1e7; M2 Du
+    # 6.9e-14, tr M2 1.7e-14)
     fields, gtilde, h = graph_pencils(n, kind)
     rec = geometry.graph_record(*fields)
     sig = rec.sig
@@ -375,6 +378,26 @@ def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     assert node == int(np.argmin(sig[:, 1:k].min(axis=1)))
     assert np.all(np.abs(np.array(err.value.lam) - lam[node]) <= 1e-14 * scale[node])
     assert "lam" not in rec.__dict__  # from the worst node's A, no eigensolve of every node
+
+
+def test_cone_check_counts_a_nan_margin_as_off_the_cone():
+    # margins [2, -0.5, nan, 3, 1]: numpy's argmin finds the nan, and
+    # nan <= 0 is false, so the nan must not hide the node at -0.5; with no
+    # finite offender left, the nan node is the one named
+    fields, _, _ = graph_pencils(3, "random", N=5)
+    rec = geometry.graph_record(*fields, 3)
+    sig = np.ones((5, 4))
+    sig[:, 1] = 2.0, 1.0, np.nan, 3.0, 1.0
+    sig[:, 2] = 4.0, -0.5, 1.0, 5.0, 2.0
+    assert np.array_equal(symfunc.sigma_margins(sig, 2), [2.0, -0.5, np.nan, 3.0, 1.0],
+                          equal_nan=True)
+    with pytest.raises(ConeExitError, match="margin -5.000e-01") as err:
+        problem._check_cone(replace(rec, sig=sig), 3)
+    assert err.value.node == 1
+    sig[1, 2] = 0.5
+    with pytest.raises(ConeExitError, match="margin nan") as err:
+        problem._check_cone(replace(rec, sig=sig), 3)
+    assert err.value.node == 2
 
 
 @pytest.mark.parametrize("n", [2, 3])

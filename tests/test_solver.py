@@ -10,7 +10,8 @@ from warpcurve import cli, geometry, problem, solver
 from warpcurve.errors import (ConeExitError, ConfigError, ContinuationError,
                               NonConvergenceError, StepFailureError)
 from warpcurve.geometry import FlatTorus, GridFunction, Sphere2, WarpingFunction
-from warpcurve.oracle import RadialProblem, jacobian_matrix, operator_matrix, radial_root
+from warpcurve.oracle import (RadialProblem, fd_directional, jacobian_matrix, operator_matrix,
+                              radial_root)
 from warpcurve.problem import (CoefficientFamily, CoefficientTerm, PhiFunction,
                                ProblemSpec, TabulatedCoefficients, jacobian,
                                residual)
@@ -721,6 +722,69 @@ def test_newton_start_outside_the_guarded_annulus_fails():
     spec = hyperbolic_spec()
     with pytest.raises(StepFailureError, match="guarded annulus"):
         solver.newton_solve(GridFunction.constant(spec.r2 + 0.5, spec.grid), 1.0, spec)
+
+
+@pytest.mark.parametrize("floor", [solver.DAMPING_FLOOR, 0.25])
+def test_hopeless_newton_step_stops_at_the_damping_floor(floor, monkeypatch):
+    # the whole path at once on a sweep point that fails (16^2, eps 0.9,
+    # freq 1): the damping halves from 1 while it stays at or above the
+    # floor, a record for each trial inside the annulus, then the step
+    # fails naming the floor
+    spec = ProblemSpec(
+        grid=FlatTorus((16, 16)), warping=WarpingFunction("hyperbolic", 1.0), k=2,
+        coeffs=CoefficientFamily([CoefficientTerm(3.0, 0.9, {"kind": "cos", "axis": 0}),
+                                  CoefficientTerm(0.5, 0.9, {"kind": "sin", "axis": 1})], 2),
+        phi=PhiFunction(1.45), r1=1.0, r2=1.6)
+    monkeypatch.setattr(solver, "DAMPING_FLOOR", floor)
+    records = []
+    build = geometry.fundamental_forms
+    monkeypatch.setattr(geometry, "fundamental_forms",
+                        lambda *args: records.append(args) or build(*args))
+    with pytest.raises(StepFailureError, match=f"floor {floor:g} "):
+        solver.newton_solve(GridFunction.constant(1.45, spec.grid), 1.0, spec)
+    assert len(records) <= 2 + int(np.log2(1.0 / floor))  # the start's and the trials'
+
+
+TORUS4_AMPLITUDES = {2: (18.0, 1.0), 3: (10.0, 2.0, 0.5), 4: (4.0, 1.0, 0.3, 0.1)}
+
+
+def torus4_spec(k, size):
+    """An order-k spec on the size^4 torus inside every hypothesis:
+    hyperbolic warping, r in (1.0, 1.6), pivot 1.45 and coefficient l
+    perturbed by 5 % of a cos (l even) or sin profile along axis l."""
+    terms = [CoefficientTerm(a, 0.05, {"kind": ("cos", "sin")[l % 2], "axis": l})
+             for l, a in enumerate(TORUS4_AMPLITUDES[k])]
+    return ProblemSpec(grid=FlatTorus((size,) * 4), warping=WarpingFunction("hyperbolic", 1.0),
+                       k=k, coeffs=CoefficientFamily(terms, k), phi=PhiFunction(1.45),
+                       r1=1.0, r2=1.6)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_torus4_ladder_converges_and_its_jacobian_matches_fd(k):
+    # the paper's M^n at n = 4 through the code that serves T^2 and T^3: the
+    # path on 4^4, then 8^4 in 2 Newton iterations (measured), and the
+    # analytic J against fd_directional on 6^4 (measured 6.1e-11 to 8.6e-11)
+    spec = torus4_spec(k, 8)
+    assert problem.check_hypotheses(spec).passed
+    state = solver.continuation(spec)
+    accepted = [rec for rec in state.steps if rec["accepted"]]
+    assert state.t == 1.0 and not state.diagnostics.flags
+    assert accepted[0]["grid"] == [4] * 4 and accepted[-1]["grid"] == [8] * 4
+    assert accepted[-1]["newton_iters"] <= 2 and accepted[-1]["residual_norm"] <= spec.newton_tol
+
+    spec = torus4_spec(k, 6)
+    x = spec.grid.coords
+    u = GridFunction(1.45 + 0.03 * np.sin(x[:, 0]) + 0.02 * np.cos(x[:, 1])
+                     + 0.01 * np.sin(x[:, 2] + x[:, 3]), spec.grid)
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for t in (0.0, 0.7, 1.0):
+        J = spec.grid.operator_sum(jacobian(u, t, spec))
+        for _ in range(3):
+            d = GridFunction(rng.standard_normal(spec.grid.num_nodes), spec.grid)
+            ref = fd_directional(u, d, t, spec).values
+            worst = max(worst, np.abs(J @ d.values - ref).max() / max(1.0, np.abs(ref).max()))
+    assert worst <= 1e-9
 
 
 # ---------------------------------------------------------------------------
