@@ -12,20 +12,25 @@ The points are the torus2 amplitudes (3.0, 0.5) with pivot 1.45: on T^2
 32^2 and 64^2 with cos/sin profiles at every eps in EPSILONS and freq in
 FREQS, and on Sphere2 32x64 and 64x128 with sphere_z/sphere_x profiles at
 the same eps.  A point outside the hypotheses may fail, but only with a
-named WarpcurveError; the exit status is 1 when a point inside them does
-not converge.
+named WarpcurveError.  Each point's status and exit t (the t of its last
+accepted record, 1.0 when it converged) are checked against the table
+configs/sweep-expected.json, t to 1e-4; the exit status is 1 when a point
+differs from it or a point inside the hypotheses does not converge.
 """
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads
 
+import json
 import sys
+from pathlib import Path
 from time import perf_counter
 
 from warpcurve import cli, problem, solver
 from warpcurve.errors import WarpcurveError
 
+EXPECTED = Path(__file__).with_name("sweep-expected.json")
 EPSILONS = (0.05, 0.2, 0.5, 0.9)
 FREQS = (1, 4, 8, 16)
 
@@ -58,7 +63,8 @@ def main():
     start = perf_counter()
     print(f"{'point':<30} {'hypotheses':<10} {'status':<20} newton gmres rejected "
           f"solve s {'start grid':<10} exit t")
-    statuses, missed = [], []
+    expected = json.loads(EXPECTED.read_text())
+    statuses, missed, changed = [], [], []
     for label, cfg in points():
         spec = cli.build_spec(cli.normalize_config(cfg))
         inside = problem.check_hypotheses(spec).passed
@@ -79,11 +85,17 @@ def main():
         statuses.append((inside, status))
         if inside and status != "converged":
             missed.append(label)
+        want, t = expected.get(label), accepted[-1]["t"] if accepted else None
+        if want is None or want[0] != status or (t is None) != (want[1] is None) or (
+                t is not None and abs(t - want[1]) > 1e-4):
+            changed.append(f"{label}: {want} in {EXPECTED.name}, now {[status, t]}")
     converged = sum(status == "converged" for _, status in statuses)
     inside = sum(ok for ok, _ in statuses)
     print(f"{converged} of {len(statuses)} points converged; {inside} inside the hypotheses, "
           f"{inside - len(missed)} of them converged ({perf_counter() - start:.1f} s)")
-    return 1 if missed else 0
+    for line in changed:
+        print(f"changed: {line}")
+    return 1 if missed or changed else 0
 
 
 if __name__ == "__main__":

@@ -275,12 +275,9 @@ def write_archive(out_dir, cfg, spec, state, status):
             # BLAS thread counts as set in the environment, None when unset
             "blas_threads": {var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
-    with open(out / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "log.jsonl", "w") as fh:
-        for rec in state.steps:
-            fh.write(json.dumps(rec) + "\n")
+    # one write per file: json.dump would write each token apart
+    (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out / "log.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in state.steps))
 
 
 def read_archive(path):

@@ -109,8 +109,9 @@ def warp_eval(w: WarpingFunction, t):
 class BaseGrid:
     """Common interface: node coordinates, the covariant derivative
     operators, and what a Newton Jacobian J = sum_o diag(weights[o]) @ op_o
-    needs: operator_sum(weights), norm_inf_bound(weights) and
-    averaged_stencil_inverse(weights), each subclass's preconditioner.
+    needs: matvec(weights, x) (or operator_sum(weights)), norm_inf_bound(weights)
+    and averaged_stencil_inverse(weights), each subclass's preconditioner.
+    Each takes the weights stacked, one (operators, N) array (see stacked).
 
     stack holds every operator op_o as one CSR, a row block of num_nodes rows
     each: the identity, the gradient components D_a, then one Hessian block
@@ -128,6 +129,7 @@ class BaseGrid:
     stack: sp.csr_matrix  # ((1 + n + n (n + 1) / 2) N, N)
     hess_keys: list  # (a, b), b <= a, in row-block order
     _orbits: int
+    _origin: tuple  # first periodic sample per axis, in sample spacings
 
     def gradient_hessian(self, values):
         """Frame components of the covariant gradient (N, n) and the lower
@@ -136,13 +138,26 @@ class BaseGrid:
         return z[1:self.n + 1].T, dict(zip(self.hess_keys, z[self.n + 1:]))
 
     def operator_sum(self, weights):
-        """sum_o diag(weights[o]) @ op_o as a LinearOperator: one product with
-        the stack, then the weighted sum of its row blocks, so no matrix is
-        assembled; a weight is a node field or a constant."""
-        def matvec(x):
-            z = (self.stack @ np.ravel(x)).reshape(-1, self.num_nodes)  # row o: op_o x
-            return _dot(zip(weights, z))
-        return spla.LinearOperator((self.num_nodes,) * 2, matvec=matvec, dtype=float)
+        """sum_o diag(weights[o]) @ op_o as a LinearOperator that applies
+        matvec; a weight is a node field or a constant."""
+        W = self.stacked(weights)
+        return spla.LinearOperator((self.num_nodes,) * 2, matvec=lambda x: self.matvec(W, x),
+                                   dtype=float)
+
+    def stacked(self, weights):
+        """The weights as one (operators, N) array, which each reader of
+        them takes: an array as it is, a list row by row, a constant
+        broadcast to its node field."""
+        if isinstance(weights, np.ndarray):
+            return weights
+        return np.stack([np.broadcast_to(w, self.num_nodes) for w in weights])
+
+    def matvec(self, weights, x):
+        """operator_sum(weights) @ x for stacked weights: one product with
+        the stack, then one weighted sum of its row blocks, so no matrix is
+        assembled."""
+        z = (self.stack @ x).reshape(weights.shape)  # row o: op_o x
+        return np.einsum("on,on->n", weights, z)
 
     @cached_property
     def _bands(self):
@@ -152,16 +167,48 @@ class BaseGrid:
         band = self.stack[::self.num_nodes // self._orbits].tocoo()
         return band.row, band.col, band.data
 
+    @cached_property
+    def _row_sums(self):
+        """sum of |entries| in a row of each operator, (operator, orbit, 1),
+        from the band table: the same on a whole orbit."""
+        owner, _, value = self._bands
+        return np.bincount(owner, np.abs(value)).reshape(-1, self._orbits, 1)
+
     def norm_inf_bound(self, weights):
         """max over rows r of sum_o |weights[o][r]| rowsum|op_o|[r], an upper
-        bound on the max-norm of operator_sum(weights), with the row sums
-        taken from the band table: they are the same on a whole orbit.  A
-        weight is a node field or a constant."""
-        owner, _, value = self._bands
-        sums = np.bincount(owner, np.abs(value)).reshape(-1, self._orbits)  # (operator, orbit)
-        total = sum(np.abs(np.broadcast_to(w, self.num_nodes).reshape(self._orbits, -1))
-                    * a[:, None] for w, a in zip(weights, sums))
-        return float(total.max())
+        bound on the max-norm of operator_sum(weights)."""
+        W = np.abs(self.stacked(weights)).reshape(len(self._row_sums), self._orbits, -1)
+        W *= self._row_sums
+        return float(W.sum(axis=0).max())
+
+    def band_tail(self, values, coarse):
+        """What the samples of the coarser grid coarse cannot carry of a node
+        field, read from the discrete Fourier coefficients c_k of its S
+        periodic samples (_periodic; one real FFT), M of them along an axis
+        where coarse has m: max |c_k| / S over the k with |k| > m / 2 on
+        some axis and, for an even m, half the miss
+        |c_+ e^(i p) - c_- e^(-i p)| of the Nyquist pair k = +-m / 2,
+        p = pi o (1 - m / M) with o the axis' first sample in spacings
+        (_origin), since the coarse samples and prolong_from keep only that
+        pair's part cos(m (x - x_c) / 2) about the coarse first sample x_c.
+        Rounding exactly when prolong_from of the coarse samples gives the
+        field back."""
+        arr = self._periodic(values)
+        c = np.fft.rfftn(arr)
+        miss = []
+        for axis, (M, m, N, o) in enumerate(zip(arr.shape, coarse.shape, self.shape,
+                                                self._origin)):
+            m = M * m // N  # coarse periodic samples
+            def at(index):  # c at index on this axis
+                return c[(slice(None),) * axis + (index,)]
+            miss.append(np.abs(at(slice(m // 2 + 1, M - m // 2))).max())  # |k| > m / 2
+            if m % 2 == 0:  # the pair k = +-m/2, -m/2 from its conjugate on the real axis
+                plus = at(m // 2)
+                minus = (at(M - m // 2) if axis < c.ndim - 1 else
+                         np.roll(np.flip(plus), 1, axis=tuple(range(plus.ndim))).conj())
+                p = np.exp(1j * np.pi * o * (1.0 - m / M))
+                miss.append(0.5 * np.abs(plus * p - minus / p).max())
+        return max(miss) / arr.size
 
 
 # A stencil is a list of (neighbour map, coefficient) terms: row r of its
@@ -253,6 +300,7 @@ class FlatTorus(BaseGrid):
         self.spacing = tuple(L / N for L, N in zip(self.periods, self.shape))
         self.num_nodes = int(np.prod(self.shape))
         self._orbits = 1  # translations reach every node
+        self._origin = (0.0,) * self.n
 
         axes = [np.arange(N) * h for N, h in zip(self.shape, self.spacing)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -276,7 +324,7 @@ class FlatTorus(BaseGrid):
         0, summed by column from the band table (_bands).  Returns None when
         that symbol has a (near-)zero entry, since the inverse does not exist there.
         """
-        means = np.array([np.mean(w) for w in weights])
+        means = self.stacked(weights).mean(axis=1)
         owner, col, value = self._bands
         row = np.bincount(col, means[owner] * value, minlength=self.num_nodes)
         symbol = np.fft.rfftn(row.reshape(self.shape)).conj()
@@ -298,6 +346,10 @@ class FlatTorus(BaseGrid):
         arr = np.asarray(fine_values, float).reshape(fine_grid.shape)
         sl = tuple(slice(None, None, 2) for _ in range(self.n))
         return arr[sl].ravel()
+
+    def _periodic(self, values):
+        """A node field as the periodic samples of its Fourier spectrum."""
+        return np.reshape(values, self.shape)
 
     def prolong_from(self, coarse_values, coarse_grid):
         """Evaluate a field on a coarser torus of the same periods at this
@@ -333,6 +385,7 @@ class Sphere2(BaseGrid):
         self.shape = (n_theta, n_phi)
         self.num_nodes = n_theta * n_phi
         self._orbits = n_theta  # phi rotations keep each theta row
+        self._origin = (0.5, 0.0)  # theta samples start half a spacing after 0
         self.h_theta = np.pi / n_theta
         self.h_phi = 2.0 * np.pi / n_phi
 
@@ -392,8 +445,7 @@ class Sphere2(BaseGrid):
         """
         n_theta, n_phi = self.shape
         owner, _, value = self._bands
-        means = np.array([np.broadcast_to(w, self.num_nodes).reshape(self.shape).mean(axis=1)
-                          for w in weights]).ravel()
+        means = self.stacked(weights).reshape(-1, *self.shape).mean(axis=2).ravel()
         kernel = np.bincount(self._slots, means[owner] * value, minlength=3 * self.num_nodes)
         # (lower, diagonal, upper) couplings, each mode-major (mode, theta row);
         # a mode's first row has no lower and its last row no upper coupling
@@ -409,20 +461,25 @@ class Sphere2(BaseGrid):
             return np.fft.irfft(y.reshape(-1, n_theta).T, n=n_phi, axis=-1).ravel()
         return apply
 
+    def _periodic(self, values):
+        """A node field as the periodic samples of its Fourier spectrum: the
+        double Fourier sphere, theta extended to (0, 2 pi) with
+        u(2 pi - theta, phi) = u(theta, phi + pi), (2 n_theta, n_phi)
+        samples periodic in both angles and as smooth as u on the sphere."""
+        arr = np.reshape(values, self.shape)
+        return np.concatenate([arr, np.roll(arr[::-1], -(self.shape[1] // 2), axis=1)])
+
     def prolong_from(self, coarse_values, coarse_grid):
         """Evaluate a field on a coarser Sphere2 at this grid's nodes, by the
-        double Fourier sphere: theta is extended to (0, 2 pi) with
-        u(2 pi - theta, phi) = u(theta, phi + pi), which is periodic in both
-        angles and as smooth as u on the sphere, and its trigonometric
+        double Fourier sphere (_periodic), whose trigonometric
         interpolant is evaluated at this grid's nodes.  Both grids start half
         a cell of their own after theta = 0, so the theta samples move by
         (h_fine - h_coarse) / 2.  Exact for fields whose extension is
         band-limited to the coarse grid, such as polynomials in the ambient
         coordinates of low degree."""
         _check_refines(self, coarse_grid, Sphere2)
-        (nt, nphi), (nt_fine, nphi_fine) = coarse_grid.shape, self.shape
-        arr = np.asarray(coarse_values, float).reshape(coarse_grid.shape)
-        ext = np.concatenate([arr, np.roll(arr[::-1], -(nphi // 2), axis=1)])
+        (nt, _), (nt_fine, nphi_fine) = coarse_grid.shape, self.shape
+        ext = coarse_grid._periodic(np.asarray(coarse_values, float))
         ext = _trig_interpolate(ext, 0, 2 * nt_fine, shift=(nt / nt_fine - 1.0) / 2.0)
         return _trig_interpolate(ext[:nt_fine], 1, nphi_fine).real.ravel()
 
@@ -585,8 +642,8 @@ def graph_record(f, fp, fpp, du, d2u, k=None):
     w = [_dot((_sym(d2u, i, j), du[:, j]) for j in range(n)) for i in range(n)]
     a, b = fp / v, 1.0 / (f * v)
     uu_coef = a / v ** 2 - b * c ** 2 * _dot(zip(du.T, w))  # the Du Du^T terms
-    A = {(i, j): (uu_coef * du[:, i] * du[:, j] + (a if i == j else 0.0)
-                  - b * (d2u[i, j] - c * (du[:, i] * w[j] + w[i] * du[:, j])))
+    A = {(i, j): (uu_coef * du[:, i] * du[:, j] + a if i == j else uu_coef * du[:, i] * du[:, j])
+                 - b * (d2u[i, j] - c * (du[:, i] * w[j] + w[i] * du[:, j]))
          for i, j in d2u}
     sig, P = newton_tensors(A, n, k or n)
     return CurvatureRecord(f=f, fp=fp, fpp=fpp, du=du, d2u=d2u, A=A, sig=sig, P=P,

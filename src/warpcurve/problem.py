@@ -407,9 +407,10 @@ def _newton_tensor_forms(rec, dF):
 
 
 def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
-    """Jacobian of the residual as the weights w_o, node fields, of
-    J = sum_o diag(w_o) @ op_o = c0 + c1 . D + c2 : D^2 over the operators of
-    grid.stack (identity, D_a, then H_ab in grid.hess_keys order), by the
+    """Jacobian of the residual as its weights, one (operators, N) array
+    whose row o is the node field w_o of
+    J = sum_o diag(w_o) @ op_o = c0 + c1 . D + c2 : D^2 over the operators
+    of grid.stack (identity, D_a, then H_ab in grid.hess_keys order), by the
     chain rule through sigma_j of the pencil (h, gtilde), in the base's
     orthonormal frame.  rec is the curvature record of u; it is built here
     when not given.
@@ -448,15 +449,18 @@ def jacobian(u: GridFunction, t, spec: ProblemSpec, rec=None):
 
     # c0 = Tr(M1 dh/du) - Tr(M2 dgtilde/du) + dF/du with dgtilde/du = 2 f f' I,
     # dh/du = K0 / v - h f f' / v^2, K0 = -f' D^2u + 2 f'' Du Du^T + (2 f f'^2 + f^2 f'') I
-    c0 = ((-fp * M1d2u + 2.0 * fpp * _dot(zip(du.T, M1du))
-           + (2.0 * f * fp ** 2 + f ** 2 * fpp) * sum(M1[i, i] for i in range(n))) / v
-          - tr_GA * f * fp / v ** 2
-          - 2.0 * f * fp * tr_M2
-          + Fu)
-    c1 = [4.0 * fp * M1du[i] / v - tr_GA * du[:, i] / v ** 2 - 2.0 * M2du[i]
-          for i in range(n)]
+    W = np.empty((1 + n + len(grid.hess_keys), grid.num_nodes))  # rows c0, c1, c2
+    W[0] = ((-fp * M1d2u + 2.0 * fpp * _dot(zip(du.T, M1du))
+             + (2.0 * f * fp ** 2 + f ** 2 * fpp) * sum(M1[i, i] for i in range(n))) / v
+            - tr_GA * f * fp / v ** 2
+            - 2.0 * f * fp * tr_M2
+            + Fu)
+    for i in range(n):
+        W[1 + i] = 4.0 * fp * M1du[i] / v - tr_GA * du[:, i] / v ** 2 - 2.0 * M2du[i]
     # c2 : D^2 over the grid's hess_keys, j <= i: (i, j) and (j, i) share a weight
-    return [c0, *c1, *((1.0 if i == j else 2.0) * (-f * M1[i, j] / v) for i, j in grid.hess_keys)]
+    for o, (i, j) in enumerate(grid.hess_keys, 1 + n):
+        W[o] = (1.0 if i == j else 2.0) * (-f * M1[i, j] / v)
+    return W
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401 -- perfbench/spans.py traces solver.spla.splu
 
 from . import geometry, problem, symfunc
 from .errors import (ConeExitError, ConfigError, ContinuationError,
@@ -42,7 +42,11 @@ class NewtonStats:
     iterations: int = 0
     residual_norms: list = field(default_factory=list)
     backtracks: int = 0
-    linear_iters: int = 0  # GMRES iterations summed over the linear solves
+    linear_history: list = field(default_factory=list)  # GMRES iterations per linear solve
+
+    @property
+    def linear_iters(self):
+        return sum(self.linear_history)
 
 
 @dataclass
@@ -98,13 +102,16 @@ def initial_solution(spec: ProblemSpec):
 
 # GMRES settings for Newton systems: the floor of the relative tolerance on
 # the 2-norm residual, Krylov dimension between restarts, and restart cycles.
-# newton_solve asks each solve for a tenth of its stopping target relative to
-# |F|_2, and never for less than GMRES_RTOL: on Sphere2(64, 128) the true
-# residual of any solve, GMRES or sparse LU with refinement, bottoms out near
-# 2e-12 of |rhs|, so 1e-12 is out of reach.
+# On Sphere2(64, 128) the true residual of any solve, GMRES or sparse LU with
+# refinement, bottoms out near 2e-12 of |rhs|, so 1e-12 is out of reach.
 GMRES_RTOL = 1e-10
 GMRES_RESTART = 30
 GMRES_MAXITER = 5
+
+# The cap eta_max of newton_solve's quadratic forcing term min(eta_max, |F|_inf),
+# below 0.1: without a cap (0.1 |F|_2) the whole-path first step of a steep
+# torus (64^2, eps 0.9, freq 16) fails, and needs two path steps.
+ETA_MAX = 0.05
 
 # The first Newton contraction |F^1|/|F^0| that the homotopy's step control
 # aims each predicted start at (see _homotopy).
@@ -118,27 +125,68 @@ def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
     """Solve J x = rhs to a 2-norm residual of rtol |rhs|, for the Jacobian
     J = grid.operator_sum(weights); returns (x, GMRES iterations).
 
-    Matrix-free GMRES, preconditioned by the grid's averaged_stencil_inverse
-    of the weights (the FFT inverse of the translation-averaged operator on
-    the torus; on the sphere an FFT in phi and one banded LU with partial
+    Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
+    right-preconditioned by the grid's averaged_stencil_inverse M of the
+    weights (the FFT inverse of the translation-averaged operator on the
+    torus; on the sphere an FFT in phi and one banded LU with partial
     pivoting of every mode's tridiagonal system in theta, from the band
-    table).  Raises NonConvergenceError when that inverse does not exist (a
-    near-zero symbol or U_ii, or a failed LU) or GMRES misses rtol, so the
-    Newton solve fails like any other.
+    table), which it applies directly, as it does grid.matvec.  A cycle of
+    at most GMRES_RESTART iterations builds an orthonormal basis V of the
+    Krylov space of J M^-1 from the residual, each new vector
+    orthogonalized by classical Gram-Schmidt applied twice, as products with
+    V; Givens rotations on Python floats keep the least-squares residual,
+    which ends the cycle once it meets rtol |rhs|.  The cycle then adds
+    M^-1 V y to x and takes the true residual rhs - J x, which returns x or
+    restarts from it.  Raises NonConvergenceError when M does not exist (a
+    near-zero symbol or U_ii, or a failed LU) or GMRES_MAXITER cycles miss
+    rtol, so the Newton solve fails like any other.
     """
+    weights = grid.stacked(weights)
     apply = grid.averaged_stencil_inverse(weights)
     if apply is None:
         raise NonConvergenceError(
             "the averaged Jacobian has a (near-)zero symbol or pivot: no preconditioner")
-    M = spla.LinearOperator((grid.num_nodes,) * 2, matvec=apply, dtype=float)
-    residuals = []  # one per GMRES iteration
-    x, info = spla.gmres(grid.operator_sum(weights), rhs, rtol=rtol, atol=0.0,
-                         restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                         M=M, callback=residuals.append, callback_type="pr_norm")
-    if info != 0:
-        raise NonConvergenceError(
-            f"GMRES missed rtol {rtol:.1e} after {len(residuals)} iterations")
-    return x, len(residuals)
+    x, r, iters = np.zeros(rhs.size), rhs, 0
+    beta = math.sqrt(r @ r)
+    target = rtol * beta
+    V = np.empty((GMRES_RESTART + 1, rhs.size))
+    cycles = 0
+    while not beta <= target:  # a nan residual is not converged either
+        if cycles == GMRES_MAXITER:
+            raise NonConvergenceError(f"GMRES missed rtol {rtol:.1e} after {iters} iterations")
+        cycles += 1
+        np.divide(r, beta, out=V[0])
+        g, R, rotations = [beta], [], []  # g = Q^T beta e_1, R = Q^T H by columns
+        for j in range(GMRES_RESTART):
+            w = grid.matvec(weights, apply(V[j]))
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            col, norm_w = (h + h2).tolist(), math.sqrt(w @ w)
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = math.hypot(col[j], norm_w)
+            c, s = col[j] / d, norm_w / d
+            col[j] = d
+            rotations.append((c, s))
+            R.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            iters += 1
+            if abs(g[-1]) <= target:
+                break
+            np.divide(w, norm_w, out=V[j + 1])
+        y = g[:len(R)]
+        for i in reversed(range(len(R))):  # back substitution R y = g
+            y[i] /= R[i][i]
+            for l in range(i):
+                y[l] -= R[i][l] * y[i]
+        x += apply(np.array(y) @ V[:len(R)])
+        r = rhs - grid.matvec(weights, x)
+        beta = math.sqrt(r @ r)
+    return x, iters
 
 
 def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
@@ -151,9 +199,11 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
     that rounding u alone can cause, with the grid's norm_inf_bound of the
     last J for |J|_inf: a J is computed only for a step, so the stopping test
-    never computes one.  Each linear solve is asked for a tenth of that
-    stopping target, relative to |F|_2, but never for less than GMRES_RTOL:
-    inexact Newton, whose linear error stays below what the test accepts.
+    never computes one.  Each linear solve is inexact (Eisenstat & Walker,
+    SIAM J. Sci. Comput. 17, 1996): its relative 2-norm tolerance is the
+    quadratic forcing term min(ETA_MAX, |F|_inf), which keeps Newton
+    quadratic, but never below a tenth of the stopping target relative to
+    |F|_2, whose linear error the test accepts, nor below GMRES_RTOL.
     u_init must lie inside the guarded annulus (StepFailureError otherwise)
     and its record is rec (built when not given); returns (u, stats, rec), rec
     the record of the final u.
@@ -182,9 +232,10 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
                  * spec.grid.norm_inf_bound(J))
         if norm <= floor:  # a start already at the floor, where no step can decrease |F|
             return u, stats, rec
-        rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / np.sqrt(norm2))
+        rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / math.sqrt(norm2),
+                   min(ETA_MAX, norm))
         delta, iters = _solve_linear(J, -F, spec.grid, rtol)
-        stats.linear_iters += iters
+        stats.linear_history.append(iters)
         s = 1.0
         while s >= DAMPING_FLOOR:
             u_try = u.with_values(u.values + s * delta)
@@ -216,6 +267,7 @@ def _record(steps, spec, t, u, stats, rec, **extra):
     steps.append({
         "t": t, "grid": list(spec.grid.shape), "accepted": True,
         "newton_iters": stats.iterations, "linear_iters": stats.linear_iters,
+        "linear_history": stats.linear_history,
         "backtracks": stats.backtracks,
         "residual_norm": stats.residual_norms[-1],
         "residual_history": stats.residual_norms,
@@ -295,8 +347,9 @@ COARSEST_NODES = 256
 def _coarse_spec(spec: ProblemSpec):
     """spec on its grid with every axis halved, or None when that grid has
     fewer than COARSEST_NODES nodes, cannot be built, or cannot carry the
-    coefficients: some alpha_l at the pivot, sampled there and prolonged
-    back, misses spec's by over 1e-12 of its max (rounding, if band-limited)."""
+    coefficients: the spectrum of some alpha_l at the pivot, sampled on
+    spec's grid, reaches over 1e-12 of its max beyond the halved grid's band
+    (grid.band_tail; rounding, if band-limited)."""
     grid = spec.grid
     half = [size // 2 for size in grid.shape]
     if np.prod(half) < COARSEST_NODES:
@@ -309,8 +362,7 @@ def _coarse_spec(spec: ProblemSpec):
         return None
     for l in range(spec.k):
         alpha = spec.coeffs.values(l, spec.phi.pivot)
-        back = grid.prolong_from(coarse.coeffs.values(l, spec.phi.pivot), coarse.grid)
-        if np.abs(back - alpha).max() > 1e-12 * np.abs(alpha).max():
+        if grid.band_tail(alpha, coarse.grid) > 1e-12 * np.abs(alpha).max():
             return None
     return coarse
 

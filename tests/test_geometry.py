@@ -305,6 +305,46 @@ def test_sphere_prolong_from_crosses_the_poles_with_the_right_sign(coarse_shape,
     assert np.abs(got - fields(fine)).max() <= 1e-14
 
 
+def single_modes(grid, coarse):
+    """Functions of the coordinates, 2 + one Fourier mode, at the
+    frequencies below, at and beyond each axis' coarse band, in both
+    phases; on the sphere cos or sin of k theta times an azimuthal mode of
+    even or odd order l, so that the mode is smooth across the poles."""
+    if isinstance(grid, FlatTorus):
+        for axis, m in enumerate(coarse.shape):
+            for k in (1, m // 2, m // 2 + 1):
+                for trig in (np.cos, np.sin):
+                    yield lambda x, a=axis, k=k, trig=trig: 2.0 + trig(k * x[:, a])
+        return
+    for k in (1, coarse.shape[0] - 1, coarse.shape[0], coarse.shape[0] + 1):
+        for l in (0, 1):
+            for trig in (np.cos, np.sin):
+                yield lambda x, k=k, l=l, trig=trig: 2.0 + ((np.cos, np.sin)[l](k * x[:, 0])
+                                                            * trig(l * x[:, 1] + 0.3))
+    for l in (2, coarse.shape[1] // 2, coarse.shape[1] // 2 + 2):
+        for trig in (np.cos, np.sin):
+            yield lambda x, l=l, trig=trig: 2.0 + trig(l * x[:, 1])
+
+
+@pytest.mark.parametrize("grid,coarse", [
+    (FlatTorus((16, 12)), FlatTorus((8, 6))), (FlatTorus((18, 9, 8)), FlatTorus((9, 4, 4))),
+    (Sphere2(16, 32), Sphere2(8, 16)), (Sphere2(9, 20), Sphere2(4, 10))],
+    ids=["torus-16x12", "torus-18x9x8", "sphere-16x32", "sphere-9x20"])
+def test_band_tail_is_rounding_exactly_when_coarse_samples_carry_the_field(grid, coarse):
+    # the carry test of grid sequencing: band_tail reads only the finer
+    # samples' spectrum, the Nyquist pair in the phase that prolong_from
+    # keeps, and agrees with what prolong_from of the coarse samples misses
+    carried = []
+    for mode in single_modes(grid, coarse):
+        values = mode(grid.coords)
+        miss = np.abs(grid.prolong_from(mode(coarse.coords), coarse) - values).max()
+        tail = grid.band_tail(values, coarse)
+        assert (miss <= 1e-12) == (tail <= 1e-12)
+        assert min(miss, tail) <= 1e-13 or min(miss, tail) >= 1e-2
+        carried.append(miss <= 1e-12)
+    assert any(carried) and not all(carried)
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

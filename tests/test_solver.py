@@ -72,9 +72,13 @@ def test_continuation_radial_reaches_oracle_root():
     assert [json.loads(json.dumps(rec)) for rec in lines] == lines
     for rec in lines:
         assert set(rec) == {"t", "grid", "accepted", "newton_iters", "linear_iters",
-                            "backtracks", "residual_norm", "residual_history",
-                            "u_min", "u_max", "tau_min", "lambda_abs_max"}
+                            "linear_history", "backtracks", "residual_norm",
+                            "residual_history", "u_min", "u_max", "tau_min",
+                            "lambda_abs_max"}
         assert rec["grid"] == [8, 8, 8] and rec["accepted"] is True
+        # the GMRES iterations of each linear solve, one per Newton iteration
+        assert len(rec["linear_history"]) == rec["newton_iters"]
+        assert sum(rec["linear_history"]) == rec["linear_iters"]
         # the |F| of every Newton iterate, the start first
         assert len(rec["residual_history"]) == rec["newton_iters"] + 1
         assert rec["residual_history"][-1] == rec["residual_norm"]
@@ -215,6 +219,55 @@ def test_solve_linear_gmres_miss_raises():
     budget = solver.GMRES_RESTART * solver.GMRES_MAXITER
     with pytest.raises(NonConvergenceError, match=f"missed rtol 1.0e-10 after {budget} iterations"):
         solver._solve_linear(operator_weights(grid, d), np.ones(grid.num_nodes), grid)
+
+
+@pytest.mark.parametrize("spec_fn", [lambda: perturbed_spec((16, 16), 2),
+                                     lambda: perturbed_sphere_spec(16, 32)],
+                         ids=["torus2-16", "sphere-16x32"])
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6, 1e-10])
+def test_gmres_meets_rtol_in_the_true_residual(spec_fn, rtol):
+    spec = spec_fn()
+    u = smooth_field(spec)
+    J = jacobian(u, 0.7, spec)
+    rhs = -residual(u, 0.7, spec).values
+    x, iters = solver._solve_linear(J, rhs, spec.grid, rtol)
+    assert 0 < iters < solver.GMRES_RESTART
+    assert np.linalg.norm(operator_matrix(spec.grid, J) @ x - rhs) <= rtol * np.linalg.norm(rhs)
+
+
+def test_gmres_raises_when_its_restart_budget_runs_out(monkeypatch):
+    # two cycles of 3 iterations fall short of 1e-10 on a perturbed 16^2 J,
+    # which needs 9
+    monkeypatch.setattr(solver, "GMRES_RESTART", 3)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 2)
+    spec = perturbed_spec((16, 16), 2)
+    u = smooth_field(spec)
+    rhs = -residual(u, 0.7, spec).values
+    with pytest.raises(NonConvergenceError, match="missed rtol 1.0e-10 after 6 iterations"):
+        solver._solve_linear(jacobian(u, 0.7, spec), rhs, spec.grid)
+    monkeypatch.setattr(solver, "GMRES_MAXITER", 6)
+    assert solver._solve_linear(jacobian(u, 0.7, spec), rhs, spec.grid)[1] > 6
+
+
+def test_gmres_counts_a_nan_residual_as_not_converged():
+    # nan compares false with the tolerance: the budget runs out, no nan x
+    grid = FlatTorus((6, 6))
+    rhs = np.ones(grid.num_nodes)
+    rhs[3] = np.nan
+    with pytest.raises(NonConvergenceError, match="missed rtol"):
+        solver._solve_linear(operator_weights(grid, 2.0), rhs, grid)
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-10])
+def test_gmres_takes_one_iteration_when_the_preconditioner_is_exact(rtol):
+    # a radial (constant) field has a constant-coefficient J, which the FFT
+    # inverse of its average inverts exactly
+    spec = hyperbolic_spec((8, 8, 8))
+    J = jacobian(GridFunction.constant(1.35, spec.grid), 1.0, spec)
+    rhs = np.random.default_rng(3).standard_normal(spec.grid.num_nodes)
+    x, iters = solver._solve_linear(J, rhs, spec.grid, rtol)
+    assert iters == 1
+    assert np.linalg.norm(operator_matrix(spec.grid, J) @ x - rhs) <= rtol * np.linalg.norm(rhs)
 
 
 def constant_weights(grid):
@@ -628,6 +681,36 @@ def test_linear_solves_ask_only_what_the_stopping_test_needs(spec_fn, monkeypatc
     assert all(norm <= target for norm, target in finals)
     # tolerances above the floor: the Newton tail is not solved to 1e-10
     assert max(rtol for rtol, _ in solves) > 1e3 * solver.GMRES_RTOL
+
+
+def test_first_newton_solve_of_the_path_asks_for_a_loose_tolerance(monkeypatch):
+    # quadratic forcing: far from the target, a solve is asked only for
+    # min(ETA_MAX, |F|_inf), not for the floor GMRES_RTOL
+    rtols, original = [], solver._solve_linear
+
+    def solve_linear(J, rhs, grid, rtol=solver.GMRES_RTOL):
+        rtols.append(rtol)
+        return original(J, rhs, grid, rtol)
+    monkeypatch.setattr(solver, "_solve_linear", solve_linear)
+    state = solver.continuation(perturbed_spec((16, 16), 2))
+    assert state.t == 1.0 and state.steps[1]["grid"] == [16, 16]
+    assert len(rtols) == sum(rec["newton_iters"] for rec in state.steps) > 1
+    assert rtols[0] >= 1e-3
+
+
+def test_steep_torus_reaches_t1_in_one_path_step():
+    # the sweep's 64^2 torus at eps 0.9 and freq 16; with the uncapped
+    # forcing term 0.1 |F|_2 its whole-path step failed, and ETA_MAX fixes it
+    terms = [{"amplitude": a, "epsilon": 0.9, "profile": p} for a, p in zip(
+        (3.0, 0.5), ({"kind": "cos", "axis": 0, "freq": 16}, {"kind": "sin", "axis": 1, "freq": 16}))]
+    spec = cli.build_spec(cli.normalize_config({
+        "manifold": {"type": "flat_torus", "resolution": [64, 64]},
+        "warping": {"kind": "hyperbolic", "param": 1.0}, "k": 2, "r1": 1.0, "r2": 1.6,
+        "phi": {"pivot": 1.45}, "coefficients": {"kind": "builtin", "terms": terms}}))
+    state = solver.continuation(spec)
+    assert state.t == 1.0
+    assert [(rec["t"], rec["grid"], rec["accepted"]) for rec in state.steps] == [
+        (0.0, [64, 64], True), (1.0, [64, 64], True)]
 
 
 # ---------------------------------------------------------------------------
