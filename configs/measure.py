@@ -12,6 +12,11 @@ log.jsonl) into a temporary directory, removed afterwards.  Peak RSS is the
 process's, so run one config per process: peak_rss_setup_mib is read after
 the set-up, peak_rss_mib after the solve, peak_rss_archive_mib after the
 archive is written.
+
+The Newton iterations per level, coarsest first, are checked against the
+table configs/measure-expected.json beside this script, keyed by the
+config's file name; the exit status is 1 when they differ from it (a
+config the table does not name is only reported).
 """
 import os
 
@@ -22,9 +27,12 @@ import json
 import resource
 import sys
 import tempfile
+from pathlib import Path
 from time import perf_counter
 
 from warpcurve import cli, problem, solver
+
+EXPECTED = Path(__file__).with_name("measure-expected.json")
 
 
 def _peak_rss_mib():
@@ -57,7 +65,15 @@ def main(path):
                       "peak_rss_setup_mib": peak_setup, "peak_rss_mib": peak_solve,
                       "peak_rss_archive_mib": _peak_rss_mib(),
                       "newton_gmres_per_level": levels}))
+    newton = [counts[0] for counts in levels.values()]
+    want = json.loads(EXPECTED.read_text()).get(Path(path).name)
+    if want is None:
+        print(f"no entry for {Path(path).name} in {EXPECTED.name}")
+    elif newton != want:
+        print(f"changed: Newton iterations per level {want} in {EXPECTED.name}, now {newton}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    sys.exit(main(sys.argv[1]))

@@ -43,6 +43,7 @@ class NewtonStats:
     residual_norms: list = field(default_factory=list)
     backtracks: int = 0
     linear_history: list = field(default_factory=list)  # GMRES iterations per linear solve
+    target: float = 0.0  # the stopping target the last test compared |F| with
 
     @property
     def linear_iters(self):
@@ -120,6 +121,10 @@ CONTRACTION_TARGET = 0.25
 # The smallest damping factor newton_solve tries, Deuflhard's lambda_min (2004).
 DAMPING_FLOOR = 1e-2
 
+# The residual reduction each finer ladder level asks of its Newton solve,
+# relative to its prolonged start (nested iteration; see continuation).
+LEVEL_REDUCTION = 1e-4
+
 
 def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
     """Solve J x = rhs to a 2-norm residual of rtol |rhs|, for the Jacobian
@@ -136,7 +141,9 @@ def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
     orthogonalized by classical Gram-Schmidt applied twice, as products with
     V; Givens rotations on Python floats keep the least-squares residual,
     which ends the cycle once it meets rtol |rhs|.  The cycle then adds
-    M^-1 V y to x and takes the true residual rhs - J x, which returns x or
+    Z y to x, Z the preconditioned vectors M^-1 V that its iterations
+    applied J to, kept one array per iteration, so x needs no further apply
+    of M^-1, and takes the true residual rhs - J x, which returns x or
     restarts from it.  Raises NonConvergenceError when M does not exist (a
     near-zero symbol or U_ii, or a failed LU) or GMRES_MAXITER cycles miss
     rtol, so the Newton solve fails like any other.
@@ -156,9 +163,10 @@ def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
             raise NonConvergenceError(f"GMRES missed rtol {rtol:.1e} after {iters} iterations")
         cycles += 1
         np.divide(r, beta, out=V[0])
-        g, R, rotations = [beta], [], []  # g = Q^T beta e_1, R = Q^T H by columns
+        g, R, rotations, Z = [beta], [], [], []  # g = Q^T beta e_1, R = Q^T H by columns
         for j in range(GMRES_RESTART):
-            w = grid.matvec(weights, apply(V[j]))
+            Z.append(apply(V[j]))
+            w = grid.matvec(weights, Z[j])
             basis = V[:j + 1]
             h = basis @ w
             w -= h @ basis
@@ -183,30 +191,33 @@ def _solve_linear(weights, rhs, grid, rtol=GMRES_RTOL):
             y[i] /= R[i][i]
             for l in range(i):
                 y[l] -= R[i][l] * y[i]
-        x += apply(np.array(y) @ V[:len(R)])
+        for y_i, z in zip(y, Z):  # x += Z y, in place
+            z *= y_i
+            x += z
         r = rhs - grid.matvec(weights, x)
         beta = math.sqrt(r @ r)
     return x, iters
 
 
-def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
+def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None, reduction=0.0):
     """Damped Newton iteration at fixed t.
 
     Every accepted step keeps all nodes inside Gamma_{k-1} and the height
     inside the guarded annulus; damping is backtracking with an Armijo
     decrease condition on |F|^2, halving from 1 down to DAMPING_FLOOR, below
-    which the step fails.  The iteration stops when |F|_inf is at most
-    spec.newton_tol or the rounding floor 4 eps max|u| |J|_inf, the residual
-    that rounding u alone can cause, with the grid's norm_inf_bound of the
-    last J for |J|_inf: a J is computed only for a step, so the stopping test
-    never computes one.  Each linear solve is inexact (Eisenstat & Walker,
-    SIAM J. Sci. Comput. 17, 1996): its relative 2-norm tolerance is the
-    quadratic forcing term min(ETA_MAX, |F|_inf), which keeps Newton
-    quadratic, but never below a tenth of the stopping target relative to
-    |F|_2, whose linear error the test accepts, nor below GMRES_RTOL.
+    which the step fails.  The iteration stops when |F|_inf is at most the
+    target: the largest of spec.newton_tol, reduction times the start's
+    |F|_inf, and the rounding floor 4 eps max|u| |J|_inf, the residual that
+    rounding u alone can cause, with the grid's norm_inf_bound of the last J
+    for |J|_inf: a J is computed only for a step, so the stopping test never
+    computes one.  Each linear solve is inexact (Eisenstat & Walker, SIAM J.
+    Sci. Comput. 17, 1996): its relative 2-norm tolerance is the quadratic
+    forcing term min(ETA_MAX, |F|_inf), which keeps Newton quadratic, but
+    never below a tenth of the target relative to |F|_2, whose linear error
+    the test accepts, nor below GMRES_RTOL.
     u_init must lie inside the guarded annulus (StepFailureError otherwise)
     and its record is rec (built when not given); returns (u, stats, rec), rec
-    the record of the final u.
+    the record of the final u and stats.target the target it met.
     """
     u = u_init
     guard = spec.guard_frac * (spec.r2 - spec.r1)
@@ -217,23 +228,24 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
     F = problem.residual(u, t, spec, rec).values  # raises ConeExitError if outside
     stats = NewtonStats(residual_norms=[float(np.abs(F).max())])
     norm2 = float(F @ F)
-    floor = 0.0  # no J yet
+    wanted = max(spec.newton_tol, reduction * stats.residual_norms[0])
+    stats.target, floor = wanted, 0.0  # no J yet
 
     while True:
         norm = stats.residual_norms[-1]
-        if norm <= max(spec.newton_tol, floor):
+        if norm <= stats.target:
             return u, stats, rec
         if stats.iterations == spec.max_newton:
             raise NonConvergenceError(
-                f"Newton did not reach {spec.newton_tol:.1e} in {spec.max_newton} iterations "
+                f"Newton did not reach {stats.target:.1e} in {spec.max_newton} iterations "
                 f"(last |F| = {norm:.3e}, rounding floor {floor:.3e})")
         J = problem.jacobian(u, t, spec, rec)
         floor = (4.0 * np.finfo(float).eps * float(np.abs(u.values).max())
                  * spec.grid.norm_inf_bound(J))
-        if norm <= floor:  # a start already at the floor, where no step can decrease |F|
+        stats.target = max(wanted, floor)
+        if norm <= stats.target:  # a start already at the floor, where no step can decrease |F|
             return u, stats, rec
-        rtol = max(GMRES_RTOL, 0.1 * max(spec.newton_tol, floor) / math.sqrt(norm2),
-                   min(ETA_MAX, norm))
+        rtol = max(GMRES_RTOL, 0.1 * stats.target / math.sqrt(norm2), min(ETA_MAX, norm))
         delta, iters = _solve_linear(J, -F, spec.grid, rtol)
         stats.linear_history.append(iters)
         s = 1.0
@@ -262,8 +274,10 @@ def newton_solve(u_init: GridFunction, t, spec: ProblemSpec, rec=None):
 
 def _record(steps, spec, t, u, stats, rec, **extra):
     """Append the step record of u, solved at t on spec's grid, with the
-    entries of extra last, to steps; returns u's diagnostics."""
-    diag = diagnostics(u, spec, rec)
+    entries of extra last, to steps.  Its u_min, u_max, tau_min and
+    lambda_abs_max are read from u and its curvature record rec; the cone
+    margins, the certificate and the flags are diagnostics' alone, run once
+    for the state continuation returns or its ContinuationError carries."""
     steps.append({
         "t": t, "grid": list(spec.grid.shape), "accepted": True,
         "newton_iters": stats.iterations, "linear_iters": stats.linear_iters,
@@ -271,15 +285,18 @@ def _record(steps, spec, t, u, stats, rec, **extra):
         "backtracks": stats.backtracks,
         "residual_norm": stats.residual_norms[-1],
         "residual_history": stats.residual_norms,
-        "u_min": diag.u_min, "u_max": diag.u_max,
-        "tau_min": diag.tau_min, "lambda_abs_max": diag.lambda_abs_max, **extra})
-    return diag
+        "u_min": float(u.values.min()), "u_max": float(u.values.max()),
+        "tau_min": float(rec.tau.min()), "lambda_abs_max": float(np.abs(rec.lam).max()),
+        **extra})
 
 
-def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
+def _homotopy(spec: ProblemSpec, steps):
     """Follow the homotopy path from the constant solution at t = 0 to t = 1
     on spec's own grid, appending a record per attempted step to steps: a
-    rejected one names its error and the dt it tried.
+    rejected one names its error and the dt it tried.  Returns the solution
+    at t = 1 and its curvature record; a step size underflow raises
+    ContinuationError with the last accepted state, whose diagnostics
+    continuation fills in.
 
     Predictor-corrector: the first step tries dt = spec.dt_init, by default
     the whole path to t = 1, and starts Newton from the constant solution,
@@ -304,7 +321,7 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
     t = 0.0
     u_prev = t_prev = None
     dt = spec.dt_init
-    diag = _record(steps, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
+    _record(steps, spec, 0.0, u, NewtonStats(residual_norms=[norm]), handoff[0])
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -318,21 +335,22 @@ def _homotopy(spec: ProblemSpec, steps) -> ContinuationState:
                           "dt": t_next - t, "error": type(exc).__name__})
             dt *= 0.5
             if dt < spec.dt_min:
-                state = ContinuationState(t=t, u=u, diagnostics=diagnostics(u, spec),
-                                          steps=steps)
                 raise ContinuationError(
-                    f"step size underflow at t={t:.6f}: {exc}", last_state=state) from exc
+                    f"step size underflow at t={t:.6f}: {exc}",
+                    last_state=ContinuationState(t=t, u=u, diagnostics=None, steps=steps)) from exc
             log.info("step to t=%.4f failed (%s); retrying with dt=%.2e",
                      t_next, type(exc).__name__, dt)
             continue
         u_prev, t_prev, u, t = u, t, u_next, t_next
-        diag = _record(steps, spec, t, u, stats, handoff.pop())
+        _record(steps, spec, t, u, stats, handoff[0])
+        if t < 1.0:
+            handoff.clear()  # the next start is a prediction, which builds its own
         cap = spec.dt_grow if steps[-2]["accepted"] else 1.0
         norms = stats.residual_norms
         dt *= cap if stats.iterations < 2 else min(
             cap, max(0.5, math.sqrt(CONTRACTION_TARGET * norms[0] / norms[1])))
 
-    return ContinuationState(t=t, u=u, diagnostics=diag, steps=steps)
+    return u, handoff.pop()
 
 
 # A coarse level halves every axis of its grid and keeps at least this many
@@ -376,36 +394,52 @@ def continuation(spec: ProblemSpec) -> ContinuationState:
     The homotopy path from the constant solution at t = 0 is followed once,
     on the coarsest level of spec's grid: the last grid of halved axes that
     keeps COARSEST_NODES nodes and carries the coefficients (see
-    _coarse_spec), so 8^3 for 16^3 and 16 x 32 for Sphere2(64, 128).  Each
+    _coarse_spec), so 8^3 for 16^3 and 16 x 32 for Sphere2(64, 128).  Its
+    Newton solves stop at spec.newton_tol (or the rounding floor).  Each
     finer level, up to spec's own grid, prolongs the level below
-    (grid.prolong_from) and finishes with Newton at t = 1; its step record
-    also carries correction_norm, max|u_L - P u_{L-1}| between its solution
-    u_L and that prolonged start.  Every step record names the grid it ran
-    on.  A failed path raises ContinuationError, as does a failed finer level
-    after one record (its grid, t = 1, "accepted": false, the error's type
-    and no dt), with the last accepted state prolonged onto spec's grid.
+    (grid.prolong_from) and finishes with Newton at t = 1 by nested
+    iteration (Brandt, Math. Comp. 31, 1977; Bornemann & Deuflhard, Numer.
+    Math. 75, 1996): it stops once |F|_inf has fallen LEVEL_REDUCTION-fold
+    from the prolonged start, or at newton_tol or the rounding floor if
+    larger.  That start's error is about the level's first correction,
+    Delta_L, so the algebraic error left is about LEVEL_REDUCTION Delta_L,
+    far below the level's truncation error of about Delta_L / 3, and no
+    estimate of J's eigenvalues is needed.  Its step record also carries
+    correction_norm, Delta_L = max|u_L - P u_{L-1}| between its solution
+    u_L and that prolonged start, and newton_target, the target its Newton
+    met.  Every step record names the grid it ran on.  diagnostics runs
+    once, for the state returned.  A failed path raises ContinuationError,
+    as does a failed finer level after one record (its grid, t = 1,
+    "accepted": false, the error's type and no dt), with the last accepted
+    state prolonged onto spec's grid and its diagnostics.
     """
     levels = [spec]
     while (coarse := _coarse_spec(levels[0])) is not None:
         levels.insert(0, coarse)
     steps = []
     try:
-        state = _homotopy(levels[0], steps)
+        u, rec = _homotopy(levels[0], steps)
         for level in levels[1:]:
-            start = level.grid.prolong_from(state.u.values, state.u.grid)
+            start = level.grid.prolong_from(u.values, u.grid)
+            rec = None  # frees the coarser level's record during this level's solve
             try:
-                u, stats, rec = newton_solve(GridFunction(start, level.grid), 1.0, level)
+                u_next, stats, rec = newton_solve(GridFunction(start, level.grid), 1.0, level,
+                                                  reduction=LEVEL_REDUCTION)
             except (StepFailureError, NonConvergenceError, ConeExitError) as exc:
                 steps.append({"t": 1.0, "grid": list(level.grid.shape),
                               "accepted": False, "error": type(exc).__name__})
-                raise ContinuationError(f"Newton failed at t=1 on {level.grid.shape}: {exc}",
-                                        last_state=state) from exc
-            diag = _record(steps, level, 1.0, u, stats, rec,
-                           correction_norm=float(np.abs(u.values - start).max()))
-            state = ContinuationState(t=1.0, u=u, diagnostics=diag, steps=steps)
-        return state
+                raise ContinuationError(
+                    f"Newton failed at t=1 on {level.grid.shape}: {exc}",
+                    last_state=ContinuationState(t=1.0, u=u, diagnostics=None, steps=steps)
+                ) from exc
+            u = u_next
+            _record(steps, level, 1.0, u, stats, rec,
+                    correction_norm=float(np.abs(u.values - start).max()),
+                    newton_target=stats.target)
+        return ContinuationState(t=1.0, u=u, diagnostics=diagnostics(u, spec, rec), steps=steps)
     except ContinuationError as exc:
-        if (last := exc.last_state).u.grid is not spec.grid:
-            u = GridFunction(spec.grid.prolong_from(last.u.values, last.u.grid), spec.grid)
-            exc.last_state = replace(last, u=u, diagnostics=diagnostics(u, spec))
+        last = exc.last_state
+        u = last.u if last.u.grid is spec.grid else GridFunction(
+            spec.grid.prolong_from(last.u.values, last.u.grid), spec.grid)
+        exc.last_state = replace(last, u=u, diagnostics=diagnostics(u, spec))
         raise

@@ -1,6 +1,7 @@
 import logging
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -328,25 +329,57 @@ def graph_pencils(n, kind, N=400, seed=0):
     return (f, fp, None, du, lower), gtilde, h
 
 
+def _det(M):
+    """Determinants of the stacked square matrices M, by Laplace expansion
+    along the first row (in M's own dtype, with no LAPACK)."""
+    if M.shape[-1] == 1:
+        return M[..., 0, 0]
+    rest = M[..., 1:, :]
+    return sum((-1) ** c * M[..., 0, c] * _det(np.delete(rest, c, axis=-1))
+               for c in range(M.shape[-1]))
+
+
+def principal_minor_sigma(f, fp, fpp, du, lower):
+    """sigma_0..sigma_n of the pencil (gtilde, h) of graph_record's inputs,
+    as the sums of the principal j-minors of gtilde^-1 h, in np.longdouble
+    and without LAPACK: h = (f' (gtilde + Du Du^T) - f D^2u) / v and
+    gtilde^-1 = (I - Du Du^T / v^2) / f^2."""
+    n = du.shape[1]
+    f, fp, du = (np.asarray(a, dtype=np.longdouble) for a in (f, fp, du))
+    d2u = np.empty((f.size, n, n), dtype=np.longdouble)
+    for (i, j), col in lower.items():
+        d2u[:, i, j] = d2u[:, j, i] = col
+    uu = du[:, :, None] * du[:, None, :]
+    f3, fp3 = f[:, None, None], fp[:, None, None]
+    eye = np.eye(n, dtype=np.longdouble)
+    v2 = f3 ** 2 + uu.trace(axis1=1, axis2=2)[:, None, None]
+    h = (fp3 * (f3 ** 2 * eye + 2.0 * uu) - f3 * d2u) / np.sqrt(v2)
+    M = ((eye - uu / v2) / f3 ** 2) @ h
+    return np.stack([np.ones(f.size, dtype=np.longdouble)] + [
+        sum(_det(M[:, S][:, :, S]) for S in map(list, combinations(range(n), j)))
+        for j in range(1, n + 1)], axis=1)
+
+
 @pytest.mark.parametrize("kind", ["random", "near-degenerate", "umbilic"])
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
 def test_sigma_and_newton_tensor_forms_match_the_eigensystem(n, k, kind):
     # the closed-form record of graph nodes, its sigma from the Newton-tensor
     # recurrence on A = gamma h gamma and the Jacobian's reads of the
     # Newton-tensor forms, M1 = gamma G gamma, M2 Du, tr M2
-    # (M2 = gamma G A gamma) and Tr(G A), against sigma_all of the LAPACK
-    # pencil eigenvalues of the same (gtilde, h) and the eigenvector forms
+    # (M2 = gamma G A gamma) and Tr(G A): sigma against the principal minors
+    # of gtilde^-1 h in long double, the forms against the LAPACK pencil
+    # eigensystem of the same (gtilde, h) and the eigenvector forms
     # M1 = V diag(G) V^T, M2 = V diag(G lam) V^T, G = dF/dlam; measured at
-    # most 5.2e-15 (sigma, n <= 3; 9.96e-15 for n = 4, whose sigma_2 sums 6
-    # products: 7.3e-15 against eigvalsh of A itself) and 1.3e-13 (M1, at a
-    # 3-D k = 3 node next to the cone's edge, where |G| is about 1e7; M2 Du
-    # 6.9e-14, tr M2 1.7e-14)
+    # most 3.8e-15 (sigma, n <= 3; 8.1e-15 for n = 4, whose sigma_2 sums 6
+    # products, against 9.96e-15 from sigma_all of the LAPACK eigenvalues)
+    # and 1.3e-13 (M1, at a 3-D k = 3 node next to the cone's edge, where
+    # |G| is about 1e7; M2 Du 6.9e-14, tr M2 1.7e-14)
     fields, gtilde, h = graph_pencils(n, kind)
     rec = geometry.graph_record(*fields)
     sig = rec.sig
     lam, V = geometry.pencil_eigensystem(gtilde, h)
     scale = np.abs(lam).max(axis=1, keepdims=True)
-    ref = symfunc.sigma_all(lam)
+    ref = principal_minor_sigma(*fields)
     assert np.all(np.abs(sig - ref) <= 1e-14 * scale ** np.arange(n + 1))
 
     inside = sig[:, 1:k].min(axis=1) > 0.0

@@ -664,10 +664,11 @@ def test_linear_solves_ask_only_what_the_stopping_test_needs(spec_fn, monkeypatc
                       * spec.grid.norm_inf_bound(J))
         return J
 
-    def newton_solve(u, t, spec, rec=None):
+    def newton_solve(u, t, spec, rec=None, reduction=0.0):
         floors.append(0.0)  # no J yet
-        out = original_newton(u, t, spec, rec=rec)
-        finals.append((out[1].residual_norms[-1], max(spec.newton_tol, floors[-1])))
+        out = original_newton(u, t, spec, rec=rec, reduction=reduction)
+        finals.append((out[1].residual_norms[-1], max(
+            spec.newton_tol, floors[-1], reduction * out[1].residual_norms[0])))
         return out
     monkeypatch.setattr(solver, "_solve_linear", solve_linear)
     monkeypatch.setattr(problem, "jacobian", jacobian)
@@ -723,11 +724,11 @@ def record_newton_solves(monkeypatch, fail_calls=()):
     original = solver.newton_solve
     calls = []
 
-    def newton_solve(u, t, spec, rec=None):
+    def newton_solve(u, t, spec, rec=None, reduction=0.0):
         calls.append([u, t, None])
         if len(calls) - 1 in fail_calls:
             raise ConeExitError("forced")
-        out = original(u, t, spec, rec=rec)
+        out = original(u, t, spec, rec=rec, reduction=reduction)
         calls[-1][2] = out[0]
         return out
     monkeypatch.setattr(solver, "newton_solve", newton_solve)
@@ -943,7 +944,8 @@ def test_failed_full_step_backs_off_to_half(monkeypatch):
     ids=["torus2-16", "sphere-16x32", "torus2-16-grow-10"])
 def test_step_size_follows_the_first_contraction(spec_fn, uncapped):
     spec = spec_fn()
-    factors = replay_step_control(spec, solver._homotopy(spec, []).steps)
+    solver._homotopy(spec, steps := [])
+    factors = replay_step_control(spec, steps)
     assert len(factors) >= 2
     # whether the contraction, not the cap, sets some step's growth
     assert any(1.0 < f < spec.dt_grow for f in factors) == uncapped
@@ -954,9 +956,9 @@ def test_rejected_step_halves_dt_under_step_control(monkeypatch):
     # contraction scales the halved dt (dt_init 0.1 pins a second step)
     spec = perturbed_spec((16, 16), 2, dt_init=0.1)
     record_newton_solves(monkeypatch, fail_calls={1})
-    state = solver._homotopy(spec, [])
-    assert [rec["accepted"] for rec in state.steps[:4]] == [True, True, False, True]
-    replay_step_control(spec, state.steps)
+    solver._homotopy(spec, steps := [])
+    assert [rec["accepted"] for rec in steps[:4]] == [True, True, False, True]
+    replay_step_control(spec, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +992,8 @@ def test_sequenced_solution_matches_the_direct_homotopy(spec_fn, ladder):
     before = [spec.coeffs.values(l, 1.3) for l in range(spec.k)]
     state = solver.continuation(spec)
     assert all(np.array_equal(spec.coeffs.values(l, 1.3), a) for l, a in enumerate(before))
-    direct = solver._homotopy(spec, [])
-    assert np.abs(state.u.values - direct.u.values).max() <= 1e-9
+    direct, _ = solver._homotopy(spec, [])
+    assert np.abs(state.u.values - direct.values).max() <= 1e-9
     # the path on the coarsest grid, then one Newton record per finer grid
     grids = [rec["grid"] for rec in state.steps]
     path = len(state.steps) - len(ladder) + 1
@@ -1008,8 +1010,8 @@ def test_finer_levels_log_their_correction_norm(monkeypatch):
     solved = {}  # grid shape -> (grid, u of the last Newton solve on it)
     original = solver.newton_solve
 
-    def newton_solve(u, t, level, rec=None):
-        out = original(u, t, level, rec=rec)
+    def newton_solve(u, t, level, rec=None, reduction=0.0):
+        out = original(u, t, level, rec=rec, reduction=reduction)
         solved[level.grid.shape] = (level.grid, out[0].values)
         return out
     monkeypatch.setattr(solver, "newton_solve", newton_solve)
@@ -1026,16 +1028,100 @@ def test_finer_levels_log_their_correction_norm(monkeypatch):
     assert 3.5 <= ratio <= 4.5, ratio
 
 
+def test_finer_sphere_levels_stop_once_the_start_residual_fell_by_level_reduction():
+    # nested iteration: the 32x64 and 64x128 levels start at |F| of about
+    # 4.9e-5 and 2.2e-5 (the prolonged coarser solution) and stop once that
+    # has fallen LEVEL_REDUCTION-fold, in one Newton step each; run on to
+    # newton_tol they took two (measured)
+    spec = perturbed_sphere_spec(64, 128)
+    state = solver.continuation(spec)
+    finer = [rec for rec in state.steps if "newton_target" in rec]
+    assert finer == state.steps[-2:] and [rec["grid"] for rec in finer] == [[32, 64], [64, 128]]
+    for rec in finer:
+        start = rec["residual_history"][0]
+        assert rec["newton_iters"] == 1
+        # the rounding floor, about 2e-10 on 64x128, lies below
+        assert rec["newton_target"] == max(spec.newton_tol, solver.LEVEL_REDUCTION * start)
+        assert rec["residual_norm"] <= rec["newton_target"] < start
+
+
+@pytest.mark.parametrize("spec_fn,coarsest", [
+    (lambda: perturbed_sphere_spec(64, 128), (16, 32)),
+    (lambda: perturbed_spec((16, 16), 2), (16, 16))], ids=["sphere-64x128", "torus2-16"])
+def test_the_path_keeps_newton_tol_or_the_floor(spec_fn, coarsest, monkeypatch):
+    # every Newton solve of the path (on the coarsest level, or the grid
+    # itself without a ladder) asks for no reduction and stops at
+    # max(newton_tol, rounding floor), the floor read from its last J
+    solves, floors = [], []
+    original_jacobian, original_newton = problem.jacobian, solver.newton_solve
+
+    def jacobian(u, t, spec, rec=None):
+        J = original_jacobian(u, t, spec, rec)
+        floors[-1] = (4.0 * np.finfo(float).eps * np.abs(u.values).max()
+                      * spec.grid.norm_inf_bound(J))
+        return J
+
+    def newton_solve(u, t, spec, rec=None, reduction=0.0):
+        floors.append(0.0)  # no J yet
+        out = original_newton(u, t, spec, rec=rec, reduction=reduction)
+        solves.append((spec.grid.shape, reduction, out[1], max(spec.newton_tol, floors[-1])))
+        return out
+    monkeypatch.setattr(problem, "jacobian", jacobian)
+    monkeypatch.setattr(solver, "newton_solve", newton_solve)
+    spec = spec_fn()
+    state = solver.continuation(spec)
+    path = [(reduction, stats, target) for shape, reduction, stats, target in solves
+            if shape == coarsest]
+    assert len(path) == len([rec for rec in state.steps if rec["grid"] == list(coarsest)]) - 1
+    for reduction, stats, target in path:
+        assert reduction == 0.0 and stats.target == target
+        assert stats.residual_norms[-1] <= target
+    assert all(reduction == solver.LEVEL_REDUCTION
+               for shape, reduction, *_ in solves if shape != coarsest)
+    assert all("newton_target" not in rec for rec in state.steps if rec["grid"] == list(coarsest))
+
+
+def test_a_finer_start_within_newton_tol_takes_no_newton_step():
+    # the radial 16^3 level starts from the prolonged 8^3 constant, which
+    # solves it to rounding (3.4e-15)
+    spec = hyperbolic_spec((16, 16, 16))
+    state = solver.continuation(spec)
+    last = state.steps[-1]
+    assert last["grid"] == [16, 16, 16] and state.steps[-2]["grid"] == [8, 8, 8]
+    assert last["newton_iters"] == 0 and last["linear_history"] == []
+    assert last["residual_history"] == [last["residual_norm"]]
+    assert last["residual_norm"] <= spec.newton_tol == last["newton_target"]
+
+
+@pytest.mark.parametrize("spec_fn", [
+    lambda: perturbed_sphere_spec(64, 128), lambda: perturbed_spec((64, 64), 2),
+    lambda: perturbed_spec((16, 16, 16), 3)], ids=["sphere-64x128", "torus2-64", "torus3-16-k3"])
+def test_nested_iteration_leaves_u_within_its_truncation_error(spec_fn, monkeypatch):
+    # the algebraic error nested iteration leaves is far below the finest
+    # level's truncation error, about correction_norm / 3: u lies within
+    # 1e-3 of that from the ladder run on to newton_tol at every level
+    # (measured 2.9e-2, 8.1e-6 and 7.3e-5 of the bound)
+    state = solver.continuation(spec_fn())
+    monkeypatch.setattr(solver, "LEVEL_REDUCTION", 0.0)
+    full = solver.continuation(spec_fn())
+    assert [rec["grid"] for rec in state.steps] == [rec["grid"] for rec in full.steps]
+    # torus3-16-k3 keeps two Newton steps on 16^3, the others save one per level
+    assert sum(rec["newton_iters"] for rec in state.steps) <= sum(
+        rec["newton_iters"] for rec in full.steps)
+    bound = 1e-3 * state.steps[-1]["correction_norm"] / 3.0
+    assert np.abs(state.u.values - full.u.values).max() <= bound
+
+
 def fail_on_grid(monkeypatch, grid, count):
     """Make the first `count` newton_solve calls on grid raise."""
     original = solver.newton_solve
     failures = []
 
-    def newton_solve(u, t, spec, rec=None):
+    def newton_solve(u, t, spec, rec=None, reduction=0.0):
         if spec.grid is grid and len(failures) < count:
             failures.append(t)
             raise StepFailureError("forced")
-        return original(u, t, spec, rec=rec)
+        return original(u, t, spec, rec=rec, reduction=reduction)
     monkeypatch.setattr(solver, "newton_solve", newton_solve)
     return failures
 
@@ -1118,6 +1204,30 @@ def test_failed_finer_level_raises_the_coarse_solution_prolonged(monkeypatch):
     solved = solver.continuation(perturbed_spec((32, 32), 2))
     assert np.array_equal(state.u.values,
                           spec.grid.prolong_from(solved.u.values, solved.u.grid))
+
+
+def test_diagnostics_runs_once_for_the_returned_or_raised_state(monkeypatch):
+    # step records read u_min, u_max, tau_min and lambda_abs_max from u and
+    # its curvature record; the full report (cone margins, certificate,
+    # flags) is built once, for the state continuation returns or its
+    # ContinuationError carries
+    calls, original = [], solver.diagnostics
+
+    def diagnostics(u, spec, rec=None):
+        calls.append(u)
+        return original(u, spec, rec)
+    monkeypatch.setattr(solver, "diagnostics", diagnostics)
+    state = solver.continuation(perturbed_sphere_spec(64, 128))
+    assert len(calls) == 1 and calls[0] is state.u
+    last, diag = state.steps[-1], state.diagnostics
+    assert [last[key] for key in ("u_min", "u_max", "tau_min", "lambda_abs_max")] == [
+        diag.u_min, diag.u_max, diag.tau_min, diag.lambda_abs_max]
+    calls.clear()
+    spec = perturbed_spec((64, 64), 2)
+    fail_on_grid(monkeypatch, spec.grid, np.inf)
+    with pytest.raises(ContinuationError) as err:
+        solver.continuation(spec)
+    assert len(calls) == 1 and calls[0] is err.value.last_state.u
 
 
 def test_specs_sharing_a_coefficient_family_check_and_solve():
